@@ -41,6 +41,22 @@ class AcrlagConfig:
         return self.max_lag + 1
 
 
+def _normalize_rows(e: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Remove each row's mean, then scale its peak magnitude to one.
+
+    Returns the normalized rows that ``valid`` admits and whose residual is
+    not constant, together with the narrowed mask.
+    """
+    centered = e - e.mean(axis=1, keepdims=True)
+    peaks = np.max(np.abs(centered), axis=1)
+    # A relative floor also rejects rows that are constant up to round-off,
+    # where dividing by the ulp-sized peak would amplify noise into a fake
+    # feature vector.
+    floors = np.max(np.abs(e), axis=1) * 1e-12
+    valid = valid & (peaks > floors) & np.isfinite(peaks)
+    return centered[valid] / peaks[valid, None], valid
+
+
 def normalize_residual(e: np.ndarray) -> np.ndarray:
     """Remove the mean, then scale the peak magnitude to one."""
     e = np.asarray(e, dtype=np.float64)
@@ -48,15 +64,10 @@ def normalize_residual(e: np.ndarray) -> np.ndarray:
         raise ValueError("residual must be 1-D")
     if e.size == 0:
         raise DegenerateResidual("empty residual")
-    centered = e - e.mean()
-    peak = np.max(np.abs(centered))
-    # A relative floor also rejects inputs that are constant up to round-off,
-    # where dividing by the ulp-sized peak would amplify noise into a fake
-    # feature vector.
-    floor = np.max(np.abs(e)) * 1e-12
-    if peak <= floor or not np.isfinite(peak):
+    normalized, valid = _normalize_rows(e[None, :], np.ones(1, dtype=bool))
+    if not valid[0]:
         raise DegenerateResidual("residual is constant; nothing to correlate")
-    return centered / peak
+    return normalized[0]
 
 
 def acrlag_feature(e: np.ndarray, config: AcrlagConfig = AcrlagConfig()) -> np.ndarray:
@@ -96,14 +107,7 @@ def extract_acrlag(
         )
     r = lp._autocorr_batch(data, config.lp_order)
     coeffs, _, _, valid = lp._levinson_batch(r)
-    residuals = lp._residual_batch(data, coeffs)
-
-    centered = residuals - residuals.mean(axis=1, keepdims=True)
-    peaks = np.max(np.abs(centered), axis=1)
-    floors = np.max(np.abs(residuals), axis=1) * 1e-12
-    valid &= (peaks > floors) & np.isfinite(peaks)
+    normalized, valid = _normalize_rows(lp._residual_batch(data, coeffs), valid)
     if not np.any(valid):
         raise NoFeatures("no frame produced a usable residual")
-    normalized = centered[valid] / peaks[valid, None]
-    vectors = lp._autocorr_batch(normalized, config.max_lag)
-    return FeatureMatrix(FeatureKind.ACRLAG, vectors)
+    return FeatureMatrix(FeatureKind.ACRLAG, lp._autocorr_batch(normalized, config.max_lag))

@@ -8,11 +8,12 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import audio_io
-from .acrlag import AcrlagConfig, extract_acrlag
+from .acrlag import extract_acrlag
 from .errors import VoxidError
-from .features import FeatureKind, export_csv, save_features
+from .features import FeatureKind, FeatureMatrix, export_csv, save_features
 from .sid_pipeline import (
     FusionConfig,
     PipelineConfig,
@@ -25,7 +26,7 @@ from .sid_pipeline import (
     synth_corpus,
     train_database,
 )
-from .signal_prep import preprocess
+from .signal_prep import FrameSequence, preprocess
 from .spectral import (
     FrequencyScale,
     PlpConfig,
@@ -34,7 +35,57 @@ from .spectral import (
     plpcc,
 )
 
-EXTRACT_KINDS = ("acrlag", "mfcc", "lfcc", "plpcc", "lpcc", "lsf", "lar")
+
+class Extractor(NamedTuple):
+    """``voxid extract`` for one kind: ``run(frames, config, settings)`` and
+    the flags it reads, as {argparse dest: setting name}.  Unset flags keep
+    the extractor's own defaults."""
+
+    run: Callable[[FrameSequence, PipelineConfig, dict], FeatureMatrix]
+    flags: dict[str, str]
+
+
+def _filterbank(scale: FrequencyScale) -> Extractor:
+    def run(frames, config, settings):
+        return fb_cepstra(frames, replace(config.filterbank, scale=scale, **settings))
+
+    return Extractor(run, {"n_filters": "n_filters", "n_cep": "n_cep", "fft_size": "fft_size"})
+
+
+def _lp_transform(kind: FeatureKind) -> Extractor:
+    def run(frames, config, settings):
+        return extract_lp_features(frames, kind, **settings)
+
+    return Extractor(run, {"order": "order"})
+
+
+EXTRACTORS: dict[FeatureKind, Extractor] = {
+    FeatureKind.ACRLAG: Extractor(
+        lambda frames, config, settings: extract_acrlag(
+            frames, replace(config.acrlag, **settings)
+        ),
+        {"lp_order": "lp_order", "lag": "max_lag"},
+    ),
+    FeatureKind.MFCC: _filterbank(FrequencyScale.MEL),
+    FeatureKind.LFCC: _filterbank(FrequencyScale.HERTZ),
+    FeatureKind.PLPCC: Extractor(
+        lambda frames, config, settings: plpcc(frames, PlpConfig(**settings)),
+        {"order": "model_order", "n_cep": "n_cep", "fft_size": "fft_size"},
+    ),
+    FeatureKind.LPCC: _lp_transform(FeatureKind.LPCC),
+    FeatureKind.LSF: _lp_transform(FeatureKind.LSF),
+    FeatureKind.LAR: _lp_transform(FeatureKind.LAR),
+}
+
+# Settings flags of `voxid extract`: argparse dest -> help text.
+_EXTRACT_FLAGS = {
+    "lp_order": "residual LP order",
+    "lag": "maximum lag",
+    "order": "model order",
+    "n_filters": "filterbank size",
+    "n_cep": "cepstra kept",
+    "fft_size": "FFT length",
+}
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -57,8 +108,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         config = replace(config, frame=replace(config.frame, **frame_overrides))
     if getattr(args, "components", None) is not None:
         config = replace(config, train=replace(config.train, n_components=args.components))
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, train=replace(config.train, seed=args.seed))
     return config
 
 
@@ -94,36 +143,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args)
     audio = audio_io.read_wav(args.audio)
     frames = preprocess(audio, config.frame)
-    kind = args.kind
-    if kind == "acrlag":
-        acr = config.acrlag
-        if args.lp_order is not None or args.lag is not None:
-            acr = AcrlagConfig(
-                lp_order=args.lp_order if args.lp_order is not None else acr.lp_order,
-                max_lag=args.lag if args.lag is not None else acr.max_lag,
-            )
-        matrix = extract_acrlag(frames, acr)
-    elif kind in ("mfcc", "lfcc"):
-        fb = config.filterbank
-        overrides = {}
-        if args.n_filters is not None:
-            overrides["n_filters"] = args.n_filters
-        if args.n_cep is not None:
-            overrides["n_cep"] = args.n_cep
-        if args.fft_size is not None:
-            overrides["fft_size"] = args.fft_size
-        overrides["scale"] = FrequencyScale.MEL if kind == "mfcc" else FrequencyScale.HERTZ
-        matrix = fb_cepstra(frames, replace(fb, **overrides))
-    elif kind == "plpcc":
-        plp = PlpConfig(
-            model_order=args.order if args.order is not None else 19,
-            n_cep=args.n_cep if args.n_cep is not None else 19,
-            fft_size=args.fft_size if args.fft_size is not None else 512,
-        )
-        matrix = plpcc(frames, plp)
-    else:
-        order = args.order if args.order is not None else 19
-        matrix = extract_lp_features(frames, FeatureKind(kind.upper()), order)
+    extractor = EXTRACTORS[FeatureKind.parse(args.kind)]
+    settings = {
+        name: getattr(args, dest)
+        for dest, name in extractor.flags.items()
+        if getattr(args, dest) is not None
+    }
+    matrix = extractor.run(frames, config, settings)
     save_features(matrix, args.out)
     if args.csv:
         export_csv(matrix, args.csv)
@@ -233,15 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract features from one WAV file")
     p.add_argument("audio", help="input WAV path")
-    p.add_argument("--kind", required=True, choices=EXTRACT_KINDS)
+    p.add_argument("--kind", required=True, choices=[k.value.lower() for k in EXTRACTORS])
     p.add_argument("--out", required=True, help="output feature file")
     p.add_argument("--csv", help="also export CSV here")
-    p.add_argument("--lp-order", type=int, help="residual LP order (acrlag)")
-    p.add_argument("--lag", type=int, help="maximum lag (acrlag)")
-    p.add_argument("--order", type=int, help="model order (plpcc/lpcc/lsf/lar)")
-    p.add_argument("--n-filters", type=int, help="filterbank size (mfcc/lfcc)")
-    p.add_argument("--n-cep", type=int, help="cepstra kept (mfcc/lfcc/plpcc)")
-    p.add_argument("--fft-size", type=int, help="FFT length (mfcc/lfcc/plpcc)")
+    for dest, text in _EXTRACT_FLAGS.items():
+        kinds = "/".join(k.value.lower() for k, e in EXTRACTORS.items() if dest in e.flags)
+        p.add_argument("--" + dest.replace("_", "-"), type=int, help=f"{text} ({kinds})")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -249,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output database file")
     p.add_argument("--components", type=int, choices=(2, 4, 8, 16, 32, 64))
-    p.add_argument("--seed", type=int)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -285,10 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VoxidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (VoxidError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

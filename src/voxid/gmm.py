@@ -8,7 +8,6 @@ weighted component log-densities, summed over frames.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +34,8 @@ LBG_SHIFT_TOLERANCE = 1e-6
 LBG_MAX_PASSES = 100
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
+
+DEFAULT_VARIANCE_FLOOR_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class TrainConfig:
 
     n_components: int = 8
     em_iterations: int = 10
-    variance_floor_ratio: float = 1e-3
-    seed: int = 0
+    variance_floor_ratio: float = DEFAULT_VARIANCE_FLOOR_RATIO
 
     def __post_init__(self) -> None:
         if self.n_components not in ALLOWED_COMPONENT_COUNTS:
@@ -133,13 +133,16 @@ def _kmeans_refine(data: np.ndarray, centroids: np.ndarray, spread: np.ndarray) 
     return centroids
 
 
-def lbg_init(features: FeatureMatrix, n_components: int, seed: int = 0) -> GmmModel:
+def lbg_init(
+    features: FeatureMatrix,
+    n_components: int,
+    variance_floor_ratio: float = DEFAULT_VARIANCE_FLOOR_RATIO,
+) -> GmmModel:
     """Seed a mixture by LBG binary splitting with k-means refinement.
 
-    The procedure is deterministic; the seed parameter is accepted for
-    interface symmetry with EM training but draws no random numbers.
+    The procedure is deterministic.  Component variances are floored at
+    variance_floor_ratio times the global per-dimension variance.
     """
-    del seed
     if n_components < 1 or n_components & (n_components - 1):
         raise ValueError("n_components must be a power of two")
     data = features.values
@@ -149,7 +152,7 @@ def lbg_init(features: FeatureMatrix, n_components: int, seed: int = 0) -> GmmMo
         )
     spread = data.std(axis=0)
     spread = np.where(spread > 0, spread, 1.0)
-    floor = variance_floor(features, TrainConfig().variance_floor_ratio)
+    floor = variance_floor(features, variance_floor_ratio)
 
     centroids = data.mean(axis=0, keepdims=True)
     while centroids.shape[0] < n_components:
@@ -254,22 +257,19 @@ def em_fit(features: FeatureMatrix, init: GmmModel, cfg: TrainConfig) -> GmmMode
 
 def train_gmm(features: FeatureMatrix, cfg: TrainConfig) -> GmmModel:
     """LBG initialization followed by EM refinement."""
-    init = lbg_init(features, cfg.n_components, cfg.seed)
+    init = lbg_init(features, cfg.n_components, cfg.variance_floor_ratio)
     return em_fit(features, init, cfg)
 
 
-def utterance_score(
-    model: GmmModel, features: FeatureMatrix, average: bool = False
-) -> float:
-    """Sum (or mean, when average is set) of per-frame log-densities."""
+def utterance_score(model: GmmModel, features: FeatureMatrix) -> float:
+    """Sum of per-frame log-densities."""
     if features.kind is not model.feature_kind:
         raise FeatureKindMismatch(
             f"features are {features.kind.value}, model is {model.feature_kind.value}"
         )
     if features.dim != model.dim:
         raise DimError(f"feature dim {features.dim} != model dim {model.dim}")
-    frame_ll = _frame_log_densities(model, features.values)
-    return float(frame_ll.mean() if average else frame_ll.sum())
+    return float(_frame_log_densities(model, features.values).sum())
 
 
 def model_to_bytes(model: GmmModel) -> bytes:
@@ -337,10 +337,6 @@ def model_to_json_dict(model: GmmModel) -> dict:
     }
 
 
-def save_model_json(model: GmmModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_json_dict(model), indent=2, sort_keys=True))
-
-
 __all__ = [
     "GmmModel",
     "TrainConfig",
@@ -356,5 +352,4 @@ __all__ = [
     "model_to_bytes",
     "model_from_bytes",
     "model_to_json_dict",
-    "save_model_json",
 ]

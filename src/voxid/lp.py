@@ -23,20 +23,6 @@ from .errors import DegenerateFrame, LagTooLarge, NumericalFailure, UnstableFilt
 DEGENERATE_ENERGY_FLOOR = 1e-12
 
 
-def autocorr(frame: np.ndarray, max_lag: int) -> np.ndarray:
-    """One-sided autocorrelation r[0..max_lag], r[l] = sum_n x[n] x[n+l]."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1:
-        raise ValueError("frame must be 1-D")
-    n = frame.size
-    if max_lag < 0:
-        raise ValueError("max_lag must be non-negative")
-    if max_lag >= n:
-        raise LagTooLarge(f"max_lag {max_lag} needs a frame longer than {n} samples")
-    full = np.correlate(frame, frame, mode="full")
-    return full[n - 1 : n + max_lag].copy()
-
-
 def _autocorr_batch(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """Row-wise one-sided autocorrelation of a (n_frames, frame_len) array."""
     n = frames.shape[1]
@@ -46,6 +32,16 @@ def _autocorr_batch(frames: np.ndarray, max_lag: int) -> np.ndarray:
     for lag in range(max_lag + 1):
         out[:, lag] = np.einsum("ij,ij->i", frames[:, : n - lag], frames[:, lag:])
     return out
+
+
+def autocorr(frame: np.ndarray, max_lag: int) -> np.ndarray:
+    """One-sided autocorrelation r[0..max_lag], r[l] = sum_n x[n] x[n+l]."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 1:
+        raise ValueError("frame must be 1-D")
+    if max_lag < 0:
+        raise ValueError("max_lag must be non-negative")
+    return _autocorr_batch(frame[None, :], max_lag)[0]
 
 
 @dataclass(frozen=True)
@@ -110,24 +106,23 @@ def levinson_durbin(r: np.ndarray, order: int) -> LevinsonResult:
     return LevinsonResult(a[0], ks[0], float(err[0]))
 
 
+def _residual_batch(frames: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Per-row inverse filtering where row i uses coefficients[i]."""
+    n = frames.shape[1]
+    out = frames.copy()
+    # Taps past the frame length only ever see the zero history.
+    for k in range(1, min(coefficients.shape[1], n) + 1):
+        out[:, k:] -= coefficients[:, k - 1 : k] * frames[:, : n - k]
+    return out
+
+
 def residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Inverse-filter the frame: e[n] = s[n] - sum_k a[k] s[n-k], zero history."""
     frame = np.asarray(frame, dtype=np.float64)
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if frame.ndim != 1 or coefficients.ndim != 1:
         raise ValueError("frame and coefficients must be 1-D")
-    fir = np.concatenate(([1.0], -coefficients))
-    return lfilter(fir, [1.0], frame)
-
-
-def _residual_batch(frames: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Per-row inverse filtering where row i uses coefficients[i]."""
-    m, n = frames.shape
-    p = coefficients.shape[1]
-    out = frames.copy()
-    for k in range(1, p + 1):
-        out[:, k:] -= coefficients[:, k - 1 : k] * frames[:, : n - k]
-    return out
+    return _residual_batch(frame[None, :], coefficients[None, :])[0]
 
 
 def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -131,47 +131,42 @@ class PipelineConfig:
     acrlag: AcrlagConfig = field(default_factory=AcrlagConfig)
     filterbank: FilterbankConfig = field(default_factory=FilterbankConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    # Average per-frame log-likelihoods instead of summing them.  Off by
-    # default: both streams see the same frames, so lengths already match.
-    score_average: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "frame": {
-                "frame_len_samples": self.frame.frame_len_samples,
-                "hop_samples": self.frame.hop_samples,
-                "preemphasis": self.frame.preemphasis,
-                "energy_threshold_ratio": self.frame.energy_threshold_ratio,
-            },
-            "acrlag": {"lp_order": self.acrlag.lp_order, "max_lag": self.acrlag.max_lag},
-            "filterbank": {
-                "n_filters": self.filterbank.n_filters,
-                "scale": self.filterbank.scale.value,
-                "f_low_hz": self.filterbank.f_low_hz,
-                "f_high_hz": self.filterbank.f_high_hz,
-                "n_cep": self.filterbank.n_cep,
-                "fft_size": self.filterbank.fft_size,
-            },
-            "train": {
-                "n_components": self.train.n_components,
-                "em_iterations": self.train.em_iterations,
-                "variance_floor_ratio": self.train.variance_floor_ratio,
-                "seed": self.train.seed,
-            },
-            "score_average": self.score_average,
-        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PipelineConfig":
-        cfg = cls()
-        return replace(
-            cfg,
-            frame=replace(cfg.frame, **doc.get("frame", {})),
-            acrlag=replace(cfg.acrlag, **doc.get("acrlag", {})),
-            filterbank=replace(cfg.filterbank, **doc.get("filterbank", {})),
-            train=replace(cfg.train, **doc.get("train", {})),
-            score_average=bool(doc.get("score_average", cfg.score_average)),
-        )
+        """Settings from ``--config`` JSON or a database header; absent keys
+        keep their defaults.
+
+        Headers written before ``train.seed`` and ``score_average`` were
+        removed still load: the seed never drew a random number, and
+        ``score_average: false`` asks for the summed scores used here.
+        """
+        if not isinstance(doc, dict):
+            raise BadFileFormat("pipeline config must be a JSON object")
+        doc = dict(doc)
+        if doc.pop("score_average", False) is not False:
+            raise BadFileFormat(
+                "config key 'score_average': only false (summed frame scores) is supported"
+            )
+        defaults = cls()
+        sections = {}
+        for name, values in doc.items():
+            if name not in {f.name for f in fields(cls)}:
+                raise BadFileFormat(f"unknown config key {name!r}")
+            if not isinstance(values, dict):
+                raise BadFileFormat(f"config key {name!r} must hold a JSON object")
+            values = dict(values)
+            if name == "train":
+                values.pop("seed", None)
+            section = getattr(defaults, name)
+            unknown = sorted(set(values) - {f.name for f in fields(section)})
+            if unknown:
+                raise BadFileFormat(f"unknown config key '{name}.{unknown[0]}'")
+            try:
+                sections[name] = replace(section, **values)
+            except (TypeError, ValueError) as exc:
+                raise BadFileFormat(f"config key {name!r}: {exc}") from None
+        return replace(defaults, **sections)
 
 
 @dataclass(frozen=True)
@@ -262,11 +257,10 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     if not db.speaker_ids:
         raise InsufficientData("speaker database is empty")
     frames = preprocess(audio, db.config.frame)
-    average = db.config.score_average
     try:
         spectral = fb_cepstra(frames, db.config.filterbank)
         spectral_scores = {
-            sid: gmm.utterance_score(db.spectral_models[sid], spectral, average)
+            sid: gmm.utterance_score(db.spectral_models[sid], spectral)
             for sid in db.speaker_ids
         }
     except VoxidError:
@@ -274,7 +268,7 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     try:
         residual = extract_acrlag(frames, db.config.acrlag)
         residual_scores = {
-            sid: gmm.utterance_score(db.residual_models[sid], residual, average)
+            sid: gmm.utterance_score(db.residual_models[sid], residual)
             for sid in db.speaker_ids
         }
     except VoxidError:
@@ -337,21 +331,25 @@ def _fused_score_dict(
     return fused
 
 
+def _resolve_winners(
+    scores: Sequence[SpeakerScores], cfg: FusionConfig
+) -> tuple[str, str | None, str | None]:
+    """(fused, spectral, residual) winners; a stream without scores has none."""
+    spectral = {s.speaker_id: s.spectral for s in scores if s.spectral is not None}
+    residual = {s.speaker_id: s.residual for s in scores if s.residual is not None}
+    return (
+        _argmax_speaker(_fused_score_dict(scores, cfg)),
+        _argmax_speaker(spectral) if spectral else None,
+        _argmax_speaker(residual) if residual else None,
+    )
+
+
 def identify(
     db: SpeakerDatabase, audio: AudioSignal, cfg: FusionConfig = FusionConfig()
 ) -> IdentificationResult:
     """Closed-set identification: argmax per stream and over fused scores."""
     scores = score_utterance(db, audio)
-    spectral = {s.speaker_id: s.spectral for s in scores if s.spectral is not None}
-    residual = {s.speaker_id: s.residual for s in scores if s.residual is not None}
-    fused = _fused_score_dict(scores, cfg)
-    return IdentificationResult(
-        fused_winner=_argmax_speaker(fused),
-        spectral_winner=_argmax_speaker(spectral) if spectral else None,
-        residual_winner=_argmax_speaker(residual) if residual else None,
-        scores=scores,
-        eta=cfg.eta,
-    )
+    return IdentificationResult(*_resolve_winners(scores, cfg), scores=scores, eta=cfg.eta)
 
 
 @dataclass(frozen=True)
@@ -467,60 +465,33 @@ def report_from_scores(
     denominator for all streams.
     """
     results = []
-    n_scored = n_failed = 0
-    correct = {"spectral": 0, "residual": 0, "fused": 0}
     for trial in trials:
-        if trial.failed:
-            n_failed += 1
-            results.append(
-                TrialResult(trial.true_speaker, trial.utterance, None, None, None, trial.error)
+        fused = spectral = residual = None
+        if not trial.failed:
+            spectral_scores = trial.spectral_scores or {}
+            residual_scores = trial.residual_scores or {}
+            pairs = tuple(
+                SpeakerScores(sid, spectral_scores.get(sid), residual_scores.get(sid))
+                for sid in sorted(spectral_scores.keys() | residual_scores.keys())
             )
-            continue
-        n_scored += 1
-        pairs = tuple(
-            SpeakerScores(
-                sid,
-                trial.spectral_scores.get(sid) if trial.spectral_scores else None,
-                trial.residual_scores.get(sid) if trial.residual_scores else None,
-            )
-            for sid in sorted(
-                (trial.spectral_scores or trial.residual_scores or {}).keys()
-            )
-        )
-        spectral_winner = (
-            _argmax_speaker(trial.spectral_scores) if trial.spectral_scores else None
-        )
-        residual_winner = (
-            _argmax_speaker(trial.residual_scores) if trial.residual_scores else None
-        )
-        fused_winner = _argmax_speaker(_fused_score_dict(pairs, cfg))
-        if spectral_winner == trial.true_speaker:
-            correct["spectral"] += 1
-        if residual_winner == trial.true_speaker:
-            correct["residual"] += 1
-        if fused_winner == trial.true_speaker:
-            correct["fused"] += 1
+            fused, spectral, residual = _resolve_winners(pairs, cfg)
         results.append(
             TrialResult(
-                trial.true_speaker,
-                trial.utterance,
-                spectral_winner,
-                residual_winner,
-                fused_winner,
-                trial.error,
+                trial.true_speaker, trial.utterance, spectral, residual, fused, trial.error
             )
         )
-    if n_scored == 0:
+    n_failed = sum(trial.failed for trial in trials)
+    if n_failed == len(trials):
         raise InsufficientData("every test utterance failed; nothing to evaluate")
     return EvalReport(
         eta=cfg.eta,
         trials=tuple(results),
         n_trials=len(trials),
-        n_scored=n_scored,
+        n_scored=len(trials) - n_failed,
         n_failed=n_failed,
-        correct_spectral=correct["spectral"],
-        correct_residual=correct["residual"],
-        correct_fused=correct["fused"],
+        correct_spectral=sum(t.spectral_winner == t.true_speaker for t in results),
+        correct_residual=sum(t.residual_winner == t.true_speaker for t in results),
+        correct_fused=sum(t.fused_winner == t.true_speaker for t in results),
     )
 
 
@@ -540,7 +511,7 @@ def fusion_sweep(
 
 
 def database_to_bytes(db: SpeakerDatabase) -> bytes:
-    config_json = json.dumps(db.config.to_json_dict(), sort_keys=True).encode("utf-8")
+    config_json = json.dumps(asdict(db.config), sort_keys=True).encode("utf-8")
     out = [
         DB_MAGIC,
         struct.pack("<H", DB_VERSION),

@@ -233,7 +233,16 @@ def plpcc(frames: FrameSequence, cfg: PlpConfig = PlpConfig()) -> FeatureMatrix:
     return FeatureMatrix(FeatureKind.PLPCC, cepstra[valid])
 
 
-LP_FEATURE_KINDS = (FeatureKind.LPCC, FeatureKind.LSF, FeatureKind.LAR)
+def _lsf_rows(coeffs: np.ndarray, reflection: np.ndarray) -> np.ndarray:
+    rows = []
+    for a in coeffs:
+        try:
+            rows.append(lp.lsf(a))
+        except UnstableFilter:
+            continue
+    if not rows:
+        raise NoFeatures("no frame yielded line spectral frequencies")
+    return np.vstack(rows)
 
 
 def extract_lp_features(
@@ -241,24 +250,16 @@ def extract_lp_features(
 ) -> FeatureMatrix:
     """LP-transform features (LPCC, LSF, or LAR) at the given model order."""
     kind = FeatureKind(kind)
-    if kind not in LP_FEATURE_KINDS:
+    if kind is FeatureKind.LPCC:
+        transform = lambda coeffs, reflection: lp._lpcc_batch(coeffs, order)
+    elif kind is FeatureKind.LAR:
+        transform = lambda coeffs, reflection: lp.lar(reflection)
+    elif kind is FeatureKind.LSF:
+        transform = _lsf_rows
+    else:
         raise ValueError(f"{kind.value} is not an LP-transform feature")
     r = lp._autocorr_batch(frame_array(frames), order)
     coeffs, reflection, _, valid = lp._levinson_batch(r)
-    if kind is FeatureKind.LPCC:
-        if not np.any(valid):
-            raise NoFeatures("no frame supported an LP fit")
-        return FeatureMatrix(kind, lp._lpcc_batch(coeffs[valid], order))
-    if kind is FeatureKind.LAR:
-        if not np.any(valid):
-            raise NoFeatures("no frame supported an LP fit")
-        return FeatureMatrix(kind, lp.lar(reflection[valid]))
-    rows = []
-    for i in np.flatnonzero(valid):
-        try:
-            rows.append(lp.lsf(coeffs[i]))
-        except UnstableFilter:
-            continue
-    if not rows:
-        raise NoFeatures("no frame yielded line spectral frequencies")
-    return FeatureMatrix(kind, np.vstack(rows))
+    if not np.any(valid):
+        raise NoFeatures("no frame supported an LP fit")
+    return FeatureMatrix(kind, transform(coeffs[valid], reflection[valid]))

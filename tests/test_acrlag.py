@@ -105,6 +105,15 @@ class TestAcrlagVector:
         e = lp.analyze_frame(frame, 13).residual
         np.testing.assert_allclose(acrlag_vector(frame), acrlag_feature(e))
 
+    def test_matches_batch_rows(self, rng):
+        # Non-degenerate frames survive extraction, so row i is frame i.
+        frames = np.vstack([random_ar_frame(rng, 4 + i % 17)[0] for i in range(40)])
+        for cfg in (AcrlagConfig(), AcrlagConfig(lp_order=8, max_lag=20)):
+            batch = extract_acrlag(frames, cfg).values
+            assert batch.shape == (40, cfg.dim)
+            for frame, row in zip(frames, batch):
+                np.testing.assert_array_equal(acrlag_vector(frame, cfg), row)
+
 
 class TestExtractAcrlag:
     def test_shape(self, speech_frames):

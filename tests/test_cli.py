@@ -2,8 +2,30 @@ import json
 
 import pytest
 
-from voxid.cli import main
-from voxid.features import FeatureKind, load_features
+from voxid import audio_io
+from voxid.acrlag import AcrlagConfig, extract_acrlag
+from voxid.cli import build_parser, main
+from voxid.features import FeatureKind, feature_matrix_to_bytes, load_features
+from voxid.signal_prep import FrameConfig, preprocess
+from voxid.spectral import (
+    FilterbankConfig,
+    FrequencyScale,
+    PlpConfig,
+    extract_lp_features,
+    fb_cepstra,
+    plpcc,
+)
+
+# What `voxid extract --kind K` computes with no settings flags.
+LIBRARY_EXTRACTORS = {
+    "acrlag": extract_acrlag,
+    "mfcc": lambda frames: fb_cepstra(frames, FilterbankConfig(scale=FrequencyScale.MEL)),
+    "lfcc": lambda frames: fb_cepstra(frames, FilterbankConfig(scale=FrequencyScale.HERTZ)),
+    "plpcc": lambda frames: plpcc(frames, PlpConfig()),
+    "lpcc": lambda frames: extract_lp_features(frames, FeatureKind.LPCC, 19),
+    "lsf": lambda frames: extract_lp_features(frames, FeatureKind.LSF, 19),
+    "lar": lambda frames: extract_lp_features(frames, FeatureKind.LAR, 19),
+}
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +94,42 @@ class TestExtract:
         feats = load_features(out)
         assert feats.kind is FeatureKind.parse(kind)
         assert feats.n_frames > 0
+        frames = preprocess(audio_io.read_wav(wav), FrameConfig())
+        expected = feature_matrix_to_bytes(LIBRARY_EXTRACTORS[kind](frames))
+        assert out.read_bytes() == expected
+
+    def test_kind_choices_cover_every_feature_kind(self):
+        extract = build_parser()._subparsers._group_actions[0].choices["extract"]
+        (kind,) = [a for a in extract._actions if a.dest == "kind"]
+        assert set(kind.choices) == {k.value.lower() for k in FeatureKind}
+
+    def test_settings_flags_reach_the_extractor(self, cli_corpus, tmp_path):
+        wav = cli_corpus / "spk00" / "train_00.wav"
+        frames = preprocess(audio_io.read_wav(wav), FrameConfig())
+        cases = (
+            (
+                ["--kind", "acrlag", "--lp-order", "10", "--lag", "5"],
+                extract_acrlag(frames, AcrlagConfig(lp_order=10, max_lag=5)),
+            ),
+            (
+                ["--kind", "lsf", "--order", "12"],
+                extract_lp_features(frames, FeatureKind.LSF, 12),
+            ),
+            (
+                ["--kind", "plpcc", "--order", "12", "--n-cep", "8"],
+                plpcc(frames, PlpConfig(model_order=12, n_cep=8)),
+            ),
+            (
+                ["--kind", "lfcc", "--n-filters", "24", "--n-cep", "12"],
+                fb_cepstra(
+                    frames, FilterbankConfig(n_filters=24, n_cep=12, scale=FrequencyScale.HERTZ)
+                ),
+            ),
+        )
+        for flags, direct in cases:
+            out = tmp_path / "f.ftr"
+            assert main(["extract", str(wav), "--out", str(out), *flags]) == 0
+            assert out.read_bytes() == feature_matrix_to_bytes(direct)
 
     def test_csv_export(self, cli_corpus, tmp_path):
         wav = cli_corpus / "spk01" / "train_00.wav"

@@ -122,6 +122,23 @@ class TestLbgInit:
         with pytest.raises(InsufficientData):
             lbg_init(feats(rng.standard_normal((3, 2))), 4)
 
+    def test_floors_variances_at_configured_ratio(self, rng):
+        # The clouds lie 8 apart along dimension 0, so cluster variances there
+        # sit far below half the global variance until the floor lifts them.
+        fm = two_clouds(rng)
+        data = fm.values
+        model = lbg_init(fm, 4, variance_floor_ratio=0.5)
+        assert np.all(model.variances >= 0.5 * data.var(axis=0)[None, :])
+
+    def test_train_gmm_seeds_with_configured_ratio(self, rng):
+        fm = two_clouds(rng)
+        cfg = TrainConfig(n_components=2, variance_floor_ratio=0.5)
+        trained = train_gmm(fm, cfg)
+        expected = em_fit(fm, lbg_init(fm, 2, variance_floor_ratio=0.5), cfg)
+        default_seeded = em_fit(fm, lbg_init(fm, 2), cfg)
+        np.testing.assert_array_equal(trained.variances, expected.variances)
+        assert not np.array_equal(trained.variances, default_seeded.variances)
+
     def test_deterministic(self, rng):
         data = rng.standard_normal((512, 6))
         a = lbg_init(feats(data), 8)
@@ -281,13 +298,6 @@ class TestUtteranceScore:
         assert whole == pytest.approx(
             utterance_score(model, feats(a)) + utterance_score(model, feats(b)),
             abs=1e-9,
-        )
-
-    def test_average_mode(self, rng):
-        model = self.make_model(rng)
-        data = rng.standard_normal((40, 3))
-        assert utterance_score(model, feats(data), average=True) == pytest.approx(
-            utterance_score(model, feats(data)) / 40, abs=1e-12
         )
 
     def test_kind_and_dim_guards(self, rng):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ from voxid.sid_pipeline import (
 )
 
 TINY_TRAIN = PipelineConfig(train=TrainConfig(n_components=2))
+
+# TINY_TRAIN's header JSON as the previous release wrote it, with the since
+# removed train.seed and score_average keys.
+V1_CONFIG_JSON = (
+    '{"acrlag": {"lp_order": 13, "max_lag": 12}, "filterbank": {"f_high_hz": null, '
+    '"f_low_hz": 0.0, "fft_size": 512, "n_cep": 19, "n_filters": 20, "scale": "mel"}, '
+    '"frame": {"energy_threshold_ratio": 0.06, "frame_len_samples": 160, '
+    '"hop_samples": 80, "preemphasis": 0.97}, "score_average": false, "train": '
+    '{"em_iterations": 10, "n_components": 2, "seed": 0, "variance_floor_ratio": 0.001}}'
+)
+
+
+def with_config_json(blob: bytes, config_json: str) -> bytes:
+    """The database blob with its header config JSON replaced."""
+    (length,) = struct.unpack_from("<I", blob, 8)
+    raw = config_json.encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + length :]
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +338,48 @@ class TestDatabasePersistence:
         blob = database_to_bytes(tiny_db)
         with pytest.raises(BadFileFormat):
             database_from_bytes(blob[:-5])
+
+    def test_previous_release_header_loads(self, tiny_corpus, tiny_db):
+        manifest, _ = tiny_corpus
+        old = database_from_bytes(with_config_json(database_to_bytes(tiny_db), V1_CONFIG_JSON))
+        assert old.config == tiny_db.config
+        for entry in manifest.speakers:
+            for path in entry.test_utterances:
+                audio = audio_io.read_wav(path)
+                assert identify(old, audio) == identify(tiny_db, audio)
+
+    def test_score_average_true_rejected(self, tiny_db):
+        header = V1_CONFIG_JSON.replace('"score_average": false', '"score_average": true')
+        with pytest.raises(BadFileFormat, match="score_average"):
+            database_from_bytes(with_config_json(database_to_bytes(tiny_db), header))
+
+
+class TestConfigJson:
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"bogus": {}}, "bogus"),
+            ({"train": {"n_components": 2, "bogus": 1}}, "train.bogus"),
+            ({"frame": 160}, "frame"),
+            ({"acrlag": [13, 12]}, "acrlag"),
+            ({"train": {"n_components": 3}}, "train"),
+            ({"frame": {"hop_samples": "80"}}, "frame"),
+            ({"score_average": True}, "score_average"),
+        ],
+    )
+    def test_bad_config_names_the_key(self, doc, key):
+        with pytest.raises(BadFileFormat, match=key):
+            PipelineConfig.from_json_dict(doc)
+
+    def test_not_an_object(self):
+        with pytest.raises(BadFileFormat, match="object"):
+            PipelineConfig.from_json_dict([])
+
+    def test_old_seed_and_score_average_false_are_accepted(self):
+        doc = {"score_average": False, "train": {"seed": 7, "n_components": 4}}
+        assert PipelineConfig.from_json_dict(doc) == PipelineConfig(
+            train=TrainConfig(n_components=4)
+        )
 
 
 class TestSynthCorpus:
