@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -37,6 +38,12 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 DEFAULT_VARIANCE_FLOOR_RATIO = 1e-3
 
+# At most this many models are stacked into one scoring product.  scipy's
+# logsumexp allocates about 5.6 times its input, so a single product over
+# 100 speakers (8 components, ~230 frames) needed about 8 MB more peak
+# memory than scoring one model at a time; blocks of 16 need no more.
+SCORE_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -55,6 +62,8 @@ class GmmModel:
             raise ValueError("weights must be 1-D; means and variances 2-D")
         if means.shape != variances.shape or means.shape[0] != weights.size:
             raise ValueError("weights, means, and variances disagree on shape")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means))):
+            raise ValueError("weights and means must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be non-negative and sum to 1")
         if np.any(variances <= 0) or not np.all(np.isfinite(variances)):
@@ -177,24 +186,37 @@ def lbg_init(
     return GmmModel(features.kind, weights, centroids, variances)
 
 
-def _component_log_densities(model: GmmModel, data: np.ndarray) -> np.ndarray:
-    """log N(x_t | mu_i, diag sigma_i) for every frame and component, (T, M)."""
-    inv_var = 1.0 / model.variances
-    log_norm = -0.5 * (
-        model.dim * LOG_TWO_PI + np.log(model.variances).sum(axis=1)
-    )
+def _component_log_densities(
+    means: np.ndarray, variances: np.ndarray, data: np.ndarray
+) -> np.ndarray:
+    """log N(x_t | mu_i, diag sigma_i) for every frame and component row, (T, K)."""
+    inv_var = 1.0 / variances
+    log_norm = -0.5 * (means.shape[1] * LOG_TWO_PI + np.log(variances).sum(axis=1))
     quad = (
         (data * data) @ inv_var.T
-        - 2.0 * data @ (model.means * inv_var).T
-        + (model.means * model.means * inv_var).sum(axis=1)[None, :]
+        - 2.0 * data @ (means * inv_var).T
+        + (means * means * inv_var).sum(axis=1)[None, :]
     )
     return log_norm[None, :] - 0.5 * quad
 
 
-def _frame_log_densities(model: GmmModel, data: np.ndarray) -> np.ndarray:
-    """log p(x_t | model) per frame via log-sum-exp over components."""
-    weighted = _component_log_densities(model, data) + np.log(model.weights)[None, :]
-    return logsumexp(weighted, axis=1)
+def _frame_log_densities(models: Sequence[GmmModel], data: np.ndarray) -> np.ndarray:
+    """log p(x_t | model) for every model and frame, (S, T).
+
+    Models of one component count are stacked SCORE_BLOCK at a time into
+    one product.  Each model's row is contiguous, so summing it adds the
+    frames in the same order as a one-model call does.
+    """
+    out = np.empty((len(models), data.shape[0]))
+    for start in range(0, len(models), SCORE_BLOCK):
+        block = models[start : start + SCORE_BLOCK]
+        means = np.concatenate([m.means for m in block])
+        variances = np.concatenate([m.variances for m in block])
+        log_weights = np.log(np.concatenate([m.weights for m in block]))
+        weighted = _component_log_densities(means, variances, data) + log_weights[None, :]
+        per_model = weighted.reshape(data.shape[0], len(block), -1)
+        out[start : start + len(block)] = logsumexp(per_model, axis=2).T
+    return out
 
 
 def log_density(model: GmmModel, x: np.ndarray) -> float:
@@ -202,7 +224,7 @@ def log_density(model: GmmModel, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != model.dim:
         raise DimError(f"expected a {model.dim}-dimensional vector, got shape {x.shape}")
-    return float(_frame_log_densities(model, x[None, :])[0])
+    return float(_frame_log_densities([model], x[None, :])[0, 0])
 
 
 def em_step(
@@ -211,7 +233,10 @@ def em_step(
     """One EM iteration.  Returns the updated model and the total
     log-likelihood of the data under the INPUT model."""
     data = features.values
-    weighted = _component_log_densities(model, data) + np.log(model.weights)[None, :]
+    weighted = (
+        _component_log_densities(model.means, model.variances, data)
+        + np.log(model.weights)[None, :]
+    )
     frame_ll = logsumexp(weighted, axis=1)
     total_ll = float(frame_ll.sum())
 
@@ -261,15 +286,25 @@ def train_gmm(features: FeatureMatrix, cfg: TrainConfig) -> GmmModel:
     return em_fit(features, init, cfg)
 
 
+def utterance_scores(models: Sequence[GmmModel], features: FeatureMatrix) -> np.ndarray:
+    """Sum of per-frame log-densities under each model, (S,)."""
+    for model in models:
+        if features.kind is not model.feature_kind:
+            raise FeatureKindMismatch(
+                f"features are {features.kind.value}, model is {model.feature_kind.value}"
+            )
+        if features.dim != model.dim:
+            raise DimError(f"feature dim {features.dim} != model dim {model.dim}")
+        if model.n_components != models[0].n_components:
+            raise DimError(
+                f"models mix {models[0].n_components} and {model.n_components} components"
+            )
+    return _frame_log_densities(models, features.values).sum(axis=1)
+
+
 def utterance_score(model: GmmModel, features: FeatureMatrix) -> float:
     """Sum of per-frame log-densities."""
-    if features.kind is not model.feature_kind:
-        raise FeatureKindMismatch(
-            f"features are {features.kind.value}, model is {model.feature_kind.value}"
-        )
-    if features.dim != model.dim:
-        raise DimError(f"feature dim {features.dim} != model dim {model.dim}")
-    return float(_frame_log_densities(model, features.values).sum())
+    return float(utterance_scores([model], features)[0])
 
 
 def model_to_bytes(model: GmmModel) -> bytes:
@@ -290,6 +325,13 @@ def model_to_bytes(model: GmmModel) -> bytes:
 
 
 def model_from_bytes(blob: bytes) -> GmmModel:
+    try:
+        return _parse_model(blob)
+    except (struct.error, ValueError) as exc:  # short blob, bad UTF-8, values GmmModel rejects
+        raise BadFileFormat(f"model truncated or corrupt ({exc})") from None
+
+
+def _parse_model(blob: bytes) -> GmmModel:
     if len(blob) < len(MODEL_MAGIC) + 2:
         raise BadFileFormat("model file truncated before header")
     if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -326,17 +368,6 @@ def load_model(path: str | Path) -> GmmModel:
     return model_from_bytes(Path(path).read_bytes())
 
 
-def model_to_json_dict(model: GmmModel) -> dict:
-    return {
-        "feature_kind": model.feature_kind.value,
-        "n_components": model.n_components,
-        "dim": model.dim,
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "variances": model.variances.tolist(),
-    }
-
-
 __all__ = [
     "GmmModel",
     "TrainConfig",
@@ -346,10 +377,10 @@ __all__ = [
     "em_fit",
     "train_gmm",
     "utterance_score",
+    "utterance_scores",
     "variance_floor",
     "save_model",
     "load_model",
     "model_to_bytes",
     "model_from_bytes",
-    "model_to_json_dict",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from . import audio_io, corpus, gmm
 from .acrlag import AcrlagConfig, extract_acrlag
 from .errors import BadFileFormat, InsufficientData, VoxidError
-from .features import FeatureMatrix, concatenate_features
+from .features import FeatureKind, FeatureMatrix, concatenate_features
 from .gmm import GmmModel, TrainConfig
 from .signal_prep import AudioSignal, FrameConfig, preprocess
 from .spectral import FilterbankConfig, fb_cepstra
@@ -61,25 +61,36 @@ class CorpusManifest:
         return tuple(s.speaker_id for s in self.speakers)
 
 
+def _manifest_entry(item: object, path: Path) -> SpeakerEntry:
+    """One speaker of a manifest document; utterance paths resolve relative to it."""
+    if not isinstance(item, dict) or "speaker_id" not in item:
+        raise BadFileFormat(f"{path}: every speaker must be an object with a 'speaker_id'")
+    train, test = (item.get(key, []) for key in ("train_utterances", "test_utterances"))
+    for paths in (train, test):
+        if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+            raise BadFileFormat(
+                f"{path}: speaker {item['speaker_id']!r}: utterance lists must hold path strings"
+            )
+    return SpeakerEntry(
+        speaker_id=str(item["speaker_id"]),
+        train_utterances=tuple(str(path.parent / p) for p in train),
+        test_utterances=tuple(str(path.parent / p) for p in test),
+    )
+
+
 def load_manifest(path: str | Path, check_paths: bool = True) -> CorpusManifest:
     """Read a manifest JSON; utterance paths resolve relative to the file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or "speakers" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("speakers"), list):
         raise BadFileFormat(f"{path}: manifest must be an object with a 'speakers' list")
-    base = path.parent
-    speakers = []
-    for item in doc["speakers"]:
-        entry = SpeakerEntry(
-            speaker_id=str(item["speaker_id"]),
-            train_utterances=tuple(str(base / p) for p in item.get("train_utterances", [])),
-            test_utterances=tuple(str(base / p) for p in item.get("test_utterances", [])),
-        )
-        speakers.append(entry)
-    manifest = CorpusManifest(tuple(speakers))
+    try:
+        manifest = CorpusManifest(tuple(_manifest_entry(item, path) for item in doc["speakers"]))
+    except ValueError as exc:  # overlapping train/test lists or repeated speaker ids
+        raise BadFileFormat(f"{path}: {exc}") from None
     if check_paths:
         for entry in manifest.speakers:
             for p in entry.train_utterances + entry.test_utterances:
@@ -179,10 +190,26 @@ class SpeakerDatabase:
     residual_models: dict[str, GmmModel]
 
     def __post_init__(self) -> None:
+        """Every speaker has one model per stream, of the kind, dimension and
+        component count that the config's extractors and training produce."""
         object.__setattr__(self, "speaker_ids", tuple(self.speaker_ids))
+        cfg = self.config
+        n_components = cfg.train.n_components
+        streams = (
+            ("spectral", self.spectral_models, cfg.filterbank.feature_kind, cfg.filterbank.n_cep),
+            ("residual", self.residual_models, FeatureKind.ACRLAG, cfg.acrlag.dim),
+        )
         for sid in self.speaker_ids:
-            if sid not in self.spectral_models or sid not in self.residual_models:
-                raise ValueError(f"speaker {sid} is missing a stream model")
+            for stream, models, kind, dim in streams:
+                if sid not in models:
+                    raise ValueError(f"speaker {sid} is missing a {stream} model")
+                model = models[sid]
+                if (model.feature_kind, model.dim, model.n_components) != (kind, dim, n_components):
+                    raise ValueError(
+                        f"speaker {sid}, {stream} model: {model.feature_kind.value} with "
+                        f"{model.n_components} components of dimension {model.dim}, but the "
+                        f"config gives {kind.value} with {n_components} of dimension {dim}"
+                    )
 
     @property
     def n_speakers(self) -> int:
@@ -251,38 +278,28 @@ class SpeakerScores:
 def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
     """Both streams' log-likelihoods against every enrolled speaker.
 
-    A stream that yields no features for this utterance scores None for all
-    speakers; preprocessing failures propagate to the caller.
+    A stream whose features cannot be extracted from this utterance scores
+    None for all speakers; preprocessing failures propagate to the caller.
     """
     if not db.speaker_ids:
         raise InsufficientData("speaker database is empty")
     frames = preprocess(audio, db.config.frame)
-    try:
-        spectral = fb_cepstra(frames, db.config.filterbank)
-        spectral_scores = {
-            sid: gmm.utterance_score(db.spectral_models[sid], spectral)
-            for sid in db.speaker_ids
-        }
-    except VoxidError:
-        spectral_scores = None
-    try:
-        residual = extract_acrlag(frames, db.config.acrlag)
-        residual_scores = {
-            sid: gmm.utterance_score(db.residual_models[sid], residual)
-            for sid in db.speaker_ids
-        }
-    except VoxidError:
-        residual_scores = None
-    if spectral_scores is None and residual_scores is None:
+    missing = [None] * db.n_speakers
+    streams = []
+    for extract, cfg, models in (
+        (fb_cepstra, db.config.filterbank, db.spectral_models),
+        (extract_acrlag, db.config.acrlag, db.residual_models),
+    ):
+        try:
+            features = extract(frames, cfg)
+        except VoxidError:
+            streams.append(missing)
+            continue
+        scores = gmm.utterance_scores([models[sid] for sid in db.speaker_ids], features)
+        streams.append(scores.tolist())
+    if all(stream is missing for stream in streams):
         raise InsufficientData("both feature streams failed for this utterance")
-    return tuple(
-        SpeakerScores(
-            sid,
-            spectral_scores[sid] if spectral_scores else None,
-            residual_scores[sid] if residual_scores else None,
-        )
-        for sid in db.speaker_ids
-    )
+    return tuple(map(SpeakerScores, db.speaker_ids, *streams))
 
 
 def fuse_scores(spectral: float, residual: float, cfg: FusionConfig = FusionConfig()) -> float:
@@ -354,17 +371,17 @@ def identify(
 
 @dataclass(frozen=True)
 class ScoredTrial:
-    """Raw per-speaker scores for one test utterance, before fusion."""
+    """Raw per-speaker scores for one test utterance, before fusion; None
+    when every stream failed."""
 
     true_speaker: str
     utterance: str
-    spectral_scores: dict[str, float] | None
-    residual_scores: dict[str, float] | None
+    scores: tuple[SpeakerScores, ...] | None
     error: str | None = None
 
     @property
     def failed(self) -> bool:
-        return self.spectral_scores is None and self.residual_scores is None
+        return self.scores is None
 
 
 @dataclass(frozen=True)
@@ -438,20 +455,9 @@ def score_manifest(db: SpeakerDatabase, manifest: CorpusManifest) -> tuple[Score
             try:
                 scores = score_utterance(db, audio_io.read_wav(path))
             except VoxidError as exc:
-                trials.append(
-                    ScoredTrial(entry.speaker_id, path, None, None, error=str(exc))
-                )
-                continue
-            spectral = {s.speaker_id: s.spectral for s in scores if s.spectral is not None}
-            residual = {s.speaker_id: s.residual for s in scores if s.residual is not None}
-            trials.append(
-                ScoredTrial(
-                    entry.speaker_id,
-                    path,
-                    spectral or None,
-                    residual or None,
-                )
-            )
+                trials.append(ScoredTrial(entry.speaker_id, path, None, error=str(exc)))
+            else:
+                trials.append(ScoredTrial(entry.speaker_id, path, scores))
     return tuple(trials)
 
 
@@ -468,13 +474,7 @@ def report_from_scores(
     for trial in trials:
         fused = spectral = residual = None
         if not trial.failed:
-            spectral_scores = trial.spectral_scores or {}
-            residual_scores = trial.residual_scores or {}
-            pairs = tuple(
-                SpeakerScores(sid, spectral_scores.get(sid), residual_scores.get(sid))
-                for sid in sorted(spectral_scores.keys() | residual_scores.keys())
-            )
-            fused, spectral, residual = _resolve_winners(pairs, cfg)
+            fused, spectral, residual = _resolve_winners(trial.scores, cfg)
         results.append(
             TrialResult(
                 trial.true_speaker, trial.utterance, spectral, residual, fused, trial.error
@@ -533,6 +533,13 @@ def database_to_bytes(db: SpeakerDatabase) -> bytes:
 
 
 def database_from_bytes(blob: bytes) -> SpeakerDatabase:
+    try:
+        return _parse_database(blob)
+    except (struct.error, ValueError) as exc:  # short blob, bad JSON or UTF-8, models off-config
+        raise BadFileFormat(f"database truncated or corrupt ({exc})") from None
+
+
+def _parse_database(blob: bytes) -> SpeakerDatabase:
     if len(blob) < len(DB_MAGIC) + 2 or blob[: len(DB_MAGIC)] != DB_MAGIC:
         raise BadFileFormat(
             f"bad database magic {blob[:len(DB_MAGIC)]!r}, expected {DB_MAGIC!r}"

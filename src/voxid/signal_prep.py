@@ -20,6 +20,8 @@ class AudioSignal:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("AudioSignal expects a 1-D mono sample array")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("AudioSignal samples must be finite")
         if int(self.sample_rate_hz) <= 0:
             raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "samples", samples)

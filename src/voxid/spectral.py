@@ -127,20 +127,6 @@ def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()
     return FeatureMatrix(cfg.feature_kind, cepstra[:, 1 : cfg.n_cep + 1])
 
 
-def extract_mfcc(frames: FrameSequence, cfg: FilterbankConfig | None = None) -> FeatureMatrix:
-    cfg = cfg if cfg is not None else FilterbankConfig(scale=FrequencyScale.MEL)
-    if cfg.scale is not FrequencyScale.MEL:
-        raise ValueError("MFCC extraction requires the mel scale")
-    return fb_cepstra(frames, cfg)
-
-
-def extract_lfcc(frames: FrameSequence, cfg: FilterbankConfig | None = None) -> FeatureMatrix:
-    cfg = cfg if cfg is not None else FilterbankConfig(scale=FrequencyScale.HERTZ)
-    if cfg.scale is not FrequencyScale.HERTZ:
-        raise ValueError("LFCC extraction requires the hertz scale")
-    return fb_cepstra(frames, cfg)
-
-
 @dataclass(frozen=True)
 class PlpConfig:
     """Perceptual-LP cepstrum settings."""

@@ -93,6 +93,12 @@ class TestFeatureSerialization:
         with pytest.raises(BadFileFormat):
             feature_matrix_from_bytes(blob[:-1])
 
+    def test_every_truncation_rejected(self, rng):
+        blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
+        for n in range(len(blob)):
+            with pytest.raises(BadFileFormat):
+                feature_matrix_from_bytes(blob[:n])
+
     def test_trailing_garbage(self, rng):
         blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
         with pytest.raises(BadFileFormat):

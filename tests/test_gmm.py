@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from voxid.errors import (
     BadFileFormat,
@@ -18,10 +21,11 @@ from voxid.gmm import (
     log_density,
     model_from_bytes,
     model_to_bytes,
-    model_to_json_dict,
     save_model,
     train_gmm,
+    SCORE_BLOCK,
     utterance_score,
+    utterance_scores,
     variance_floor,
 )
 
@@ -49,6 +53,20 @@ def mixture_log_density_oracle(model: GmmModel, x: np.ndarray) -> float:
     return float(np.log(total))
 
 
+def one_model_score_reference(model: GmmModel, data: np.ndarray) -> float:
+    """Reference: one model scored alone, in the same arithmetic as the
+    stacked kernel, so stacking must not change a single bit."""
+    inv_var = 1.0 / model.variances
+    log_norm = -0.5 * (model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1))
+    quad = (
+        (data * data) @ inv_var.T
+        - 2.0 * data @ (model.means * inv_var).T
+        + (model.means * model.means * inv_var).sum(axis=1)[None, :]
+    )
+    weighted = log_norm[None, :] - 0.5 * quad + np.log(model.weights)[None, :]
+    return float(logsumexp(weighted, axis=1).sum())
+
+
 class TestModelValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -61,6 +79,18 @@ class TestModelValidation:
     def test_shape_consistency(self):
         with pytest.raises(ValueError):
             GmmModel(KIND, np.array([1.0]), np.zeros((2, 3)), np.ones((1, 3)))
+
+    @pytest.mark.parametrize(
+        "weights, means",
+        [
+            ([np.nan, 1.0], [[0.0], [1.0]]),
+            ([0.5, 0.5], [[np.nan], [1.0]]),
+            ([0.5, 0.5], [[np.inf], [1.0]]),
+        ],
+    )
+    def test_non_finite_weights_and_means_rejected(self, weights, means):
+        with pytest.raises(ValueError, match="finite"):
+            GmmModel(KIND, np.array(weights), np.array(means), np.ones((2, 1)))
 
 
 class TestTrainConfig:
@@ -307,6 +337,20 @@ class TestUtteranceScore:
         with pytest.raises(DimError):
             utterance_score(model, feats(np.zeros((2, 4))))
 
+    def test_stacked_scores_equal_one_model_reference(self, rng):
+        # More models than one block holds, so a block boundary is crossed.
+        models = [self.make_model(rng, d=5, m=4) for _ in range(2 * SCORE_BLOCK + 3)]
+        data = rng.standard_normal((60, 5))
+        got = utterance_scores(models, feats(data))
+        expected = [one_model_score_reference(model, data) for model in models]
+        np.testing.assert_array_equal(got, expected)
+        assert [utterance_score(model, feats(data)) for model in models] == expected
+
+    def test_mixed_component_counts_rejected(self, rng):
+        models = [self.make_model(rng, m=2), self.make_model(rng, m=4)]
+        with pytest.raises(DimError, match="components"):
+            utterance_scores(models, feats(rng.standard_normal((5, 3))))
+
 
 class TestPersistence:
     def make_model(self, rng):
@@ -350,8 +394,22 @@ class TestPersistence:
         with pytest.raises(BadFileFormat):
             model_from_bytes(blob + b"\x00")
 
-    def test_json_dump_shape(self, rng):
-        d = model_to_json_dict(self.make_model(rng))
-        assert d["feature_kind"] == KIND.value
-        assert len(d["weights"]) == 2
-        assert len(d["means"]) == 2
+    def test_every_truncation_rejected(self, rng):
+        blob = model_to_bytes(self.make_model(rng))
+        for n in range(len(blob)):
+            with pytest.raises(BadFileFormat):
+                model_from_bytes(blob[:n])
+
+    def test_non_finite_payload_rejected(self, rng):
+        model = self.make_model(rng)
+        blob = bytearray(model_to_bytes(model))
+        payload = len(blob) - 8 * (model.n_components + 2 * model.means.size)
+        struct.pack_into("<d", blob, payload + 8 * model.n_components, np.nan)  # first mean
+        with pytest.raises(BadFileFormat, match="finite"):
+            model_from_bytes(bytes(blob))
+
+    def test_non_utf8_kind_rejected(self, rng):
+        blob = bytearray(model_to_bytes(self.make_model(rng)))
+        blob[12] = 0xFF  # first byte of the feature-kind name
+        with pytest.raises(BadFileFormat):
+            model_from_bytes(bytes(blob))

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from voxid import audio_io
+from voxid.acrlag import AcrlagConfig
 from voxid.errors import BadFileFormat, InsufficientData
 from voxid.gmm import TrainConfig
 from voxid.sid_pipeline import (
@@ -14,6 +16,7 @@ from voxid.sid_pipeline import (
     FusionConfig,
     PipelineConfig,
     ScoredTrial,
+    SpeakerDatabase,
     SpeakerEntry,
     SpeakerScores,
     _argmax_speaker,
@@ -34,6 +37,7 @@ from voxid.sid_pipeline import (
     synth_corpus,
     train_database,
 )
+from voxid.spectral import FilterbankConfig
 
 TINY_TRAIN = PipelineConfig(train=TrainConfig(n_components=2))
 
@@ -110,6 +114,29 @@ class TestManifest:
     def test_train_test_overlap_rejected(self):
         with pytest.raises(ValueError, match="share"):
             SpeakerEntry("a", ("x.wav",), ("x.wav",))
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (b'{"speakers": 3}', "'speakers' list"),
+            (b'{"speakers": ["a"]}', "speaker_id"),
+            (b'{"speakers": [{"train_utterances": []}]}', "speaker_id"),
+            (b'{"speakers": [{"speaker_id": "a", "train_utterances": "x.wav"}]}', "path strings"),
+            (b'{"speakers": [{"speaker_id": "a", "test_utterances": [7]}]}', "path strings"),
+            (b'{"speakers": [{"speaker_id": "a"}, {"speaker_id": "a"}]}', "unique"),
+            (
+                b'{"speakers": [{"speaker_id": "a", "train_utterances": ["x.wav"], '
+                b'"test_utterances": ["x.wav"]}]}',
+                "share",
+            ),
+            (b'{"speakers": ["\xff"]}', "JSON"),
+        ],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, raw, match):
+        path = tmp_path / "m.json"
+        path.write_bytes(raw)
+        with pytest.raises(BadFileFormat, match=match):
+            load_manifest(path, check_paths=False)
 
 
 class TestFusion:
@@ -251,8 +278,10 @@ class TestReports:
 
     def test_failed_trials_excluded_from_denominator(self):
         trials = (
-            ScoredTrial("a", "u0", {"a": -1.0, "b": -2.0}, {"a": -1.0, "b": -3.0}),
-            ScoredTrial("b", "u1", None, None, error="boom"),
+            ScoredTrial(
+                "a", "u0", (SpeakerScores("a", -1.0, -1.0), SpeakerScores("b", -2.0, -3.0))
+            ),
+            ScoredTrial("b", "u1", None, error="boom"),
         )
         report = report_from_scores(trials)
         assert report.n_trials == 2
@@ -262,14 +291,18 @@ class TestReports:
         assert report.trials[1].error == "boom"
 
     def test_all_failed_raises(self):
-        trials = (ScoredTrial("a", "u0", None, None, error="boom"),)
+        trials = (ScoredTrial("a", "u0", None, error="boom"),)
         with pytest.raises(InsufficientData):
             report_from_scores(trials)
 
     def test_single_stream_trial_stays_in_denominator(self):
         trials = (
-            ScoredTrial("a", "u0", {"a": -1.0, "b": -2.0}, None),
-            ScoredTrial("a", "u1", {"a": -3.0, "b": -2.0}, {"a": -1.0, "b": -2.0}),
+            ScoredTrial(
+                "a", "u0", (SpeakerScores("a", -1.0, None), SpeakerScores("b", -2.0, None))
+            ),
+            ScoredTrial(
+                "a", "u1", (SpeakerScores("a", -3.0, -1.0), SpeakerScores("b", -2.0, -2.0))
+            ),
         )
         report = report_from_scores(trials)
         assert report.n_scored == 2
@@ -339,6 +372,30 @@ class TestDatabasePersistence:
         with pytest.raises(BadFileFormat):
             database_from_bytes(blob[:-5])
 
+    def test_every_truncation_rejected(self, tiny_db):
+        blob = database_to_bytes(tiny_db)
+        for n in range(len(blob)):
+            with pytest.raises(BadFileFormat):
+                database_from_bytes(blob[:n])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_header_bit_flip_loads_or_raises_bad_file_format(self, tiny_db, data):
+        blob = bytearray(database_to_bytes(tiny_db))
+        (config_len,) = struct.unpack_from("<I", blob, 8)
+        bit = data.draw(st.integers(0, 8 * (12 + config_len + 4) - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            database_from_bytes(bytes(blob))
+        except BadFileFormat:
+            pass
+
+    def test_header_disagreeing_with_models_rejected(self, tiny_db):
+        config = replace(TINY_TRAIN, acrlag=AcrlagConfig(max_lag=10))
+        header = json.dumps(asdict(config), sort_keys=True)
+        with pytest.raises(BadFileFormat, match="residual model"):
+            database_from_bytes(with_config_json(database_to_bytes(tiny_db), header))
+
     def test_previous_release_header_loads(self, tiny_corpus, tiny_db):
         manifest, _ = tiny_corpus
         old = database_from_bytes(with_config_json(database_to_bytes(tiny_db), V1_CONFIG_JSON))
@@ -352,6 +409,30 @@ class TestDatabasePersistence:
         header = V1_CONFIG_JSON.replace('"score_average": false', '"score_average": true')
         with pytest.raises(BadFileFormat, match="score_average"):
             database_from_bytes(with_config_json(database_to_bytes(tiny_db), header))
+
+
+class TestDatabaseMatchesConfig:
+    @pytest.mark.parametrize(
+        "config, stream",
+        [
+            (replace(TINY_TRAIN, filterbank=FilterbankConfig(scale="hertz")), "spectral"),
+            (replace(TINY_TRAIN, filterbank=FilterbankConfig(n_cep=12)), "spectral"),
+            (replace(TINY_TRAIN, acrlag=AcrlagConfig(max_lag=10)), "residual"),
+            (PipelineConfig(), "spectral"),
+        ],
+        ids=["kind", "spectral-dim", "residual-dim", "components"],
+    )
+    def test_models_must_match_config(self, tiny_db, config, stream):
+        with pytest.raises(ValueError, match=f"speaker {tiny_db.speaker_ids[0]}, {stream} model"):
+            SpeakerDatabase(
+                config, tiny_db.speaker_ids, tiny_db.spectral_models, tiny_db.residual_models
+            )
+
+    def test_missing_model_rejected(self, tiny_db):
+        residual = dict(tiny_db.residual_models)
+        del residual[tiny_db.speaker_ids[1]]
+        with pytest.raises(ValueError, match="missing a residual model"):
+            SpeakerDatabase(TINY_TRAIN, tiny_db.speaker_ids, tiny_db.spectral_models, residual)
 
 
 class TestConfigJson:

@@ -197,6 +197,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             AudioSignal(np.zeros(4), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones(800)
+        samples[400] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AudioSignal(samples, 8000)
+
     def test_frame_config_validation(self):
         with pytest.raises(ValueError):
             FrameConfig(hop_samples=200)

@@ -11,9 +11,7 @@ from voxid.spectral import (
     PlpConfig,
     build_filterbank,
     equal_loudness,
-    extract_lfcc,
     extract_lp_features,
-    extract_mfcc,
     fb_cepstra,
     plpcc,
 )
@@ -139,8 +137,8 @@ class TestFbCepstra:
             )
 
     def test_shapes_and_kind(self, speech_frames):
-        mfcc = extract_mfcc(speech_frames)
-        lfcc = extract_lfcc(speech_frames)
+        mfcc = fb_cepstra(speech_frames, FilterbankConfig(scale=FrequencyScale.MEL))
+        lfcc = fb_cepstra(speech_frames, FilterbankConfig(scale=FrequencyScale.HERTZ))
         assert mfcc.kind is FeatureKind.MFCC
         assert lfcc.kind is FeatureKind.LFCC
         assert mfcc.dim == lfcc.dim == 19
@@ -155,16 +153,11 @@ class TestFbCepstra:
         np.testing.assert_allclose(scaled, base, atol=1e-10)
 
     def test_hertz_config_equals_lfcc(self, speech_frames):
-        cfg = FilterbankConfig(scale=FrequencyScale.HERTZ)
-        a = fb_cepstra(speech_frames, cfg).values
-        b = extract_lfcc(speech_frames).values
-        np.testing.assert_array_equal(a, b)
-
-    def test_scale_guard(self, speech_frames):
-        with pytest.raises(ValueError):
-            extract_mfcc(speech_frames, FilterbankConfig(scale=FrequencyScale.HERTZ))
-        with pytest.raises(ValueError):
-            extract_lfcc(speech_frames, FilterbankConfig(scale=FrequencyScale.MEL))
+        # The string form, as config JSON and CLI flags give it, picks LFCC too.
+        a = fb_cepstra(speech_frames, FilterbankConfig(scale="hertz"))
+        b = fb_cepstra(speech_frames, FilterbankConfig(scale=FrequencyScale.HERTZ))
+        assert a.kind is b.kind is FeatureKind.LFCC
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_silence_hits_log_floor_not_nan(self):
         got = fb_cepstra(make_frames(np.zeros((2, 160)))).values
