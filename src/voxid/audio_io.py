@@ -30,9 +30,18 @@ def read_wav(path: str | Path) -> AudioSignal:
                     f"{path}: expected 16-bit samples, found {8 * wav.getsampwidth()}-bit"
                 )
             rate = wav.getframerate()
-            raw = wav.readframes(wav.getnframes())
+            n_frames = wav.getnframes()
+            raw = wav.readframes(n_frames)
+    except EOFError:
+        raise AudioFormatError(f"{path}: file ends inside the WAV header") from None
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
+    if rate < 1:
+        raise AudioFormatError(f"{path}: frame rate {rate} Hz is not positive")
+    if len(raw) != 2 * n_frames:
+        raise AudioFormatError(
+            f"{path}: data chunk truncated, {len(raw)} of {2 * n_frames} bytes present"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM16_SCALE
     return AudioSignal(samples, rate)
 

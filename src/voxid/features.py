@@ -75,38 +75,74 @@ def concatenate_features(parts: Iterable[FeatureMatrix]) -> FeatureMatrix:
     return FeatureMatrix(kind, np.vstack([p.values for p in parts]))
 
 
+def pack_text(text: str) -> bytes:
+    """A u32 byte count, then the UTF-8 bytes of ``text``."""
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+class BlobReader:
+    """Cursor over a little-endian, length-prefixed binary blob.
+
+    The feature, model and database formats are all read through it: a
+    short read, text that is not UTF-8 or a leftover byte raises
+    ``BadFileFormat`` naming the format.
+    """
+
+    def __init__(self, blob: bytes, what: str, magic: bytes) -> None:
+        if blob[: len(magic)] != magic:
+            raise BadFileFormat(f"bad {what} magic {blob[:len(magic)]!r}, expected {magic!r}")
+        self._blob = blob
+        self._off = len(magic)
+        self._what = what
+
+    def take(self, n: int) -> bytes:
+        left = len(self._blob) - self._off
+        if n > left:
+            raise BadFileFormat(f"{self._what} truncated: {n} bytes wanted, {left} left")
+        self._off += n
+        return self._blob[self._off - n : self._off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (n,) = self.unpack("<I")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadFileFormat(f"{self._what} text is not UTF-8 ({exc})") from None
+
+    def floats(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
+
+    def end(self) -> None:
+        left = len(self._blob) - self._off
+        if left:
+            raise BadFileFormat(f"{left} trailing bytes after {self._what} payload")
+
+
 def feature_matrix_to_bytes(matrix: FeatureMatrix) -> bytes:
-    kind_bytes = matrix.kind.value.encode("utf-8")
-    header = FEATURE_MAGIC + struct.pack(
-        "<I", len(kind_bytes)
-    ) + kind_bytes + struct.pack("<QQ", matrix.n_frames, matrix.dim)
-    return header + matrix.values.astype("<f8").tobytes(order="C")
+    return (
+        FEATURE_MAGIC
+        + pack_text(matrix.kind.value)
+        + struct.pack("<QQ", matrix.n_frames, matrix.dim)
+        + matrix.values.astype("<f8").tobytes(order="C")
+    )
 
 
 def feature_matrix_from_bytes(blob: bytes) -> FeatureMatrix:
-    if len(blob) < len(FEATURE_MAGIC) + 4:
-        raise BadFileFormat("feature file truncated before header")
-    if blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise BadFileFormat(
-            f"bad feature-file magic {blob[:len(FEATURE_MAGIC)]!r}, expected {FEATURE_MAGIC!r}"
-        )
-    off = len(FEATURE_MAGIC)
-    (kind_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if len(blob) < off + kind_len + 16:
-        raise BadFileFormat("feature file truncated inside header")
-    kind = FeatureKind.parse(blob[off : off + kind_len].decode("utf-8"))
-    off += kind_len
-    rows, cols = struct.unpack_from("<QQ", blob, off)
-    off += 16
-    expected = rows * cols * 8
-    payload = blob[off:]
-    if len(payload) != expected:
-        raise BadFileFormat(
-            f"feature payload has {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-    return FeatureMatrix(kind, values.copy())
+    reader = BlobReader(blob, "feature file", FEATURE_MAGIC)
+    kind = FeatureKind.parse(reader.text())
+    rows, cols = reader.unpack("<QQ")
+    values = reader.floats(rows * cols)
+    reader.end()
+    if not np.all(np.isfinite(values)):
+        raise BadFileFormat("feature file holds non-finite values")
+    try:
+        return FeatureMatrix(kind, values.reshape(rows, cols))
+    except ValueError as exc:  # zero columns, or a shape numpy cannot hold
+        raise BadFileFormat(f"feature file: {exc}") from None
 
 
 def save_features(matrix: FeatureMatrix, path: str | Path) -> None:

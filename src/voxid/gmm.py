@@ -23,7 +23,7 @@ from .errors import (
     InsufficientData,
     NumericalFailure,
 )
-from .features import FeatureKind, FeatureMatrix
+from .features import BlobReader, FeatureKind, FeatureMatrix, pack_text
 
 MODEL_MAGIC = b"VOXGMM"
 MODEL_VERSION = 1
@@ -308,12 +308,10 @@ def utterance_score(model: GmmModel, features: FeatureMatrix) -> float:
 
 
 def model_to_bytes(model: GmmModel) -> bytes:
-    kind = model.feature_kind.value.encode("utf-8")
     header = (
         MODEL_MAGIC
         + struct.pack("<H", MODEL_VERSION)
-        + struct.pack("<I", len(kind))
-        + kind
+        + pack_text(model.feature_kind.value)
         + struct.pack("<II", model.n_components, model.dim)
     )
     body = (
@@ -325,39 +323,20 @@ def model_to_bytes(model: GmmModel) -> bytes:
 
 
 def model_from_bytes(blob: bytes) -> GmmModel:
-    try:
-        return _parse_model(blob)
-    except (struct.error, ValueError) as exc:  # short blob, bad UTF-8, values GmmModel rejects
-        raise BadFileFormat(f"model truncated or corrupt ({exc})") from None
-
-
-def _parse_model(blob: bytes) -> GmmModel:
-    if len(blob) < len(MODEL_MAGIC) + 2:
-        raise BadFileFormat("model file truncated before header")
-    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise BadFileFormat(
-            f"bad model magic {blob[:len(MODEL_MAGIC)]!r}, expected {MODEL_MAGIC!r}"
-        )
-    off = len(MODEL_MAGIC)
-    (version,) = struct.unpack_from("<H", blob, off)
-    off += 2
+    reader = BlobReader(blob, "model", MODEL_MAGIC)
+    (version,) = reader.unpack("<H")
     if version != MODEL_VERSION:
         raise BadFileFormat(f"unsupported model version {version}, expected {MODEL_VERSION}")
-    (kind_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    kind = FeatureKind.parse(blob[off : off + kind_len].decode("utf-8"))
-    off += kind_len
-    m, d = struct.unpack_from("<II", blob, off)
-    off += 8
-    expected = (m + 2 * m * d) * 8
-    payload = blob[off:]
-    if len(payload) != expected:
-        raise BadFileFormat(f"model payload has {len(payload)} bytes, expected {expected}")
-    floats = np.frombuffer(payload, dtype="<f8")
-    weights = floats[:m].copy()
-    means = floats[m : m + m * d].reshape(m, d).copy()
-    variances = floats[m + m * d :].reshape(m, d).copy()
-    return GmmModel(kind, weights, means, variances)
+    kind = FeatureKind.parse(reader.text())
+    m, d = reader.unpack("<II")
+    weights = reader.floats(m)
+    means = reader.floats(m * d).reshape(m, d)
+    variances = reader.floats(m * d).reshape(m, d)
+    reader.end()
+    try:
+        return GmmModel(kind, weights, means, variances)
+    except ValueError as exc:  # values GmmModel rejects
+        raise BadFileFormat(f"model: {exc}") from None
 
 
 def save_model(model: GmmModel, path: str | Path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,7 +20,7 @@ import numpy as np
 from . import audio_io, corpus, gmm
 from .acrlag import AcrlagConfig, extract_acrlag
 from .errors import BadFileFormat, InsufficientData, VoxidError
-from .features import FeatureKind, FeatureMatrix, concatenate_features
+from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
 from .gmm import GmmModel, TrainConfig
 from .signal_prep import AudioSignal, FrameConfig, preprocess
 from .spectral import FilterbankConfig, fb_cepstra
@@ -190,9 +191,13 @@ class SpeakerDatabase:
     residual_models: dict[str, GmmModel]
 
     def __post_init__(self) -> None:
-        """Every speaker has one model per stream, of the kind, dimension and
-        component count that the config's extractors and training produce."""
+        """Speaker ids are distinct, and every speaker has one model per
+        stream, of the kind, dimension and component count that the config's
+        extractors and training produce."""
         object.__setattr__(self, "speaker_ids", tuple(self.speaker_ids))
+        repeated = sorted(sid for sid, n in Counter(self.speaker_ids).items() if n > 1)
+        if repeated:
+            raise ValueError(f"speaker ids repeat: {', '.join(repeated)}")
         cfg = self.config
         n_components = cfg.train.n_components
         streams = (
@@ -511,75 +516,45 @@ def fusion_sweep(
 
 
 def database_to_bytes(db: SpeakerDatabase) -> bytes:
-    config_json = json.dumps(asdict(db.config), sort_keys=True).encode("utf-8")
     out = [
         DB_MAGIC,
         struct.pack("<H", DB_VERSION),
-        struct.pack("<I", len(config_json)),
-        config_json,
+        pack_text(json.dumps(asdict(db.config), sort_keys=True)),
         struct.pack("<I", db.n_speakers),
     ]
     for sid in db.speaker_ids:
-        sid_bytes = sid.encode("utf-8")
-        spectral = gmm.model_to_bytes(db.spectral_models[sid])
-        residual = gmm.model_to_bytes(db.residual_models[sid])
-        out.append(struct.pack("<I", len(sid_bytes)))
-        out.append(sid_bytes)
-        out.append(struct.pack("<Q", len(spectral)))
-        out.append(spectral)
-        out.append(struct.pack("<Q", len(residual)))
-        out.append(residual)
+        out.append(pack_text(sid))
+        for model in (db.spectral_models[sid], db.residual_models[sid]):
+            model_bytes = gmm.model_to_bytes(model)
+            out += [struct.pack("<Q", len(model_bytes)), model_bytes]
     return b"".join(out)
 
 
 def database_from_bytes(blob: bytes) -> SpeakerDatabase:
-    try:
-        return _parse_database(blob)
-    except (struct.error, ValueError) as exc:  # short blob, bad JSON or UTF-8, models off-config
-        raise BadFileFormat(f"database truncated or corrupt ({exc})") from None
-
-
-def _parse_database(blob: bytes) -> SpeakerDatabase:
-    if len(blob) < len(DB_MAGIC) + 2 or blob[: len(DB_MAGIC)] != DB_MAGIC:
-        raise BadFileFormat(
-            f"bad database magic {blob[:len(DB_MAGIC)]!r}, expected {DB_MAGIC!r}"
-        )
-    off = len(DB_MAGIC)
-    (version,) = struct.unpack_from("<H", blob, off)
-    off += 2
+    reader = BlobReader(blob, "database", DB_MAGIC)
+    (version,) = reader.unpack("<H")
     if version != DB_VERSION:
         raise BadFileFormat(f"unsupported database version {version}, expected {DB_VERSION}")
-    (config_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    config = PipelineConfig.from_json_dict(json.loads(blob[off : off + config_len]))
-    off += config_len
-    (n_speakers,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    try:
+        doc = json.loads(reader.text())
+    except ValueError as exc:
+        raise BadFileFormat(f"database header is not valid JSON ({exc})") from None
+    config = PipelineConfig.from_json_dict(doc)
+    (n_speakers,) = reader.unpack("<I")
     speaker_ids = []
     spectral_models: dict[str, GmmModel] = {}
     residual_models: dict[str, GmmModel] = {}
     for _ in range(n_speakers):
-        (sid_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        sid = blob[off : off + sid_len].decode("utf-8")
-        off += sid_len
-        (spectral_len,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        spectral_models[sid] = gmm.model_from_bytes(blob[off : off + spectral_len])
-        off += spectral_len
-        (residual_len,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        residual_models[sid] = gmm.model_from_bytes(blob[off : off + residual_len])
-        off += residual_len
+        sid = reader.text()
         speaker_ids.append(sid)
-    if off != len(blob):
-        raise BadFileFormat(f"{len(blob) - off} trailing bytes after database payload")
-    return SpeakerDatabase(
-        config=config,
-        speaker_ids=tuple(speaker_ids),
-        spectral_models=spectral_models,
-        residual_models=residual_models,
-    )
+        for models in (spectral_models, residual_models):
+            (size,) = reader.unpack("<Q")
+            models[sid] = gmm.model_from_bytes(reader.take(size))
+    reader.end()
+    try:
+        return SpeakerDatabase(config, tuple(speaker_ids), spectral_models, residual_models)
+    except ValueError as exc:  # repeated ids, models that disagree with the config
+        raise BadFileFormat(f"database: {exc}") from None
 
 
 def save_database(db: SpeakerDatabase, path: str | Path) -> None:

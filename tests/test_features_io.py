@@ -1,7 +1,10 @@
+import struct
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxid.audio_io import read_wav, write_wav
 from voxid.errors import (
@@ -12,6 +15,7 @@ from voxid.errors import (
     FeatureKindMismatch,
 )
 from voxid.features import (
+    BlobReader,
     FeatureKind,
     FeatureMatrix,
     concatenate_features,
@@ -19,6 +23,7 @@ from voxid.features import (
     feature_matrix_from_bytes,
     feature_matrix_to_bytes,
     load_features,
+    pack_text,
     save_features,
 )
 from voxid.signal_prep import AudioSignal
@@ -65,6 +70,48 @@ class TestFeatureMatrix:
             concatenate_features([a, b])
 
 
+# Values in [1, 2) with four columns: one bit flip can turn a value into inf
+# or NaN (the top exponent bit) and the column count into 0.
+FLIP_BLOB = feature_matrix_to_bytes(
+    FeatureMatrix(FeatureKind.MFCC, 1.0 + np.arange(12.0).reshape(3, 4) / 16)
+)
+
+
+class TestBlobReader:
+    def test_reads_in_order(self):
+        blob = b"MAG" + pack_text("h\u00e9") + struct.pack("<Hd", 7, 2.5) + b"xy"
+        reader = BlobReader(blob, "test blob", b"MAG")
+        assert reader.text() == "h\u00e9"
+        assert reader.unpack("<H") == (7,)
+        np.testing.assert_array_equal(reader.floats(1), [2.5])
+        assert reader.take(2) == b"xy"
+        reader.end()
+
+    def test_bad_magic(self):
+        with pytest.raises(BadFileFormat, match="bad test blob magic"):
+            BlobReader(b"MAX", "test blob", b"MAG")
+
+    def test_short_read_names_the_format(self):
+        reader = BlobReader(b"MAG\x01", "test blob", b"MAG")
+        with pytest.raises(BadFileFormat, match="test blob truncated"):
+            reader.unpack("<H")
+
+    def test_text_length_past_the_end(self):
+        reader = BlobReader(b"MAG" + struct.pack("<I", 2**32 - 1) + b"abc", "test blob", b"MAG")
+        with pytest.raises(BadFileFormat, match="truncated"):
+            reader.text()
+
+    def test_non_utf8_text(self):
+        reader = BlobReader(b"MAG" + struct.pack("<I", 1) + b"\xff", "test blob", b"MAG")
+        with pytest.raises(BadFileFormat, match="test blob text is not UTF-8"):
+            reader.text()
+
+    def test_trailing_bytes(self):
+        reader = BlobReader(b"MAG!", "test blob", b"MAG")
+        with pytest.raises(BadFileFormat, match="1 trailing bytes after test blob"):
+            reader.end()
+
+
 class TestFeatureSerialization:
     def test_round_trip_bit_exact(self, rng):
         m = FeatureMatrix(FeatureKind.PLPCC, rng.standard_normal((17, 19)))
@@ -103,6 +150,37 @@ class TestFeatureSerialization:
         blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
         with pytest.raises(BadFileFormat):
             feature_matrix_from_bytes(blob + b"!")
+
+    def test_non_utf8_kind_rejected(self, rng):
+        blob = bytearray(
+            feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
+        )
+        blob[12] = 0xFF  # first byte of the feature-kind name
+        with pytest.raises(BadFileFormat, match="UTF-8"):
+            feature_matrix_from_bytes(bytes(blob))
+
+    def test_zero_columns_rejected(self):
+        blob = b"VOXFTR01" + pack_text("MFCC") + struct.pack("<QQ", 4, 0)
+        with pytest.raises(BadFileFormat, match="dimension"):
+            feature_matrix_from_bytes(blob)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, bad):
+        values = np.ones((2, 3))
+        values[1, 2] = bad
+        blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, values))
+        with pytest.raises(BadFileFormat, match="non-finite"):
+            feature_matrix_from_bytes(blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit=st.integers(0, 8 * len(FLIP_BLOB) - 1))
+    def test_bit_flip_loads_or_raises_bad_file_format(self, bit):
+        blob = bytearray(FLIP_BLOB)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            feature_matrix_from_bytes(bytes(blob))
+        except BadFileFormat:
+            pass
 
     def test_csv_export(self, rng, tmp_path):
         m = FeatureMatrix(FeatureKind.LAR, rng.standard_normal((4, 3)))
@@ -163,6 +241,34 @@ class TestWavIo:
             w.setframerate(8000)
             w.writeframes(b"\x00" * 64)
         with pytest.raises(AudioFormatError, match="16-bit"):
+            read_wav(path)
+
+    def test_every_prefix_rejected(self, rng, tmp_path):
+        pcm = rng.integers(-32768, 32768, 800, dtype=np.int16)
+        whole = tmp_path / "whole.wav"
+        write_wav(whole, AudioSignal(pcm / 32768.0, 8000))
+        blob = whole.read_bytes()
+        assert len(read_wav(whole)) == 800
+        path = tmp_path / "prefix.wav"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(AudioFormatError, match="prefix.wav"):
+                read_wav(path)
+
+    def test_short_data_chunk_rejected(self, tmp_path):
+        path = tmp_path / "short.wav"
+        write_wav(path, AudioSignal(np.zeros(100), 8000))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(AudioFormatError, match="197 of 200 bytes"):
+            read_wav(path)
+
+    def test_zero_frame_rate_rejected(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        write_wav(path, AudioSignal(np.zeros(100), 8000))
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = (0).to_bytes(4, "little")  # fmt chunk sample rate
+        path.write_bytes(bytes(blob))
+        with pytest.raises(AudioFormatError, match="frame rate 0"):
             read_wav(path)
 
     def test_not_a_wav(self, tmp_path):

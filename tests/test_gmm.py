@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from voxid.errors import (
@@ -352,6 +354,18 @@ class TestUtteranceScore:
             utterance_scores(models, feats(rng.standard_normal((5, 3))))
 
 
+# Means and variances in [1, 2): one bit flip can turn any of them into
+# inf or NaN (the top exponent bit).
+FLIP_BLOB = model_to_bytes(
+    GmmModel(
+        FeatureKind.MFCC,
+        np.array([0.25, 0.75]),
+        1.0 + np.arange(6.0).reshape(2, 3) / 8,
+        1.5 - np.arange(6.0).reshape(2, 3) / 16,
+    )
+)
+
+
 class TestPersistence:
     def make_model(self, rng):
         fm = two_clouds(rng, n_per=100)
@@ -413,3 +427,13 @@ class TestPersistence:
         blob[12] = 0xFF  # first byte of the feature-kind name
         with pytest.raises(BadFileFormat):
             model_from_bytes(bytes(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit=st.integers(0, 8 * len(FLIP_BLOB) - 1))
+    def test_bit_flip_loads_or_raises_bad_file_format(self, bit):
+        blob = bytearray(FLIP_BLOB)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            model_from_bytes(bytes(blob))
+        except BadFileFormat:
+            pass

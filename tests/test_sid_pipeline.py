@@ -1,6 +1,7 @@
 import json
 import struct
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +277,16 @@ class TestReports:
         assert report.correct_fused >= 5
         assert report.correct_residual >= 5
 
+    def test_unreadable_wav_is_a_failed_trial(self, tiny_corpus, tiny_db, tmp_path):
+        manifest, _ = tiny_corpus
+        entry = manifest.speakers[0]
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(Path(entry.test_utterances[0]).read_bytes()[:-1])
+        manifest = CorpusManifest((replace(entry, test_utterances=(str(cut),)),))
+        (trial,) = score_manifest(tiny_db, manifest)
+        assert trial.failed
+        assert "cut.wav: data chunk truncated" in trial.error
+
     def test_failed_trials_excluded_from_denominator(self):
         trials = (
             ScoredTrial(
@@ -390,6 +401,12 @@ class TestDatabasePersistence:
         except BadFileFormat:
             pass
 
+    def test_repeated_speaker_id_rejected(self, tiny_db):
+        blob = bytearray(database_to_bytes(tiny_db))
+        blob[blob.index(b"spk00") + 4] ^= 0x01  # spk00 -> spk01
+        with pytest.raises(BadFileFormat, match="repeat: spk01"):
+            database_from_bytes(bytes(blob))
+
     def test_header_disagreeing_with_models_rejected(self, tiny_db):
         config = replace(TINY_TRAIN, acrlag=AcrlagConfig(max_lag=10))
         header = json.dumps(asdict(config), sort_keys=True)
@@ -426,6 +443,13 @@ class TestDatabaseMatchesConfig:
         with pytest.raises(ValueError, match=f"speaker {tiny_db.speaker_ids[0]}, {stream} model"):
             SpeakerDatabase(
                 config, tiny_db.speaker_ids, tiny_db.spectral_models, tiny_db.residual_models
+            )
+
+    def test_repeated_speaker_id_rejected(self, tiny_db):
+        sid = tiny_db.speaker_ids[0]
+        with pytest.raises(ValueError, match=f"speaker ids repeat: {sid}"):
+            SpeakerDatabase(
+                TINY_TRAIN, (sid, sid), tiny_db.spectral_models, tiny_db.residual_models
             )
 
     def test_missing_model_rejected(self, tiny_db):
@@ -483,6 +507,4 @@ class TestSynthCorpus:
                 e1.train_utterances + e1.test_utterances,
                 e2.train_utterances + e2.test_utterances,
             ):
-                from pathlib import Path
-
                 assert Path(p1).read_bytes() == Path(p2).read_bytes()
