@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -14,6 +14,7 @@ from . import audio_io
 from .acrlag import extract_acrlag
 from .errors import VoxidError
 from .features import FeatureKind, FeatureMatrix, export_csv, save_features
+from .gmm import ALLOWED_COMPONENT_COUNTS
 from .sid_pipeline import (
     FusionConfig,
     PipelineConfig,
@@ -182,17 +183,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         print(f"{s.speaker_id:<12} {fused_str:>14} {spectral:>14} {residual:>14}")
     print(f"identified: {result.fused_winner}")
     if args.json:
-        doc = {
-            "fused_winner": result.fused_winner,
-            "spectral_winner": result.spectral_winner,
-            "residual_winner": result.residual_winner,
-            "eta": result.eta,
-            "scores": [
-                {"speaker_id": s.speaker_id, "spectral": s.spectral, "residual": s.residual}
-                for s in result.scores
-            ],
-        }
-        Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.json).write_text(json.dumps(asdict(result), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -271,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a speaker database from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output database file")
-    p.add_argument("--components", type=int, choices=(2, 4, 8, 16, 32, 64))
+    p.add_argument("--components", type=int, choices=ALLOWED_COMPONENT_COUNTS)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
 

@@ -50,11 +50,6 @@ class SpeakerVoice:
     reflections: np.ndarray  # base vocal-tract reflection coefficients
     pitch_period: int  # samples
 
-    @property
-    def tract_coefficients(self) -> np.ndarray:
-        """Predictor taps of the base (unwobbled) tract."""
-        return reflection_to_coefficients(self.reflections)
-
 
 def reflection_to_coefficients(reflection: np.ndarray) -> np.ndarray:
     """Step-up recursion from reflection coefficients to predictor taps."""
@@ -106,7 +101,6 @@ def impulse_train(
 
 def synth_speech_burst(
     rng: np.random.Generator,
-    voice: SpeakerVoice,
     n_samples: int,
     tract: np.ndarray,
     period: float,
@@ -142,10 +136,10 @@ def synth_utterance(
     period = voice.pitch_period * (1.0 + PITCH_DRIFT * rng.uniform(-1.0, 1.0))
     samples = np.zeros(total, dtype=np.float64)
     samples[pad : pad + first] = synth_speech_burst(
-        rng, voice, first, tract, period, sample_rate_hz
+        rng, first, tract, period, sample_rate_hz
     )
     samples[pad + first + gap : pad + first + gap + second] = synth_speech_burst(
-        rng, voice, second, tract, period, sample_rate_hz
+        rng, second, tract, period, sample_rate_hz
     )
 
     speech_rms = np.sqrt(np.mean(samples[pad : pad + first] ** 2))

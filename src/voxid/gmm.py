@@ -62,6 +62,8 @@ class GmmModel:
             raise ValueError("weights must be 1-D; means and variances 2-D")
         if means.shape != variances.shape or means.shape[0] != weights.size:
             raise ValueError("weights, means, and variances disagree on shape")
+        if means.shape[1] < 1:
+            raise ValueError("means and variances need at least one dimension")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means))):
             raise ValueError("weights and means must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
@@ -109,37 +111,53 @@ def variance_floor(features: FeatureMatrix, ratio: float) -> np.ndarray:
     return ratio * np.where(global_var > 0, global_var, fallback)
 
 
-def _squared_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        (data * data).sum(axis=1)[:, None]
-        - 2.0 * data @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _assign(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """One-hot assignment of every frame to its nearest centroid, (T, M)."""
+    # At unit variance the highest log-density is at the nearest centroid.
+    log_dens = _component_log_densities(centroids, np.ones_like(centroids), data)
+    return np.eye(centroids.shape[0])[np.argmax(log_dens, axis=1)]
 
 
-def _kmeans_refine(data: np.ndarray, centroids: np.ndarray, spread: np.ndarray) -> np.ndarray:
-    """Lloyd iterations until centroid movement stalls; empty clusters are
-    repaired by resplitting the most populated one."""
+def _moments(resp: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupancy and the weighted mean and variance of the data under each
+    column of a (T, M) responsibility matrix; NaN rows where none is occupied."""
+    occupancy = resp.sum(axis=0)
+    active = occupancy > 1e-10
+    means = np.full((resp.shape[1], data.shape[1]), np.nan)
+    variances = means.copy()
+    means[active] = (resp.T[active] @ data) / occupancy[active, None]
+    second = (resp.T[active] @ (data * data)) / occupancy[active, None]
+    variances[active] = second - means[active] ** 2
+    return occupancy, means, variances
+
+
+def _kmeans_refine(
+    data: np.ndarray, centroids: np.ndarray, spread: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations over k centroids until they stop moving; returns the
+    moments of the last assignment.  Up to k times per pass an empty cluster
+    is repaired by resplitting the most populated one."""
+    k = centroids.shape[0]
     centroids = centroids.copy()
     for _ in range(LBG_MAX_PASSES):
-        assign = np.argmin(_squared_distances(data, centroids), axis=1)
-        counts = np.bincount(assign, minlength=centroids.shape[0])
-        while np.any(counts == 0):
-            empty = int(np.argmin(counts))
-            busiest = int(np.argmax(counts))
+        resp = _assign(data, centroids)
+        for _ in range(k):
+            counts = resp.sum(axis=0)
+            if counts.all():
+                break
+            empty, busiest = np.argmin(counts), np.argmax(counts)
             centroids[empty] = centroids[busiest] + LBG_SPLIT_EPSILON * spread
             centroids[busiest] = centroids[busiest] - LBG_SPLIT_EPSILON * spread
-            assign = np.argmin(_squared_distances(data, centroids), axis=1)
-            counts = np.bincount(assign, minlength=centroids.shape[0])
-        updated = np.vstack(
-            [data[assign == i].mean(axis=0) for i in range(centroids.shape[0])]
-        )
-        shift = np.max(np.abs(updated - centroids))
-        centroids = updated
+            resp = _assign(data, centroids)
+        counts, means, variances = _moments(resp, data)
+        if not counts.all():
+            distinct = len(np.unique(data, axis=0))
+            raise InsufficientData(f"{distinct} distinct frames cannot fill {k} clusters")
+        shift = np.max(np.abs(means - centroids))
+        centroids = means
         if shift < LBG_SHIFT_TOLERANCE:
             break
-    return centroids
+    return counts, means, variances
 
 
 def lbg_init(
@@ -163,7 +181,7 @@ def lbg_init(
     spread = np.where(spread > 0, spread, 1.0)
     floor = variance_floor(features, variance_floor_ratio)
 
-    centroids = data.mean(axis=0, keepdims=True)
+    counts, centroids, variances = _moments(np.ones((data.shape[0], 1)), data)
     while centroids.shape[0] < n_components:
         centroids = np.vstack(
             [
@@ -171,19 +189,9 @@ def lbg_init(
                 centroids - LBG_SPLIT_EPSILON * spread,
             ]
         )
-        centroids = _kmeans_refine(data, centroids, spread)
-
-    assign = np.argmin(_squared_distances(data, centroids), axis=1)
-    counts = np.bincount(assign, minlength=n_components)
-    weights = counts / counts.sum()
-    variances = np.vstack(
-        [
-            data[assign == i].var(axis=0) if counts[i] else np.zeros(data.shape[1])
-            for i in range(n_components)
-        ]
-    )
+        counts, centroids, variances = _kmeans_refine(data, centroids, spread)
     variances = np.maximum(variances, floor[None, :])
-    return GmmModel(features.kind, weights, centroids, variances)
+    return GmmModel(features.kind, counts / counts.sum(), centroids, variances)
 
 
 def _component_log_densities(
@@ -244,20 +252,11 @@ def em_step(
     if not np.all(np.isfinite(resp)):
         raise NumericalFailure("non-finite responsibilities in the E-step")
 
-    occupancy = resp.sum(axis=0)
-    active = occupancy > 1e-10
-    new_weights = occupancy / data.shape[0]
-    new_means = model.means.copy()
-    new_vars = model.variances.copy()
-    new_means[active] = (resp.T[active] @ data) / occupancy[active, None]
-    second = (resp.T[active] @ (data * data)) / occupancy[active, None]
-    new_vars[active] = second - new_means[active] ** 2
-    new_vars = np.maximum(new_vars, floor[None, :])
-    new_weights = new_weights / new_weights.sum()
-    return (
-        GmmModel(model.feature_kind, new_weights, new_means, new_vars),
-        total_ll,
-    )
+    occupancy, means, variances = _moments(resp, data)
+    empty = np.isnan(means)  # a component with no occupancy keeps its parameters
+    new_means = np.where(empty, model.means, means)
+    new_vars = np.maximum(np.where(empty, model.variances, variances), floor[None, :])
+    return GmmModel(model.feature_kind, occupancy / occupancy.sum(), new_means, new_vars), total_ll
 
 
 def em_fit(features: FeatureMatrix, init: GmmModel, cfg: TrainConfig) -> GmmModel:

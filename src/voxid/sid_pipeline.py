@@ -400,16 +400,6 @@ class TrialResult:
     fused_winner: str | None
     error: str | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "true_speaker": self.true_speaker,
-            "utterance": self.utterance,
-            "spectral_winner": self.spectral_winner,
-            "residual_winner": self.residual_winner,
-            "fused_winner": self.fused_winner,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -437,19 +427,8 @@ class EvalReport:
         return 100.0 * self.correct_fused / self.n_scored
 
     def to_json_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "n_trials": self.n_trials,
-            "n_scored": self.n_scored,
-            "n_failed": self.n_failed,
-            "correct_spectral": self.correct_spectral,
-            "correct_residual": self.correct_residual,
-            "correct_fused": self.correct_fused,
-            "pia_spectral": self.pia_spectral,
-            "pia_residual": self.pia_residual,
-            "pia_fused": self.pia_fused,
-            "trials": [t.to_json_dict() for t in self.trials],
-        }
+        pia = ("pia_spectral", "pia_residual", "pia_fused")
+        return asdict(self) | {name: getattr(self, name) for name in pia}
 
 
 def score_manifest(db: SpeakerDatabase, manifest: CorpusManifest) -> tuple[ScoredTrial, ...]:

@@ -134,7 +134,6 @@ class PlpConfig:
     model_order: int = 19
     n_cep: int = 19
     fft_size: int = 512
-    n_bands: int | None = None  # None picks enough bands for the model order
 
     def __post_init__(self) -> None:
         if self.model_order < 1:
@@ -145,12 +144,6 @@ class PlpConfig:
             raise ValueError("fft_size must be a power of two")
 
     def resolved_bands(self, sample_rate_hz: int) -> int:
-        if self.n_bands is not None:
-            if self.n_bands < self.model_order + 1:
-                raise ValueError(
-                    f"{self.n_bands} bands cannot support an order-{self.model_order} model"
-                )
-            return self.n_bands
         nyquist_bark = float(bark_from_hertz(sample_rate_hz / 2.0))
         # The band samples become the autocorrelation support, so the count
         # must exceed the model order with a little headroom.

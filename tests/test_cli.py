@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from voxid import audio_io
 from voxid.acrlag import AcrlagConfig, extract_acrlag
 from voxid.cli import build_parser, main
 from voxid.features import FeatureKind, feature_matrix_to_bytes, load_features
-from voxid.signal_prep import FrameConfig, preprocess
+from voxid.signal_prep import AudioSignal, FrameConfig, preprocess
 from voxid.spectral import (
     FilterbankConfig,
     FrequencyScale,
@@ -239,6 +240,20 @@ class TestTrainIdentifyEvaluate:
             ]
         )
         assert code == 0
+
+    def test_too_few_distinct_frames_fails_cleanly(self, tmp_path, capsys):
+        # A 100 Hz square wave at 8 kHz repeats every 80 samples, so its
+        # frames hold only two distinct feature rows: too few for 8 components.
+        square = np.where(np.arange(3 * 8000) // 40 % 2 == 0, 0.5, -0.5)
+        audio_io.write_wav(tmp_path / "square.wav", AudioSignal(square, 8000))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"speakers": [{"speaker_id": "sq", "train_utterances": ["square.wav"]}]})
+        )
+        code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "sq.db")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "speaker sq" in err and "stream" in err and "distinct frames" in err
 
 
 class TestSynthDeterminism:

@@ -12,7 +12,7 @@ from voxid.errors import (
     FeatureKindMismatch,
     InsufficientData,
 )
-from voxid.features import FeatureKind, FeatureMatrix
+from voxid.features import FeatureKind, FeatureMatrix, pack_text
 from voxid.gmm import (
     GmmModel,
     TrainConfig,
@@ -170,6 +170,26 @@ class TestLbgInit:
         default_seeded = em_fit(fm, lbg_init(fm, 2), cfg)
         np.testing.assert_array_equal(trained.variances, expected.variances)
         assert not np.array_equal(trained.variances, default_seeded.variances)
+
+    def test_too_few_distinct_frames_raises(self):
+        # Two distinct rows cannot fill four clusters however they are split.
+        data = np.repeat([[0.0, 0.0], [1.0, 1.0]], 50, axis=0)
+        with pytest.raises(InsufficientData, match="2 distinct frames"):
+            lbg_init(feats(data), 4)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_matches_nearest_mean_partition_oracle(self, rng, m):
+        data = rng.standard_normal((600, 3)) * np.array([1.0, 3.0, 0.5]) + 2.0
+        fm = feats(data)
+        model = lbg_init(fm, m)
+        # Oracle: partition by nearest final mean, then per-cluster numpy stats.
+        distances = np.linalg.norm(data[:, None, :] - model.means[None, :, :], axis=2)
+        assign = np.argmin(distances, axis=1)
+        weights = np.array([np.mean(assign == i) for i in range(m)])
+        variances = np.vstack([data[assign == i].var(axis=0) for i in range(m)])
+        floored = np.maximum(variances, variance_floor(fm, 1e-3)[None, :])
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(model.variances, floored, rtol=1e-9, atol=0)
 
     def test_deterministic(self, rng):
         data = rng.standard_normal((512, 6))
@@ -421,6 +441,17 @@ class TestPersistence:
         struct.pack_into("<d", blob, payload + 8 * model.n_components, np.nan)  # first mean
         with pytest.raises(BadFileFormat, match="finite"):
             model_from_bytes(bytes(blob))
+
+    def test_zero_dimension_blob_rejected(self):
+        blob = (
+            b"VOXGMM"
+            + struct.pack("<H", 1)
+            + pack_text(KIND.value)
+            + struct.pack("<II", 1, 0)
+            + struct.pack("<d", 1.0)
+        )
+        with pytest.raises(BadFileFormat, match="dimension"):
+            model_from_bytes(blob)
 
     def test_non_utf8_kind_rejected(self, rng):
         blob = bytearray(model_to_bytes(self.make_model(rng)))
