@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateFrame, LagTooLarge, NumericalFailure, UnstableFilter
 
@@ -108,12 +108,14 @@ def levinson_durbin(r: np.ndarray, order: int) -> LevinsonResult:
 
 def _residual_batch(frames: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Per-row inverse filtering where row i uses coefficients[i]."""
-    n = frames.shape[1]
-    out = frames.copy()
+    m, n = frames.shape
     # Taps past the frame length only ever see the zero history.
-    for k in range(1, min(coefficients.shape[1], n) + 1):
-        out[:, k:] -= coefficients[:, k - 1 : k] * frames[:, : n - k]
-    return out
+    p = min(coefficients.shape[1], n)
+    # Window j of the padded row is s[j - p .. j]; the taps are reversed to
+    # match.  One spare zero on the right keeps the view valid when n == 0.
+    taps = np.concatenate((-coefficients[:, :p][:, ::-1], np.ones((m, 1))), axis=1)
+    windows = sliding_window_view(np.pad(frames, ((0, 0), (p, 1))), p + 1, axis=1)
+    return np.einsum("mnk,mk->mn", windows[:, :n], taps)
 
 
 def residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -127,6 +129,9 @@ def residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """All-pole resynthesis 1/A(z); exact inverse of :func:`residual`."""
+    # Imported here so that importing voxid does not load scipy.signal.
+    from scipy.signal import lfilter
+
     excitation = np.asarray(excitation, dtype=np.float64)
     coefficients = np.asarray(coefficients, dtype=np.float64)
     fir = np.concatenate(([1.0], -coefficients))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxid
 from voxid import audio_io
 from voxid.acrlag import AcrlagConfig, extract_acrlag
 from voxid.cli import build_parser, main
@@ -71,6 +76,16 @@ def cli_db(cli_corpus, tmp_path_factory):
     )
     assert code == 0
     return db_path
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal is most of voxid's import time, and only synthesis needs it.
+    code = "import sys, voxid, voxid.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(voxid.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestSynthCorpus:

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from voxid.gmm import (
     save_model,
     train_gmm,
     SCORE_BLOCK,
+    _logsumexp,
     utterance_score,
     utterance_scores,
     variance_floor,
@@ -66,7 +68,36 @@ def one_model_score_reference(model: GmmModel, data: np.ndarray) -> float:
         + (model.means * model.means * inv_var).sum(axis=1)[None, :]
     )
     weighted = log_norm[None, :] - 0.5 * quad + np.log(model.weights)[None, :]
-    return float(logsumexp(weighted, axis=1).sum())
+    peak = weighted.max(axis=1)
+    return float((np.log(np.exp(weighted - peak[:, None]).sum(axis=1)) + peak).sum())
+
+
+class TestLogSumExp:
+    def test_matches_scipy_on_random_blocks(self, rng):
+        for shape in [(231, 16, 8), (40, 3, 2), (7, 1, 64)]:
+            a = rng.standard_normal(shape) * rng.uniform(1.0, 300.0)
+            for axis in range(3):
+                np.testing.assert_allclose(
+                    _logsumexp(a, axis), logsumexp(a, axis=axis), rtol=1e-12, atol=0
+                )
+
+    def test_edge_rows_match_scipy_without_warnings(self):
+        inf, nan = np.inf, np.nan
+        rows = np.array(
+            [
+                [-inf, -inf, -inf],
+                [nan, 0.0, 1.0],
+                [nan, -inf, -inf],
+                [inf, 0.0, 1.0],
+                [inf, -inf, inf],
+                [-inf, 2.0, -inf],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(rows, 1)
+        np.testing.assert_array_equal(got, logsumexp(rows, axis=1))
+        np.testing.assert_array_equal(got, [-inf, nan, nan, inf, inf, 2.0])
 
 
 class TestModelValidation:
@@ -367,6 +398,18 @@ class TestUtteranceScore:
         expected = [one_model_score_reference(model, data) for model in models]
         np.testing.assert_array_equal(got, expected)
         assert [utterance_score(model, feats(data)) for model in models] == expected
+
+    def test_zero_weight_component_scores_as_if_removed(self, rng):
+        full = self.make_model(rng, d=3, m=3)
+        zeroed = GmmModel(KIND, np.array([0.6, 0.0, 0.4]), full.means, full.variances)
+        removed = GmmModel(KIND, np.array([0.6, 0.4]), full.means[[0, 2]], full.variances[[0, 2]])
+        data = rng.standard_normal((50, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert utterance_score(zeroed, feats(data)) == utterance_score(removed, feats(data))
+            assert log_density(zeroed, data[0]) == log_density(removed, data[0])
+            stepped, _ = em_step(feats(data), zeroed, variance_floor(feats(data), 1e-3))
+        assert stepped.weights[1] == 0.0
 
     def test_mixed_component_counts_rejected(self, rng):
         models = [self.make_model(rng, m=2), self.make_model(rng, m=4)]

@@ -111,6 +111,14 @@ class TestResidual:
         frame = rng.standard_normal(32)
         np.testing.assert_array_equal(lp.residual(frame, np.zeros(4)), frame)
 
+    @pytest.mark.parametrize("taps", [0, 5, 16, 40])
+    def test_matches_convolution_oracle(self, rng, taps):
+        # A 16-sample frame: 16 taps reach its first sample, 40 run past it.
+        frame = rng.standard_normal(16)
+        a = rng.uniform(-1.0, 1.0, taps)
+        expected = np.convolve(frame, np.r_[1.0, -a])[: frame.size]
+        np.testing.assert_allclose(lp.residual(frame, a), expected, rtol=1e-12, atol=1e-12)
+
     def test_pulse_train_round_trip(self, rng):
         # Drive 1/A(z) with a known pulse train and analyze with the true taps.
         _, coeffs = random_ar_frame(rng, 10)
