@@ -63,23 +63,17 @@ def _levinson_batch(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     r = np.asarray(r, dtype=np.float64)
     m, cols = r.shape
     p = cols - 1
-    a = np.zeros((m, p), dtype=np.float64)
+    a = np.zeros((m, 0), dtype=np.float64)
     ks = np.zeros((m, p), dtype=np.float64)
     err = r[:, 0].copy()
     valid = (err > 0) & np.isfinite(err)
     for i in range(1, p + 1):
-        acc = r[:, i].copy()
-        if i > 1:
-            acc -= np.einsum("mj,mj->m", a[:, : i - 1], r[:, i - 1 : 0 : -1])
+        acc = r[:, i] - np.einsum("mj,mj->m", a, r[:, i - 1 : 0 : -1])
         with np.errstate(divide="ignore", invalid="ignore"):
             k = np.where(valid, acc / err, 0.0)
         valid &= np.isfinite(k) & (np.abs(k) < 1.0)
         k = np.where(valid, k, 0.0)
-        new_a = a.copy()
-        new_a[:, i - 1] = k
-        if i > 1:
-            new_a[:, : i - 1] = a[:, : i - 1] - k[:, None] * a[:, i - 2 :: -1]
-        a = new_a
+        a = np.concatenate((a - k[:, None] * a[:, ::-1], k[:, None]), axis=1)
         ks[:, i - 1] = k
         err = err * (1.0 - k * k)
         valid &= np.isfinite(err) & (err > 0)
@@ -129,7 +123,7 @@ def residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """All-pole resynthesis 1/A(z); exact inverse of :func:`residual`."""
-    # Imported here so that importing voxid does not load scipy.signal.
+    # Imported here so that importing voxid does not load SciPy.
     from scipy.signal import lfilter
 
     excitation = np.asarray(excitation, dtype=np.float64)
@@ -196,36 +190,44 @@ def lpcc(coefficients: np.ndarray, n_cepstra: int | None = None) -> np.ndarray:
 
 
 def lsf_polynomials(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and difference palindromic polynomials (P, Q) of A(z).
+    """Sum and difference palindromic polynomials (P, Q) of A(z), row-wise.
 
     P(z) = A(z) + z^{-(p+1)} A(z^{-1}),  Q(z) = A(z) - z^{-(p+1)} A(z^{-1}).
-    Returned in descending powers, length p + 2.
+    Returned in descending powers, length p + 2 along the last axis.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
-    a_poly = np.concatenate(([1.0], -coefficients))
-    padded = np.concatenate((a_poly, [0.0]))
-    flipped = np.concatenate(([0.0], a_poly[::-1]))
+    zero = np.zeros(coefficients.shape[:-1] + (1,))
+    padded = np.concatenate((zero + 1.0, -coefficients, zero), axis=-1)
+    flipped = padded[..., ::-1]
     return padded + flipped, padded - flipped
+
+
+def _lsf_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Line spectral frequencies of predictor rows (m, p) -> (freqs, valid).
+
+    The roots of the monic P and Q are the eigenvalues of the companion
+    matrices that NumPy's root finder builds.  A row is valid when exactly p
+    root angles lie inside (0, pi), as for every minimum-phase predictor.
+    """
+    m, p = coeffs.shape
+    polys = np.stack(lsf_polynomials(coeffs), axis=1)
+    companion = np.zeros((m, 2, p + 1, p + 1))
+    companion[..., 0, :] = -polys[..., 1:]
+    companion[..., 1:, :-1] = np.eye(p)
+    theta = np.angle(np.linalg.eigvals(companion)).reshape(m, -1)
+    keep = (theta > 1e-9) & (theta < np.pi - 1e-9)
+    valid = keep.sum(axis=1) == p
+    freqs = np.sort(np.where(keep, theta, np.inf), axis=1)[:, :p]
+    return freqs, valid
 
 
 def lsf(coefficients: np.ndarray) -> np.ndarray:
     """Line spectral frequencies in radians, ascending in (0, pi)."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
-    p = coefficients.size
-    p_poly, q_poly = lsf_polynomials(coefficients)
-    angles = []
-    for poly in (p_poly, q_poly):
-        roots = np.roots(poly)
-        theta = np.angle(roots)
-        keep = (theta > 1e-9) & (theta < np.pi - 1e-9)
-        angles.append(np.sort(theta[keep]))
-    freqs = np.sort(np.concatenate(angles))
-    if freqs.size != p:
-        raise UnstableFilter(
-            f"expected {p} line spectral frequencies, found {freqs.size}; "
-            "the predictor is not minimum phase"
-        )
-    return freqs
+    freqs, valid = _lsf_batch(coefficients[None, :])
+    if not valid[0]:
+        raise UnstableFilter(f"the order-{coefficients.size} predictor is not minimum phase")
+    return freqs[0]
 
 
 def lsf_to_coeffs(freqs: np.ndarray) -> np.ndarray:

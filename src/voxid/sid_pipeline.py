@@ -19,7 +19,7 @@ import numpy as np
 
 from . import audio_io, corpus, gmm
 from .acrlag import AcrlagConfig, extract_acrlag
-from .errors import BadFileFormat, InsufficientData, VoxidError
+from .errors import BadFileFormat, InsufficientData, NumericalFailure, VoxidError
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
 from .gmm import GmmModel, TrainConfig
 from .signal_prep import AudioSignal, FrameConfig, preprocess
@@ -284,22 +284,25 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     """Both streams' log-likelihoods against every enrolled speaker.
 
     A stream whose features cannot be extracted from this utterance scores
-    None for all speakers; preprocessing failures propagate to the caller.
+    None for all speakers; preprocessing failures and non-finite features
+    propagate to the caller.
     """
     if not db.speaker_ids:
         raise InsufficientData("speaker database is empty")
     frames = preprocess(audio, db.config.frame)
     missing = [None] * db.n_speakers
     streams = []
-    for extract, cfg, models in (
-        (fb_cepstra, db.config.filterbank, db.spectral_models),
-        (extract_acrlag, db.config.acrlag, db.residual_models),
+    for name, extract, cfg, models in (
+        ("spectral", fb_cepstra, db.config.filterbank, db.spectral_models),
+        ("residual", extract_acrlag, db.config.acrlag, db.residual_models),
     ):
         try:
             features = extract(frames, cfg)
         except VoxidError:
             streams.append(missing)
             continue
+        if not np.isfinite(features.values).all():
+            raise NumericalFailure(f"{name} stream: features are not finite")
         scores = gmm.utterance_scores([models[sid] for sid in db.speaker_ids], features)
         streams.append(scores.tolist())
     if all(stream is missing for stream in streams):

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.fft import dct
 
 from . import lp
-from .errors import FilterbankTooDense, NoFeatures, UnstableFilter
+from .errors import FilterbankTooDense, NoFeatures
 from .features import FeatureKind, FeatureMatrix
 from .signal_prep import FrameSequence, frame_array
 
@@ -98,17 +97,16 @@ def build_filterbank(cfg: FilterbankConfig, sample_rate_hz: int) -> np.ndarray:
         points = np.linspace(f_low, f_high, cfg.n_filters + 2)
     bin_hz = np.arange(cfg.fft_size // 2 + 1) * (sample_rate_hz / cfg.fft_size)
 
-    bank = np.zeros((cfg.n_filters, bin_hz.size), dtype=np.float64)
-    for i in range(cfg.n_filters):
-        left, center, right = points[i], points[i + 1], points[i + 2]
-        rising = (bin_hz - left) / (center - left)
-        falling = (right - bin_hz) / (right - center)
-        bank[i] = np.clip(np.minimum(rising, falling), 0.0, None)
-        if np.count_nonzero(bank[i]) < 2:
-            raise FilterbankTooDense(
-                f"filter {i} covers fewer than 2 of the {bin_hz.size} FFT bins; "
-                "increase fft_size or reduce n_filters"
-            )
+    left, center, right = points[:-2, None], points[1:-1, None], points[2:, None]
+    rising = (bin_hz - left) / (center - left)
+    falling = (right - bin_hz) / (right - center)
+    bank = np.clip(np.minimum(rising, falling), 0.0, None)
+    too_narrow = np.flatnonzero(np.count_nonzero(bank, axis=1) < 2)
+    if too_narrow.size:
+        raise FilterbankTooDense(
+            f"filter {too_narrow[0]} covers fewer than 2 of the {bin_hz.size} FFT bins; "
+            "increase fft_size or reduce n_filters"
+        )
     return bank
 
 
@@ -118,13 +116,14 @@ def _power_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
 
 
 def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()) -> FeatureMatrix:
-    """Filterbank cepstra: |FFT|^2 -> filterbank -> log -> DCT-II, c0 dropped."""
+    """Filterbank cepstra: |FFT|^2 -> filterbank -> log -> orthonormal DCT-II, c0 dropped."""
     bank = build_filterbank(cfg, frames.source_rate_hz)
     power = _power_spectra(frames.frames, cfg.fft_size)
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    cepstra = dct(log_energies, type=2, norm="ortho", axis=1)
-    return FeatureMatrix(cfg.feature_kind, cepstra[:, 1 : cfg.n_cep + 1])
+    k, n = np.arange(1, cfg.n_cep + 1)[:, None], np.arange(cfg.n_filters)
+    basis = np.sqrt(2.0 / cfg.n_filters) * np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_filters))
+    return FeatureMatrix(cfg.feature_kind, log_energies @ basis.T)
 
 
 @dataclass(frozen=True)
@@ -213,15 +212,10 @@ def plpcc(frames: FrameSequence, cfg: PlpConfig = PlpConfig()) -> FeatureMatrix:
 
 
 def _lsf_rows(coeffs: np.ndarray, reflection: np.ndarray) -> np.ndarray:
-    rows = []
-    for a in coeffs:
-        try:
-            rows.append(lp.lsf(a))
-        except UnstableFilter:
-            continue
-    if not rows:
+    freqs, valid = lp._lsf_batch(coeffs)
+    if not np.any(valid):
         raise NoFeatures("no frame yielded line spectral frequencies")
-    return np.vstack(rows)
+    return freqs[valid]
 
 
 def extract_lp_features(

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from tests.conftest import random_ar_frame
-from voxid import lp
+from voxid import corpus, lp
 from voxid.errors import DegenerateFrame, LagTooLarge, UnstableFilter
 
 
@@ -31,6 +31,19 @@ def series_log_cepstrum(coeffs: np.ndarray, n_cep: int) -> np.ndarray:
         remainder[m:] -= q[m] * divisor[: n - m]
     log_a = np.array([q[m - 1] / m for m in range(1, n)])
     return -log_a
+
+
+def per_frame_lsf(coeffs: np.ndarray) -> np.ndarray | None:
+    """Reference: the roots of P and Q one polynomial at a time with np.roots;
+    None when the count of frequencies in (0, pi) is not the order."""
+    padded = np.concatenate(([1.0], -coeffs, [0.0]))
+    angles = []
+    for poly in (padded + padded[::-1], padded - padded[::-1]):
+        theta = np.angle(np.roots(poly))
+        keep = (theta > 1e-9) & (theta < np.pi - 1e-9)
+        angles.append(np.sort(theta[keep]))
+    freqs = np.sort(np.concatenate(angles))
+    return freqs if freqs.size == coeffs.size else None
 
 
 class TestAutocorr:
@@ -202,6 +215,28 @@ class TestLsf:
         # A(z) with a root outside the unit circle.
         with pytest.raises(UnstableFilter):
             lp.lsf(np.array([2.5]))
+
+    def test_batch_matches_per_frame_roots(self, rng):
+        # Half the rows carry one reflection coefficient outside (-1, 1), so
+        # their predictor is not minimum phase; the reference rejects most.
+        rejected = 0
+        for order in range(22):
+            ks = rng.uniform(-0.99, 0.99, (40, order))
+            if order:
+                ks[::2, rng.integers(order)] = rng.choice([-1, 1], 20) * rng.uniform(1.01, 3, 20)
+            coeffs = np.array([corpus.reflection_to_coefficients(k) for k in ks]).reshape(40, order)
+            freqs, valid = lp._lsf_batch(coeffs)
+            for row, ok, c in zip(freqs, valid, coeffs):
+                expected = per_frame_lsf(c)
+                assert ok == (expected is not None)
+                if expected is None:
+                    with pytest.raises(UnstableFilter):
+                        lp.lsf(c)
+                else:
+                    assert row.tobytes() == expected.tobytes()
+                    assert lp.lsf(c).tobytes() == expected.tobytes()
+            rejected += np.count_nonzero(~valid)
+        assert rejected > 300
 
 
 class TestLar:

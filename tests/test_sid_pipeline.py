@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from voxid import audio_io
+from voxid import audio_io, sid_pipeline
 from voxid.acrlag import AcrlagConfig
-from voxid.errors import BadFileFormat, InsufficientData
+from voxid.errors import BadFileFormat, InsufficientData, NumericalFailure
 from voxid.gmm import TrainConfig
 from voxid.sid_pipeline import (
     CorpusManifest,
@@ -38,7 +38,7 @@ from voxid.sid_pipeline import (
     synth_corpus,
     train_database,
 )
-from voxid.spectral import FilterbankConfig
+from voxid.spectral import FilterbankConfig, fb_cepstra
 
 TINY_TRAIN = PipelineConfig(train=TrainConfig(n_components=2))
 
@@ -259,6 +259,22 @@ class TestScoringAndIdentify:
         residual_only = identify(tiny_db, audio, FusionConfig(0.0))
         assert spectral_only.fused_winner == spectral_only.spectral_winner
         assert residual_only.fused_winner == residual_only.residual_winner
+
+    def test_non_finite_features_name_the_stream(self, tiny_corpus, tiny_db, monkeypatch):
+        def one_nan_row(frames, cfg):
+            features = fb_cepstra(frames, cfg)
+            features.values[0] = np.nan
+            return features
+
+        monkeypatch.setattr(sid_pipeline, "fb_cepstra", one_nan_row)
+        manifest, _ = tiny_corpus
+        entry = manifest.speakers[0]
+        message = "spectral stream: features are not finite"
+        with pytest.raises(NumericalFailure, match=message):
+            identify(tiny_db, audio_io.read_wav(entry.test_utterances[0]))
+        manifest = CorpusManifest((replace(entry, test_utterances=entry.test_utterances[:1]),))
+        (trial,) = score_manifest(tiny_db, manifest)
+        assert trial.failed and trial.error == message
 
 
 class TestReports:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voxid import spectral
-from voxid.errors import FilterbankTooDense
+from voxid.errors import FilterbankTooDense, NoFeatures
 from voxid.features import FeatureKind
 from voxid.signal_prep import FrameConfig, FrameSequence
 from voxid.spectral import (
@@ -114,7 +114,7 @@ class TestFilterbank:
 
     def test_too_dense_rejected(self):
         cfg = FilterbankConfig(n_filters=100, n_cep=19, fft_size=128)
-        with pytest.raises(FilterbankTooDense):
+        with pytest.raises(FilterbankTooDense, match="^filter 0 covers"):
             build_filterbank(cfg, RATE)
 
     def test_config_validation(self):
@@ -212,6 +212,14 @@ class TestLpFeatureKinds:
         got = extract_lp_features(speech_frames, FeatureKind.LAR, order=12)
         assert got.dim == 12
         assert np.all(np.isfinite(got.values))
+
+    def test_lsf_without_a_stable_frame_raises_no_features(self):
+        # Silent frames support no LP fit; non-minimum-phase predictors have
+        # no line spectral frequencies.
+        with pytest.raises(NoFeatures):
+            extract_lp_features(make_frames(np.zeros((3, 160))), FeatureKind.LSF)
+        with pytest.raises(NoFeatures, match="line spectral frequencies"):
+            spectral._lsf_rows(np.array([[2.5], [-1.5]]), None)
 
     def test_rejects_non_lp_kind(self, speech_frames):
         with pytest.raises(ValueError):
