@@ -111,11 +111,16 @@ def variance_floor(features: FeatureMatrix, ratio: float) -> np.ndarray:
     return ratio * np.where(global_var > 0, global_var, fallback)
 
 
-def _assign(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """One-hot assignment of every frame to its nearest centroid, (T, M)."""
-    # At unit variance the highest log-density is at the nearest centroid.
-    log_dens = _component_log_densities(centroids, np.ones_like(centroids), data)
-    return np.eye(centroids.shape[0])[np.argmax(log_dens, axis=1)]
+def _assign(twice_data: np.ndarray, unit_quad: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Label of the nearest centroid for every frame, (T,); the first wins a tie.
+
+    The labels are the argmax of _component_log_densities at unit variance,
+    in the same arithmetic: twice_data is 2.0 * data and unit_quad is
+    (data * data) @ ones((k, d)).T, both fixed while k is.
+    """
+    log_norm = -0.5 * (centroids.shape[1] * LOG_TWO_PI)
+    quad = unit_quad - twice_data @ centroids.T + (centroids * centroids).sum(axis=1)[None, :]
+    return np.argmax(log_norm - 0.5 * quad, axis=1)
 
 
 def _moments(resp: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,27 +142,33 @@ def _kmeans_refine(
     """Lloyd iterations over k centroids until they stop moving; returns the
     moments of the last assignment.  Up to k times per pass an empty cluster
     is repaired by resplitting the most populated one."""
-    k = centroids.shape[0]
+    k, d = centroids.shape
     centroids = centroids.copy()
+    twice_data = 2.0 * data
+    unit_quad = (data * data) @ np.ones((k, d)).T
     for _ in range(LBG_MAX_PASSES):
-        resp = _assign(data, centroids)
+        labels = _assign(twice_data, unit_quad, centroids)
+        counts = np.bincount(labels, minlength=k)
         for _ in range(k):
-            counts = resp.sum(axis=0)
             if counts.all():
                 break
             empty, busiest = np.argmin(counts), np.argmax(counts)
             centroids[empty] = centroids[busiest] + LBG_SPLIT_EPSILON * spread
             centroids[busiest] = centroids[busiest] - LBG_SPLIT_EPSILON * spread
-            resp = _assign(data, centroids)
-        counts, means, variances = _moments(resp, data)
+            labels = _assign(twice_data, unit_quad, centroids)
+            counts = np.bincount(labels, minlength=k)
         if not counts.all():
             distinct = len(np.unique(data, axis=0))
             raise InsufficientData(f"{distinct} distinct frames cannot fill {k} clusters")
+        # The (k, T) layout _moments hands BLAS, so the means keep their bits.
+        members = (labels == np.arange(k)[:, None]).astype(np.float64)
+        means = (members @ data) / counts[:, None]
         shift = np.max(np.abs(means - centroids))
         centroids = means
         if shift < LBG_SHIFT_TOLERANCE:
             break
-    return counts, means, variances
+    # Only the last assignment's variances are kept, so only they are computed.
+    return _moments(members.T, data)
 
 
 def lbg_init(

@@ -23,6 +23,15 @@ from .errors import DegenerateFrame, LagTooLarge, NumericalFailure, UnstableFilt
 DEGENERATE_ENERGY_FLOOR = 1e-12
 
 
+def _finite(values: np.ndarray, caller: str) -> np.ndarray:
+    """values as a float64 array; NumericalFailure naming the caller if any
+    of them is NaN or infinite."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise NumericalFailure(f"{caller}: input is not finite")
+    return values
+
+
 def _autocorr_batch(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """Row-wise one-sided autocorrelation of a (n_frames, frame_len) array."""
     n = frames.shape[1]
@@ -179,7 +188,7 @@ def _lpcc_batch(coefficients: np.ndarray, n_cepstra: int) -> np.ndarray:
 
 def lpcc(coefficients: np.ndarray, n_cepstra: int | None = None) -> np.ndarray:
     """LP-derived cepstral coefficients c[1..n] of the synthesis filter."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
+    coefficients = _finite(coefficients, "lpcc")
     if coefficients.ndim != 1:
         raise ValueError("coefficients must be 1-D")
     if n_cepstra is None:
@@ -223,7 +232,7 @@ def _lsf_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def lsf(coefficients: np.ndarray) -> np.ndarray:
     """Line spectral frequencies in radians, ascending in (0, pi)."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
+    coefficients = _finite(coefficients, "lsf")
     freqs, valid = _lsf_batch(coefficients[None, :])
     if not valid[0]:
         raise UnstableFilter(f"the order-{coefficients.size} predictor is not minimum phase")
@@ -232,7 +241,7 @@ def lsf(coefficients: np.ndarray) -> np.ndarray:
 
 def lsf_to_coeffs(freqs: np.ndarray) -> np.ndarray:
     """Rebuild predictor taps a[1..p] from line spectral frequencies."""
-    freqs = np.asarray(freqs, dtype=np.float64)
+    freqs = _finite(freqs, "lsf_to_coeffs")
     p = freqs.size
     if p < 1:
         raise ValueError("need at least one frequency")
@@ -259,7 +268,7 @@ def lsf_to_coeffs(freqs: np.ndarray) -> np.ndarray:
 
 def lar(reflection: np.ndarray) -> np.ndarray:
     """Log-area ratios log((1 + k) / (1 - k)) of reflection coefficients."""
-    reflection = np.asarray(reflection, dtype=np.float64)
+    reflection = _finite(reflection, "lar")
     if np.any(np.abs(reflection) >= 1.0):
         raise UnstableFilter("reflection coefficients must lie strictly inside (-1, 1)")
     return np.log((1.0 + reflection) / (1.0 - reflection))

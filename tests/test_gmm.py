@@ -26,8 +26,14 @@ from voxid.gmm import (
     model_to_bytes,
     save_model,
     train_gmm,
+    LBG_MAX_PASSES,
+    LBG_SHIFT_TOLERANCE,
+    LBG_SPLIT_EPSILON,
     SCORE_BLOCK,
+    _assign,
+    _component_log_densities,
     _logsumexp,
+    _moments,
     utterance_score,
     utterance_scores,
     variance_floor,
@@ -70,6 +76,77 @@ def one_model_score_reference(model: GmmModel, data: np.ndarray) -> float:
     weighted = log_norm[None, :] - 0.5 * quad + np.log(model.weights)[None, :]
     peak = weighted.max(axis=1)
     return float((np.log(np.exp(weighted - peak[:, None]).sum(axis=1)) + peak).sum())
+
+
+def lbg_reference(data: np.ndarray, m: int) -> tuple[GmmModel, list[np.ndarray], int]:
+    """Reference LBG: a one-hot assignment through the scoring kernel at unit
+    variance and full moments on every Lloyd pass, as the algorithm is
+    written.  Returns the model, the centroids of every assignment in order,
+    and how many empty clusters were repaired."""
+    seen = []
+
+    def assign(centroids):
+        seen.append(centroids.copy())
+        log_dens = _component_log_densities(centroids, np.ones_like(centroids), data)
+        return np.eye(centroids.shape[0])[np.argmax(log_dens, axis=1)]
+
+    spread = data.std(axis=0)
+    spread = np.where(spread > 0, spread, 1.0)
+    repairs = 0
+    counts, centroids, variances = _moments(np.ones((data.shape[0], 1)), data)
+    while centroids.shape[0] < m:
+        centroids = np.vstack(
+            [centroids + LBG_SPLIT_EPSILON * spread, centroids - LBG_SPLIT_EPSILON * spread]
+        )
+        k = centroids.shape[0]
+        for _ in range(LBG_MAX_PASSES):
+            resp = assign(centroids)
+            for _ in range(k):
+                counts = resp.sum(axis=0)
+                if counts.all():
+                    break
+                empty, busiest = np.argmin(counts), np.argmax(counts)
+                centroids[empty] = centroids[busiest] + LBG_SPLIT_EPSILON * spread
+                centroids[busiest] = centroids[busiest] - LBG_SPLIT_EPSILON * spread
+                resp = assign(centroids)
+                repairs += 1
+            counts, means, variances = _moments(resp, data)
+            assert counts.all()
+            shift = np.max(np.abs(means - centroids))
+            centroids = means
+            if shift < LBG_SHIFT_TOLERANCE:
+                break
+    floor = variance_floor(feats(data), 1e-3)
+    variances = np.maximum(variances, floor[None, :])
+    return GmmModel(KIND, counts / counts.sum(), centroids, variances), seen, repairs
+
+
+def traced_lbg_init(monkeypatch, data: np.ndarray, m: int) -> tuple[GmmModel, list[np.ndarray]]:
+    """lbg_init, and the centroids of every assignment it made in order.
+    The terms hoisted out of the assignment must equal the scoring kernel's."""
+    import voxid.gmm as gmm_module
+
+    seen = []
+    original = gmm_module._assign
+
+    def recording(twice_data, unit_quad, centroids):
+        inv_var = 1.0 / np.ones_like(centroids)
+        np.testing.assert_array_equal(unit_quad, (data * data) @ inv_var.T)
+        np.testing.assert_array_equal(twice_data, 2.0 * data)
+        seen.append(centroids.copy())
+        return original(twice_data, unit_quad, centroids)
+
+    monkeypatch.setattr(gmm_module, "_assign", recording)
+    return lbg_init(feats(data), m), seen
+
+
+def assert_same_lbg_run(got, expected):
+    model, seen = got
+    reference, reference_seen, _ = expected
+    assert model_to_bytes(model) == model_to_bytes(reference)
+    assert len(seen) == len(reference_seen)
+    for centroids, reference_centroids in zip(seen, reference_seen):
+        np.testing.assert_array_equal(centroids, reference_centroids)
 
 
 class TestLogSumExp:
@@ -222,6 +299,35 @@ class TestLbgInit:
         np.testing.assert_allclose(model.weights, weights, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.variances, floored, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_bit_identical_to_reference(self, rng, monkeypatch, m):
+        # Every Lloyd pass must assign against the same centroid bits: a
+        # drift of one ulp there rarely changes a label, so the model alone
+        # would not show it.
+        data = rng.standard_normal((1500, 13)) * rng.uniform(0.1, 3.0, 13) + rng.normal(0, 2, 13)
+        assert_same_lbg_run(traced_lbg_init(monkeypatch, data, m), lbg_reference(data, m))
+
+    def test_bit_identical_to_reference_through_repairs(self, rng, monkeypatch):
+        # Ten copies each of 12 rows plus 8 loose ones: splits leave clusters
+        # empty, and the repair must refill them the same way.
+        distinct = rng.standard_normal((12, 3))
+        data = np.vstack([np.repeat(distinct, 10, axis=0), rng.standard_normal((8, 3))])
+        expected = lbg_reference(data, 16)
+        assert expected[2] > 0
+        assert_same_lbg_run(traced_lbg_init(monkeypatch, data, 16), expected)
+
+    def test_assign_matches_reference_at_near_ties(self, rng):
+        # Each frame lies within 1e-8 of four centroids, so their unit-variance
+        # log-densities differ in the last bits, or not at all; the labels must
+        # be the reference's argmax, first index winning a tie.
+        d = 19
+        base = rng.standard_normal((3, d))
+        centroids = np.repeat(base, 4, axis=0) + 1e-8 * rng.standard_normal((12, d))
+        data = np.repeat(base, 50, axis=0) + 1e-8 * rng.standard_normal((150, d))
+        log_dens = _component_log_densities(centroids, np.ones_like(centroids), data)
+        labels = _assign(2.0 * data, (data * data) @ np.ones((12, d)).T, centroids)
+        np.testing.assert_array_equal(labels, np.argmax(log_dens, axis=1))
+
     def test_deterministic(self, rng):
         data = rng.standard_normal((512, 6))
         a = lbg_init(feats(data), 8)
@@ -309,6 +415,23 @@ class TestEm:
         monkeypatch.setattr(gmm_module, "em_step", counting)
         em_fit(fm, lbg_init(fm, 2), TrainConfig(n_components=2, em_iterations=10))
         assert len(calls) == 10
+
+    def test_train_gmm_calls_lbg_and_em_through_the_module(self, rng, monkeypatch):
+        # A tracer wraps the module attributes; a direct reference would
+        # leave its spans reading 0.
+        import voxid.gmm as gmm_module
+
+        calls = []
+        for name in ("lbg_init", "em_fit"):
+            original = getattr(gmm_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gmm_module, name, counting)
+        train_gmm(two_clouds(rng, n_per=100), TrainConfig(n_components=2))
+        assert calls == ["lbg_init", "em_fit"]
 
     def test_recovers_two_component_mixture(self, rng):
         n = 5000

@@ -4,7 +4,9 @@ import scipy.linalg
 
 from tests.conftest import random_ar_frame
 from voxid import corpus, lp
-from voxid.errors import DegenerateFrame, LagTooLarge, UnstableFilter
+from voxid.errors import DegenerateFrame, LagTooLarge, NumericalFailure, UnstableFilter
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def toeplitz_solve(r: np.ndarray, order: int) -> np.ndarray:
@@ -184,6 +186,11 @@ class TestLpcc:
     def test_default_length_matches_order(self):
         assert lp.lpcc(np.array([0.5, -0.2])).shape == (2,)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalFailure, match="^lpcc: "):
+            lp.lpcc(np.array([bad, 0.2]))
+
 
 class TestLsf:
     def test_unit_predictor(self):
@@ -238,6 +245,16 @@ class TestLsf:
             rejected += np.count_nonzero(~valid)
         assert rejected > 300
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalFailure, match="^lsf: "):
+            lp.lsf(np.array([bad, 0.1]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_frequencies_rejected(self, bad):
+        with pytest.raises(NumericalFailure, match="^lsf_to_coeffs: "):
+            lp.lsf_to_coeffs(np.array([0.5, bad]))
+
 
 class TestLar:
     def test_zero(self):
@@ -253,3 +270,8 @@ class TestLar:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableFilter):
             lp.lar(np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalFailure, match="^lar: "):
+            lp.lar(np.array([bad]))
