@@ -38,10 +38,10 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 DEFAULT_VARIANCE_FLOOR_RATIO = 1e-3
 
 # At most this many models are stacked into one scoring product.  At 8
-# components and ~230 frames a block's temporaries (0.24 MB each, 1.3 MB at
+# components and ~230 frames a block's temporaries (0.23 MB each, 1.5 MB at
 # peak) stay in a 2 MB L2 cache.  One product over 100 speakers peaked at
-# 5.1 MB and took 9.4-10.2 ms, against 7.7-7.8 ms for blocks of 16 (Xeon,
-# one BLAS thread).
+# 6.5 MB and took 10.2-10.8 ms, against 3.7-4.4 ms for blocks of 16; blocks
+# of 8 or 32 were no faster (Xeon, one BLAS thread).
 SCORE_BLOCK = 16
 
 
@@ -159,7 +159,12 @@ def _kmeans_refine(
             counts = np.bincount(labels, minlength=k)
         if not counts.all():
             distinct = len(np.unique(data, axis=0))
-            raise InsufficientData(f"{distinct} distinct frames cannot fill {k} clusters")
+            if distinct < k:
+                raise InsufficientData(f"{distinct} distinct frames cannot fill {k} clusters")
+            raise InsufficientData(
+                f"k-means left {k - np.count_nonzero(counts)} of {k} clusters empty "
+                f"after {k} repairs ({distinct} distinct frames)"
+            )
         # The (k, T) layout _moments hands BLAS, so the means keep their bits.
         members = (labels == np.arange(k)[:, None]).astype(np.float64)
         means = (members @ data) / counts[:, None]
@@ -241,8 +246,10 @@ def _frame_log_densities(models: Sequence[GmmModel], data: np.ndarray) -> np.nda
     """log p(x_t | model) for every model and frame, (S, T).
 
     Models of one component count are stacked SCORE_BLOCK at a time into
-    one product.  Each model's row is contiguous, so summing it adds the
-    frames in the same order as a one-model call does.
+    one product.  Its (T, K) weighted densities are copied mixture-major,
+    (block, M, T) C-contiguous, so the log-sum-exp over components works
+    on whole rows of T frames.  Each model's output row is contiguous, so
+    summing it adds the frames in the same order as a one-model call does.
     """
     out = np.empty((len(models), data.shape[0]))
     for start in range(0, len(models), SCORE_BLOCK):
@@ -251,8 +258,8 @@ def _frame_log_densities(models: Sequence[GmmModel], data: np.ndarray) -> np.nda
         variances = np.concatenate([m.variances for m in block])
         log_weights = _log_weights(np.concatenate([m.weights for m in block]))
         weighted = _component_log_densities(means, variances, data) + log_weights[None, :]
-        per_model = weighted.reshape(data.shape[0], len(block), -1)
-        out[start : start + len(block)] = _logsumexp(per_model, axis=2).T
+        per_model = np.ascontiguousarray(weighted.T).reshape(len(block), -1, data.shape[0])
+        out[start : start + len(block)] = _logsumexp(per_model, axis=1)
     return out
 
 
@@ -268,20 +275,26 @@ def em_step(
     features: FeatureMatrix, model: GmmModel, floor: np.ndarray
 ) -> tuple[GmmModel, float]:
     """One EM iteration.  Returns the updated model and the total
-    log-likelihood of the data under the INPUT model."""
+    log-likelihood of the data under the INPUT model.
+
+    The weighted component log-densities are copied mixture-major, (M, T)
+    C-contiguous, so the log-sum-exp and the responsibilities work on whole
+    rows of T frames; _moments gets the responsibilities as a (T, M) view.
+    """
     data = features.values
     weighted = (
         _component_log_densities(model.means, model.variances, data)
         + _log_weights(model.weights)[None, :]
     )
-    frame_ll = _logsumexp(weighted, axis=1)
+    weighted = np.ascontiguousarray(weighted.T)
+    frame_ll = _logsumexp(weighted, axis=0)
     total_ll = float(frame_ll.sum())
 
-    resp = np.exp(weighted - frame_ll[:, None])
+    resp = np.exp(weighted - frame_ll[None, :])
     if not np.all(np.isfinite(resp)):
         raise NumericalFailure("non-finite responsibilities in the E-step")
 
-    occupancy, means, variances = _moments(resp, data)
+    occupancy, means, variances = _moments(resp.T, data)
     empty = np.isnan(means)  # a component with no occupancy keeps its parameters
     new_means = np.where(empty, model.means, means)
     new_vars = np.maximum(np.where(empty, model.variances, variances), floor[None, :])

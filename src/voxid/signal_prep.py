@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllSilence, EmptyInput, TooShort
+from .errors import AllSilence, EmptyInput, NumericalFailure, TooShort
+
+# Samples up to this magnitude square to at most 2**-64 of the float64 limit.
+# That margin exceeds the squared frame length times the FFT size of any
+# usable configuration, so block energies, power spectra and autocorrelations
+# stay finite.  WAV input lies in [-1, 1).
+MAX_SAMPLE_MAGNITUDE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,12 @@ def remove_silence(signal: AudioSignal, cfg: FrameConfig) -> AudioSignal:
     x = signal.samples
     if x.size == 0:
         raise EmptyInput("cannot run silence removal on an empty signal")
+    peak = np.max(np.abs(x))
+    if peak > MAX_SAMPLE_MAGNITUDE:
+        raise NumericalFailure(
+            f"silence removal: peak sample magnitude {peak:.3g} exceeds "
+            f"{MAX_SAMPLE_MAGNITUDE:.3g}; energies would overflow"
+        )
     n = cfg.frame_len_samples
     keep = retained_block_indices(x, n, cfg.energy_threshold_ratio)
     if keep.size == 0:

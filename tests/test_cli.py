@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,24 @@ class TestExtract:
         assert code == 0
         header = csv.read_text().splitlines()[0]
         assert header.startswith("mfcc_0,")
+
+    @pytest.mark.parametrize("amplitude", [1e154, 1e300])
+    def test_huge_audio_exits_1_without_warnings(
+        self, cli_corpus, tmp_path, monkeypatch, capsys, amplitude
+    ):
+        # A 16-bit WAV cannot hold such samples; read_wav stands in for a
+        # source that can.
+        wav = cli_corpus / "spk00" / "train_00.wav"
+        speech = audio_io.read_wav(wav)
+        huge = AudioSignal(speech.samples * amplitude, speech.sample_rate_hz)
+        monkeypatch.setattr(audio_io, "read_wav", lambda path: huge)
+        out = tmp_path / "m.ftr"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["extract", str(wav), "--kind", "mfcc", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: silence removal: ")
+        assert not out.exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main(

@@ -78,6 +78,25 @@ def one_model_score_reference(model: GmmModel, data: np.ndarray) -> float:
     return float((np.log(np.exp(weighted - peak[:, None]).sum(axis=1)) + peak).sum())
 
 
+def em_step_frame_major_reference(
+    features: FeatureMatrix, model: GmmModel, floor: np.ndarray
+) -> tuple[GmmModel, float]:
+    """Reference EM step with the log-sum-exp and the responsibilities in
+    the (T, M) layout, one row of components per frame."""
+    data = features.values
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(model.weights)
+    weighted = _component_log_densities(model.means, model.variances, data) + log_weights
+    frame_ll = _logsumexp(weighted, axis=1)
+    resp = np.exp(weighted - frame_ll[:, None])
+    occupancy, means, variances = _moments(resp, data)
+    empty = np.isnan(means)
+    new_means = np.where(empty, model.means, means)
+    new_vars = np.maximum(np.where(empty, model.variances, variances), floor[None, :])
+    stepped = GmmModel(model.feature_kind, occupancy / occupancy.sum(), new_means, new_vars)
+    return stepped, float(frame_ll.sum())
+
+
 def lbg_reference(data: np.ndarray, m: int) -> tuple[GmmModel, list[np.ndarray], int]:
     """Reference LBG: a one-hot assignment through the scoring kernel at unit
     variance and full moments on every Lloyd pass, as the algorithm is
@@ -121,6 +140,12 @@ def lbg_reference(data: np.ndarray, m: int) -> tuple[GmmModel, list[np.ndarray],
     return GmmModel(KIND, counts / counts.sum(), centroids, variances), seen, repairs
 
 
+def repeated_rows_and_loose_ones(rng, rows: int, copies: int, loose: int, dim: int) -> np.ndarray:
+    """copies of each of rows distinct frames, then loose single frames."""
+    distinct = rng.standard_normal((rows, dim))
+    return np.vstack([np.repeat(distinct, copies, axis=0), rng.standard_normal((loose, dim))])
+
+
 def traced_lbg_init(monkeypatch, data: np.ndarray, m: int) -> tuple[GmmModel, list[np.ndarray]]:
     """lbg_init, and the centroids of every assignment it made in order.
     The terms hoisted out of the assignment must equal the scoring kernel's."""
@@ -149,6 +174,20 @@ def assert_same_lbg_run(got, expected):
         np.testing.assert_array_equal(centroids, reference_centroids)
 
 
+# One row per frame; a -inf entry is what a zero mixture weight contributes.
+EDGE_ROWS = np.array(
+    [
+        [-np.inf, -np.inf, -np.inf],
+        [np.nan, 0.0, 1.0],
+        [np.nan, -np.inf, -np.inf],
+        [np.inf, 0.0, 1.0],
+        [np.inf, -np.inf, np.inf],
+        [-np.inf, 2.0, -np.inf],
+    ]
+)
+EDGE_ROWS_EXPECTED = [-np.inf, np.nan, np.nan, np.inf, np.inf, 2.0]
+
+
 class TestLogSumExp:
     def test_matches_scipy_on_random_blocks(self, rng):
         for shape in [(231, 16, 8), (40, 3, 2), (7, 1, 64)]:
@@ -159,22 +198,28 @@ class TestLogSumExp:
                 )
 
     def test_edge_rows_match_scipy_without_warnings(self):
-        inf, nan = np.inf, np.nan
-        rows = np.array(
-            [
-                [-inf, -inf, -inf],
-                [nan, 0.0, 1.0],
-                [nan, -inf, -inf],
-                [inf, 0.0, 1.0],
-                [inf, -inf, inf],
-                [-inf, 2.0, -inf],
-            ]
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _logsumexp(rows, 1)
-        np.testing.assert_array_equal(got, logsumexp(rows, axis=1))
-        np.testing.assert_array_equal(got, [-inf, nan, nan, inf, inf, 2.0])
+            got = _logsumexp(EDGE_ROWS, 1)
+        np.testing.assert_array_equal(got, logsumexp(EDGE_ROWS, axis=1))
+        np.testing.assert_array_equal(got, EDGE_ROWS_EXPECTED)
+
+    @pytest.mark.parametrize(
+        "layout, axis",
+        [
+            (lambda rows: np.ascontiguousarray(rows.T), 0),
+            (lambda rows: np.ascontiguousarray(rows.T)[None], 1),
+        ],
+        ids=["M-T", "block-M-T"],
+    )
+    def test_component_major_edge_rows_match_scipy_without_warnings(self, layout, axis):
+        # The layouts em_step and the scoring blocks reduce over.
+        a = layout(EDGE_ROWS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(a, axis)
+        np.testing.assert_array_equal(got, logsumexp(a, axis=axis))
+        np.testing.assert_array_equal(got.ravel(), EDGE_ROWS_EXPECTED)
 
 
 class TestModelValidation:
@@ -282,8 +327,28 @@ class TestLbgInit:
     def test_too_few_distinct_frames_raises(self):
         # Two distinct rows cannot fill four clusters however they are split.
         data = np.repeat([[0.0, 0.0], [1.0, 1.0]], 50, axis=0)
-        with pytest.raises(InsufficientData, match="2 distinct frames"):
+        with pytest.raises(InsufficientData, match="2 distinct frames cannot fill 4 clusters"):
             lbg_init(feats(data), 4)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                repeated_rows_and_loose_ones(np.random.default_rng(12345), 24, 40, 8, 3),
+                "k-means left 1 of 16 clusters empty after 16 repairs (32 distinct frames)",
+            ),
+            (
+                np.random.default_rng(12345).integers(0, 4, (600, 2)).astype(np.float64),
+                "k-means left 3 of 16 clusters empty after 16 repairs (16 distinct frames)",
+            ),
+        ],
+        ids=["32-distinct", "16-distinct"],
+    )
+    def test_repair_limit_named_when_frames_suffice(self, data, message):
+        # Enough distinct frames exist, so the failure is the repair's limit.
+        with pytest.raises(InsufficientData) as caught:
+            lbg_init(feats(data), 16)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_matches_nearest_mean_partition_oracle(self, rng, m):
@@ -310,8 +375,7 @@ class TestLbgInit:
     def test_bit_identical_to_reference_through_repairs(self, rng, monkeypatch):
         # Ten copies each of 12 rows plus 8 loose ones: splits leave clusters
         # empty, and the repair must refill them the same way.
-        distinct = rng.standard_normal((12, 3))
-        data = np.vstack([np.repeat(distinct, 10, axis=0), rng.standard_normal((8, 3))])
+        data = repeated_rows_and_loose_ones(rng, 12, 10, 8, 3)
         expected = lbg_reference(data, 16)
         assert expected[2] > 0
         assert_same_lbg_run(traced_lbg_init(monkeypatch, data, 16), expected)
@@ -400,6 +464,26 @@ class TestEm:
         stepped, _ = em_step(fm, model, floor)
         np.testing.assert_allclose(stepped.means, model.means, atol=1e-9)
         np.testing.assert_allclose(stepped.variances, model.variances, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_step_matches_frame_major_reference(self, rng, m):
+        # The kernel reduces over components in the (M, T) layout; only the
+        # order of the sums over components may move the last bits.
+        data = rng.standard_normal((3000, 5)) * rng.uniform(0.2, 2.0, 5) + 1.5
+        fm = feats(data)
+        floor = variance_floor(fm, 1e-3)
+        w = rng.uniform(0.2, 1.0, m)
+        w[-1] = 0.0
+        model = GmmModel(
+            KIND, w / w.sum(), rng.standard_normal((m, 5)) + 1.5, rng.uniform(0.3, 2.0, (m, 5))
+        )
+        got, ll = em_step(fm, model, floor)
+        expected, expected_ll = em_step_frame_major_reference(fm, model, floor)
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_allclose(
+                getattr(got, name), getattr(expected, name), rtol=1e-12, atol=0, err_msg=name
+            )
+        assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0)
 
     def test_fit_runs_requested_iterations_exactly(self, rng, monkeypatch):
         import voxid.gmm as gmm_module
@@ -521,6 +605,15 @@ class TestUtteranceScore:
         expected = [one_model_score_reference(model, data) for model in models]
         np.testing.assert_array_equal(got, expected)
         assert [utterance_score(model, feats(data)) for model in models] == expected
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_stacked_scores_match_direct_oracle(self, rng, m):
+        models = [self.make_model(rng, d=3, m=m) for _ in range(2 * SCORE_BLOCK + 3)]
+        data = rng.standard_normal((12, 3))
+        expected = [sum(mixture_log_density_oracle(model, x) for x in data) for model in models]
+        np.testing.assert_allclose(
+            utterance_scores(models, feats(data)), expected, rtol=1e-12, atol=0
+        )
 
     def test_zero_weight_component_scores_as_if_removed(self, rng):
         full = self.make_model(rng, d=3, m=3)

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from voxid import audio_io, sid_pipeline
 from voxid.acrlag import AcrlagConfig
 from voxid.errors import BadFileFormat, InsufficientData, NumericalFailure
 from voxid.gmm import TrainConfig
+from voxid.signal_prep import MAX_SAMPLE_MAGNITUDE, AudioSignal
 from voxid.sid_pipeline import (
     CorpusManifest,
     FusionConfig,
@@ -275,6 +277,33 @@ class TestScoringAndIdentify:
         manifest = CorpusManifest((replace(entry, test_utterances=entry.test_utterances[:1]),))
         (trial,) = score_manifest(tiny_db, manifest)
         assert trial.failed and trial.error == message
+
+    @pytest.mark.parametrize("amplitude", [1e154, 1e300])
+    def test_huge_audio_fails_in_silence_removal_without_warnings(
+        self, tiny_corpus, tiny_db, monkeypatch, amplitude
+    ):
+        manifest, _ = tiny_corpus
+        entry = manifest.speakers[0]
+        speech = audio_io.read_wav(entry.test_utterances[0])
+        huge = AudioSignal(speech.samples * amplitude, speech.sample_rate_hz)
+        monkeypatch.setattr(audio_io, "read_wav", lambda path: huge)
+        manifest = CorpusManifest((replace(entry, test_utterances=entry.test_utterances[:1]),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^silence removal: "):
+                identify(tiny_db, huge)
+            (trial,) = score_manifest(tiny_db, manifest)
+        assert trial.failed and trial.error.startswith("silence removal: ")
+
+    def test_audio_at_the_magnitude_limit_scores_without_warnings(self, tiny_corpus, tiny_db):
+        manifest, _ = tiny_corpus
+        speech = audio_io.read_wav(manifest.speakers[0].test_utterances[0])
+        loud = speech.samples * (MAX_SAMPLE_MAGNITUDE / np.abs(speech.samples).max())
+        loud = np.clip(loud, -MAX_SAMPLE_MAGNITUDE, MAX_SAMPLE_MAGNITUDE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = identify(tiny_db, AudioSignal(loud, speech.sample_rate_hz))
+        assert all(np.isfinite([s.spectral, s.residual]).all() for s in result.scores)
 
 
 class TestReports:

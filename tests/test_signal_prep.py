@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxid.errors import AllSilence, EmptyInput, TooShort
+from voxid.errors import AllSilence, EmptyInput, NumericalFailure, TooShort
 from voxid.signal_prep import (
+    MAX_SAMPLE_MAGNITUDE,
     AudioSignal,
     FrameConfig,
     FrameSequence,
@@ -127,6 +128,14 @@ class TestSilenceRemoval:
     def test_all_zero_signal_is_all_silence(self):
         with pytest.raises(AllSilence):
             remove_silence(signal(np.zeros(1000)), FrameConfig())
+
+    def test_magnitude_limit_is_inclusive(self, rng):
+        x = rng.uniform(-1.0, 1.0, 1000) * (0.5 * MAX_SAMPLE_MAGNITUDE)
+        x[0] = MAX_SAMPLE_MAGNITUDE
+        assert len(remove_silence(signal(x), FrameConfig())) > 0
+        x[0] = -np.nextafter(MAX_SAMPLE_MAGNITUDE, np.inf)
+        with pytest.raises(NumericalFailure, match="^silence removal: peak sample magnitude"):
+            remove_silence(signal(x), FrameConfig())
 
     @given(st.integers(1, 2000), st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
