@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 from . import audio_io
 from .acrlag import extract_acrlag
-from .errors import VoxidError
+from .errors import BadFileFormat, VoxidError
 from .features import FeatureKind, FeatureMatrix, export_csv, save_features
 from .gmm import ALLOWED_COMPONENT_COUNTS
 from .sid_pipeline import (
@@ -92,7 +92,12 @@ _EXTRACT_FLAGS = {
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     """Base config from --config JSON (if any), then flag overrides."""
     if getattr(args, "config", None):
-        config = PipelineConfig.from_json_dict(json.loads(Path(args.config).read_text()))
+        path = Path(args.config)
+        try:
+            doc = json.loads(path.read_bytes())
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
+        config = PipelineConfig.from_json_dict(doc)
     else:
         config = PipelineConfig()
     frame_overrides = {

@@ -37,11 +37,11 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 DEFAULT_VARIANCE_FLOOR_RATIO = 1e-3
 
-# At most this many models are stacked into one scoring product.  At 8
-# components and ~230 frames a block's temporaries (0.23 MB each, 1.5 MB at
-# peak) stay in a 2 MB L2 cache.  One product over 100 speakers peaked at
-# 6.5 MB and took 10.2-10.8 ms, against 3.7-4.4 ms for blocks of 16; blocks
-# of 8 or 32 were no faster (Xeon, one BLAS thread).
+# At most this many models share one pair of scoring products.  At 8
+# components and ~230 frames each (T, K) temporary of a block is 0.24 MB.
+# Both streams against 100 speakers (d = 19 and 13, 231 frames) took a
+# median 3.5-4.3 ms in blocks of 4 to 32 (1.0 MB peak at 16, 1.7 MB at 32)
+# and 11 ms in one block of 100 (Xeon, 2 MB L2 per core, one BLAS thread).
 SCORE_BLOCK = 16
 
 
@@ -114,9 +114,10 @@ def variance_floor(features: FeatureMatrix, ratio: float) -> np.ndarray:
 def _assign(twice_data: np.ndarray, unit_quad: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Label of the nearest centroid for every frame, (T,); the first wins a tie.
 
-    The labels are the argmax of _component_log_densities at unit variance,
-    in the same arithmetic: twice_data is 2.0 * data and unit_quad is
-    (data * data) @ ones((k, d)).T, both fixed while k is.
+    The labels are the argmax of the unit-variance log-density
+    -0.5 * (d log 2 pi + |x|^2 - 2 x . c + |c|^2), in that arithmetic:
+    twice_data is 2.0 * data and unit_quad is (data * data) @ ones((k, d)).T,
+    both fixed while k is.
     """
     log_norm = -0.5 * (centroids.shape[1] * LOG_TWO_PI)
     quad = unit_quad - twice_data @ centroids.T + (centroids * centroids).sum(axis=1)[None, :]
@@ -210,20 +211,6 @@ def lbg_init(
     return GmmModel(features.kind, counts / counts.sum(), centroids, variances)
 
 
-def _component_log_densities(
-    means: np.ndarray, variances: np.ndarray, data: np.ndarray
-) -> np.ndarray:
-    """log N(x_t | mu_i, diag sigma_i) for every frame and component row, (T, K)."""
-    inv_var = 1.0 / variances
-    log_norm = -0.5 * (means.shape[1] * LOG_TWO_PI + np.log(variances).sum(axis=1))
-    quad = (
-        (data * data) @ inv_var.T
-        - 2.0 * data @ (means * inv_var).T
-        + (means * means * inv_var).sum(axis=1)[None, :]
-    )
-    return log_norm[None, :] - 0.5 * quad
-
-
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a))) along one axis, shifted by the maximum.
 
@@ -242,24 +229,102 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-def _frame_log_densities(models: Sequence[GmmModel], data: np.ndarray) -> np.ndarray:
-    """log p(x_t | model) for every model and frame, (S, T).
+@dataclass(frozen=True)
+class ModelStack:
+    """Models of one kind, dimension and component count, row-stacked as
+    the per-component terms of their weighted log-densities:
 
-    Models of one component count are stacked SCORE_BLOCK at a time into
-    one product.  Its (T, K) weighted densities are copied mixture-major,
-    (block, M, T) C-contiguous, so the log-sum-exp over components works
-    on whole rows of T frames.  Each model's output row is contiguous, so
-    summing it adds the frames in the same order as a one-model call does.
+        log w_i + log N(x | mu_i, diag var_i)
+            = (x * x) . half_precisions_i + x . scaled_means_i + offsets_i
+
+    Rows m * M to (m + 1) * M hold model m's components.  The arrays are
+    read-only, so a stack can be built once and scored many times.
     """
-    out = np.empty((len(models), data.shape[0]))
-    for start in range(0, len(models), SCORE_BLOCK):
-        block = models[start : start + SCORE_BLOCK]
-        means = np.concatenate([m.means for m in block])
-        variances = np.concatenate([m.variances for m in block])
-        log_weights = _log_weights(np.concatenate([m.weights for m in block]))
-        weighted = _component_log_densities(means, variances, data) + log_weights[None, :]
-        per_model = np.ascontiguousarray(weighted.T).reshape(len(block), -1, data.shape[0])
-        out[start : start + len(block)] = _logsumexp(per_model, axis=1)
+
+    feature_kind: FeatureKind
+    n_components: int
+    half_precisions: np.ndarray  # (S * M, d): -0.5 / var
+    scaled_means: np.ndarray  # (S * M, d): mean / var
+    offsets: np.ndarray  # (S * M,): log w + log normalizer - 0.5 * sum(mean^2 / var)
+
+    @property
+    def n_models(self) -> int:
+        return self.offsets.size // self.n_components
+
+    @property
+    def dim(self) -> int:
+        return self.half_precisions.shape[1]
+
+
+def stack_models(models: Sequence[GmmModel]) -> ModelStack:
+    """One ModelStack of models that share kind, dimension and component count."""
+    if not models:
+        raise ValueError("no models to stack")
+    first = models[0]
+    for model in models:
+        if model.feature_kind is not first.feature_kind:
+            raise FeatureKindMismatch(
+                f"models mix {first.feature_kind.value} and {model.feature_kind.value}"
+            )
+        if model.dim != first.dim:
+            raise DimError(f"models mix dimensions {first.dim} and {model.dim}")
+        if model.n_components != first.n_components:
+            raise DimError(
+                f"models mix {first.n_components} and {model.n_components} components"
+            )
+    means = np.concatenate([m.means for m in models])
+    variances = np.concatenate([m.variances for m in models])
+    scaled_means = means / variances
+    log_norm = -0.5 * (first.dim * LOG_TWO_PI + np.log(variances).sum(axis=1))
+    offsets = (
+        _log_weights(np.concatenate([m.weights for m in models]))
+        + log_norm
+        - 0.5 * (means * scaled_means).sum(axis=1)
+    )
+    terms = (-0.5 / variances, scaled_means, offsets)
+    for array in terms:
+        array.flags.writeable = False
+    return ModelStack(first.feature_kind, first.n_components, *terms)
+
+
+def _weighted_log_densities(
+    stack: ModelStack,
+    data: np.ndarray,
+    squares: np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
+) -> np.ndarray:
+    """log w_i + log N(x_t | mu_i, diag var_i) for the components of models
+    start to stop of the stack, mixture-major: (models, M, T) C-contiguous.
+
+    squares is data * data.  Each entry is two dot products of length d
+    and one add.  With d < 32 and a power-of-two M (every count training
+    allows), a model's entries were found not to depend on which other
+    models share the product (OpenBLAS, one thread); otherwise BLAS may
+    sum a dot product in another order, a last-bit difference.
+    """
+    m = stack.n_components
+    rows = slice(start * m, None if stop is None else stop * m)
+    weighted = squares @ stack.half_precisions[rows].T
+    weighted += data @ stack.scaled_means[rows].T
+    weighted += stack.offsets[rows]
+    return np.ascontiguousarray(weighted.T).reshape(-1, m, data.shape[0])
+
+
+def _frame_log_densities(stack: ModelStack, data: np.ndarray) -> np.ndarray:
+    """log p(x_t | model) for every model of the stack and frame, (S, T).
+
+    SCORE_BLOCK models at a time share one pair of products.  The
+    log-sum-exp over components then works on whole rows of T frames, and
+    each model's output row is contiguous, so summing it adds the frames in
+    the same order as a one-model call does.
+    """
+    squares = data * data
+    out = np.empty((stack.n_models, data.shape[0]))
+    for start in range(0, stack.n_models, SCORE_BLOCK):
+        stop = start + SCORE_BLOCK
+        weighted = _weighted_log_densities(stack, data, squares, start, stop)
+        out[start:stop] = _logsumexp(weighted, axis=1)
     return out
 
 
@@ -268,7 +333,7 @@ def log_density(model: GmmModel, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != model.dim:
         raise DimError(f"expected a {model.dim}-dimensional vector, got shape {x.shape}")
-    return float(_frame_log_densities([model], x[None, :])[0, 0])
+    return float(_frame_log_densities(stack_models([model]), x[None, :])[0, 0])
 
 
 def em_step(
@@ -277,16 +342,13 @@ def em_step(
     """One EM iteration.  Returns the updated model and the total
     log-likelihood of the data under the INPUT model.
 
-    The weighted component log-densities are copied mixture-major, (M, T)
-    C-contiguous, so the log-sum-exp and the responsibilities work on whole
-    rows of T frames; _moments gets the responsibilities as a (T, M) view.
+    The weighted component log-densities come from the scoring kernel
+    through a one-model stack, mixture-major (M, T), so the log-sum-exp and
+    the responsibilities work on whole rows of T frames; _moments gets the
+    responsibilities as a (T, M) view.
     """
     data = features.values
-    weighted = (
-        _component_log_densities(model.means, model.variances, data)
-        + _log_weights(model.weights)[None, :]
-    )
-    weighted = np.ascontiguousarray(weighted.T)
+    weighted = _weighted_log_densities(stack_models([model]), data, data * data)[0]
     frame_ll = _logsumexp(weighted, axis=0)
     total_ll = float(frame_ll.sum())
 
@@ -327,20 +389,22 @@ def train_gmm(features: FeatureMatrix, cfg: TrainConfig) -> GmmModel:
     return em_fit(features, init, cfg)
 
 
+def stack_scores(stack: ModelStack, features: FeatureMatrix) -> np.ndarray:
+    """Sum of per-frame log-densities under each model of the stack, (S,)."""
+    if features.kind is not stack.feature_kind:
+        raise FeatureKindMismatch(
+            f"features are {features.kind.value}, model is {stack.feature_kind.value}"
+        )
+    if features.dim != stack.dim:
+        raise DimError(f"feature dim {features.dim} != model dim {stack.dim}")
+    return _frame_log_densities(stack, features.values).sum(axis=1)
+
+
 def utterance_scores(models: Sequence[GmmModel], features: FeatureMatrix) -> np.ndarray:
     """Sum of per-frame log-densities under each model, (S,)."""
-    for model in models:
-        if features.kind is not model.feature_kind:
-            raise FeatureKindMismatch(
-                f"features are {features.kind.value}, model is {model.feature_kind.value}"
-            )
-        if features.dim != model.dim:
-            raise DimError(f"feature dim {features.dim} != model dim {model.dim}")
-        if model.n_components != models[0].n_components:
-            raise DimError(
-                f"models mix {models[0].n_components} and {model.n_components} components"
-            )
-    return _frame_log_densities(models, features.values).sum(axis=1)
+    if not models:
+        return np.empty(0)
+    return stack_scores(stack_models(models), features)
 
 
 def utterance_score(model: GmmModel, features: FeatureMatrix) -> float:
@@ -390,6 +454,7 @@ def load_model(path: str | Path) -> GmmModel:
 
 __all__ = [
     "GmmModel",
+    "ModelStack",
     "TrainConfig",
     "lbg_init",
     "log_density",
@@ -400,6 +465,8 @@ __all__ = [
     "utterance_scores",
     "variance_floor",
     "save_model",
+    "stack_models",
+    "stack_scores",
     "load_model",
     "model_to_bytes",
     "model_from_bytes",

@@ -12,6 +12,7 @@ import json
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -220,6 +221,15 @@ class SpeakerDatabase:
     def n_speakers(self) -> int:
         return len(self.speaker_ids)
 
+    @cached_property
+    def model_stacks(self) -> tuple[gmm.ModelStack, gmm.ModelStack]:
+        """(spectral, residual) models stacked in speaker order, built on
+        the first score; training, saving and loading never need them."""
+        return tuple(
+            gmm.stack_models([models[sid] for sid in self.speaker_ids])
+            for models in (self.spectral_models, self.residual_models)
+        )
+
 
 def utterance_features(
     audio: AudioSignal, config: PipelineConfig
@@ -292,9 +302,9 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     frames = preprocess(audio, db.config.frame)
     missing = [None] * db.n_speakers
     streams = []
-    for name, extract, cfg, models in (
-        ("spectral", fb_cepstra, db.config.filterbank, db.spectral_models),
-        ("residual", extract_acrlag, db.config.acrlag, db.residual_models),
+    for name, extract, cfg, stack in (
+        ("spectral", fb_cepstra, db.config.filterbank, db.model_stacks[0]),
+        ("residual", extract_acrlag, db.config.acrlag, db.model_stacks[1]),
     ):
         try:
             features = extract(frames, cfg)
@@ -303,8 +313,7 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
             continue
         if not np.isfinite(features.values).all():
             raise NumericalFailure(f"{name} stream: features are not finite")
-        scores = gmm.utterance_scores([models[sid] for sid in db.speaker_ids], features)
-        streams.append(scores.tolist())
+        streams.append(gmm.stack_scores(stack, features).tolist())
     if all(stream is missing for stream in streams):
         raise InsufficientData("both feature streams failed for this utterance")
     return tuple(map(SpeakerScores, db.speaker_ids, *streams))

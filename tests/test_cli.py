@@ -278,6 +278,21 @@ class TestTrainIdentifyEvaluate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b'{"train": }', "Expecting value"), (b"\xff{}", "can't decode byte 0xff")],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_bad_config_file_is_named(self, cli_corpus, tmp_path, capsys, content, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        manifest = str(cli_corpus / "manifest.json")
+        out = str(tmp_path / "cfg.db")
+        code = main(["train", "--manifest", manifest, "--out", out, "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: not valid JSON" in err and reason in err
+
     def test_too_few_distinct_frames_fails_cleanly(self, tmp_path, capsys):
         # A 100 Hz square wave at 8 kHz repeats every 80 samples, so its
         # frames hold only two distinct feature rows: too few for 8 components.

@@ -29,9 +29,9 @@ from voxid.gmm import (
     LBG_MAX_PASSES,
     LBG_SHIFT_TOLERANCE,
     LBG_SPLIT_EPSILON,
+    LOG_TWO_PI,
     SCORE_BLOCK,
     _assign,
-    _component_log_densities,
     _logsumexp,
     _moments,
     utterance_score,
@@ -63,19 +63,31 @@ def mixture_log_density_oracle(model: GmmModel, x: np.ndarray) -> float:
     return float(np.log(total))
 
 
-def one_model_score_reference(model: GmmModel, data: np.ndarray) -> float:
-    """Reference: one model scored alone, in the same arithmetic as the
-    stacked kernel, so stacking must not change a single bit."""
-    inv_var = 1.0 / model.variances
-    log_norm = -0.5 * (model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1))
+def _component_log_densities(
+    means: np.ndarray, variances: np.ndarray, data: np.ndarray
+) -> np.ndarray:
+    """log N(x_t | mu_i, diag sigma_i) for every frame and component row, (T, K)."""
+    inv_var = 1.0 / variances
+    log_norm = -0.5 * (means.shape[1] * LOG_TWO_PI + np.log(variances).sum(axis=1))
     quad = (
         (data * data) @ inv_var.T
-        - 2.0 * data @ (model.means * inv_var).T
-        + (model.means * model.means * inv_var).sum(axis=1)[None, :]
+        - 2.0 * data @ (means * inv_var).T
+        + (means * means * inv_var).sum(axis=1)[None, :]
     )
-    weighted = log_norm[None, :] - 0.5 * quad + np.log(model.weights)[None, :]
-    peak = weighted.max(axis=1)
-    return float((np.log(np.exp(weighted - peak[:, None]).sum(axis=1)) + peak).sum())
+    return log_norm[None, :] - 0.5 * quad
+
+
+def one_model_score_reference(model: GmmModel, data: np.ndarray) -> float:
+    """Reference: one model scored alone, in the same arithmetic as the
+    stacked kernel, so stacking must not change a single bit.  The
+    log-sum-exp runs over the components of a (M, T) array, as the kernel's."""
+    scaled_means = model.means / model.variances
+    log_norm = -0.5 * (model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1))
+    offsets = np.log(model.weights) + log_norm - 0.5 * (model.means * scaled_means).sum(axis=1)
+    weighted = (data * data) @ (-0.5 / model.variances).T + data @ scaled_means.T + offsets
+    weighted = np.ascontiguousarray(weighted.T)
+    peak = weighted.max(axis=0)
+    return float((np.log(np.exp(weighted - peak).sum(axis=0)) + peak).sum())
 
 
 def em_step_frame_major_reference(
@@ -597,10 +609,12 @@ class TestUtteranceScore:
         with pytest.raises(DimError):
             utterance_score(model, feats(np.zeros((2, 4))))
 
-    def test_stacked_scores_equal_one_model_reference(self, rng):
+    # (13, 8) and (19, 8) are the default residual and spectral streams.
+    @pytest.mark.parametrize("d, m", [(5, 4), (13, 8), (19, 8)])
+    def test_stacked_scores_equal_one_model_reference(self, rng, d, m):
         # More models than one block holds, so a block boundary is crossed.
-        models = [self.make_model(rng, d=5, m=4) for _ in range(2 * SCORE_BLOCK + 3)]
-        data = rng.standard_normal((60, 5))
+        models = [self.make_model(rng, d=d, m=m) for _ in range(2 * SCORE_BLOCK + 3)]
+        data = rng.standard_normal((60, d))
         got = utterance_scores(models, feats(data))
         expected = [one_model_score_reference(model, data) for model in models]
         np.testing.assert_array_equal(got, expected)

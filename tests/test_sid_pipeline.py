@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from voxid import audio_io, sid_pipeline
 from voxid.acrlag import AcrlagConfig
 from voxid.errors import BadFileFormat, InsufficientData, NumericalFailure
-from voxid.gmm import TrainConfig
+from voxid.gmm import GmmModel, TrainConfig
 from voxid.signal_prep import MAX_SAMPLE_MAGNITUDE, AudioSignal
 from voxid.sid_pipeline import (
     CorpusManifest,
@@ -304,6 +304,49 @@ class TestScoringAndIdentify:
             warnings.simplefilter("error")
             result = identify(tiny_db, AudioSignal(loud, speech.sample_rate_hz))
         assert all(np.isfinite([s.spectral, s.residual]).all() for s in result.scores)
+
+    def test_scores_do_not_depend_on_who_else_is_enrolled(self, tiny_corpus, tiny_db):
+        # Decoys as the benchmark builds them: trained models with shifted
+        # means.  40 of them put every enrolled speaker's models in a block
+        # with others, across three blocks of products.
+        rng = np.random.default_rng(7)
+        spectral, residual = dict(tiny_db.spectral_models), dict(tiny_db.residual_models)
+        ids = list(tiny_db.speaker_ids)
+        for i in range(40):
+            base = tiny_db.speaker_ids[i % tiny_db.n_speakers]
+            for store in (spectral, residual):
+                m = store[base]
+                shift = 0.5 * np.sqrt(m.variances) * rng.standard_normal(m.means.shape)
+                store[f"decoy{i:02d}"] = GmmModel(
+                    m.feature_kind, m.weights, m.means + shift, m.variances
+                )
+            ids.append(f"decoy{i:02d}")
+        wide = SpeakerDatabase(tiny_db.config, tuple(ids), spectral, residual)
+        manifest, _ = tiny_corpus
+        for entry in manifest.speakers:
+            sid = entry.speaker_id
+            alone = SpeakerDatabase(
+                tiny_db.config,
+                (sid,),
+                {sid: tiny_db.spectral_models[sid]},
+                {sid: tiny_db.residual_models[sid]},
+            )
+            index = tiny_db.speaker_ids.index(sid)
+            for path in entry.test_utterances:
+                audio = audio_io.read_wav(path)
+                (expected,) = score_utterance(alone, audio)
+                assert score_utterance(tiny_db, audio)[index] == expected
+                assert score_utterance(wide, audio)[index] == expected
+
+    def test_model_stacks_are_built_on_the_first_score(self, tiny_corpus, tiny_db):
+        manifest, _ = tiny_corpus
+        db = database_from_bytes(database_to_bytes(tiny_db))
+        assert "model_stacks" not in vars(db)
+        score_utterance(db, audio_io.read_wav(manifest.speakers[0].test_utterances[0]))
+        stacks = vars(db)["model_stacks"]
+        score_utterance(db, audio_io.read_wav(manifest.speakers[1].test_utterances[0]))
+        assert db.model_stacks is stacks
+        assert [stack.n_models for stack in stacks] == [db.n_speakers] * 2
 
 
 class TestReports:
