@@ -3,197 +3,22 @@
 Vocal-tract (filterbank cepstra) and vocal-source (LP-residual
 autocorrelation) features, diagonal-GMM speaker models, and linear
 score-level fusion, with a synthetic corpus generator for end-to-end
-experiments.
+experiments.  The package root holds the end-to-end entry points; every
+lower-level piece is importable from its own module.
 """
 
-from .acrlag import (
-    AcrlagConfig,
-    acrlag_feature,
-    acrlag_vector,
-    extract_acrlag,
-    normalize_residual,
-)
-from .audio_io import read_wav, write_wav
-from .errors import (
-    AllSilence,
-    AudioFormatError,
-    BadFileFormat,
-    DegenerateFrame,
-    DegenerateResidual,
-    DimError,
-    EmptyInput,
-    FeatureKindMismatch,
-    FilterbankTooDense,
-    InsufficientData,
-    LagTooLarge,
-    NoFeatures,
-    NumericalFailure,
-    TooShort,
-    UnstableFilter,
-    VoxidError,
-)
-from .features import (
-    FeatureKind,
-    FeatureMatrix,
-    concatenate_features,
-    export_csv,
-    load_features,
-    save_features,
-)
-from .gmm import (
-    GmmModel,
-    TrainConfig,
-    em_fit,
-    em_step,
-    lbg_init,
-    load_model,
-    log_density,
-    save_model,
-    train_gmm,
-    utterance_score,
-    utterance_scores,
-)
-from .lp import (
-    LevinsonResult,
-    LpAnalysis,
-    analyze_frame,
-    autocorr,
-    lar,
-    levinson_durbin,
-    lpcc,
-    lsf,
-    lsf_to_coeffs,
-    residual,
-    synthesize,
-)
+from .audio_io import read_wav
+from .errors import VoxidError
+from .gmm import GmmModel
 from .sid_pipeline import (
-    CorpusManifest,
-    EvalReport,
     FusionConfig,
-    IdentificationResult,
     PipelineConfig,
-    SpeakerDatabase,
-    SpeakerEntry,
     evaluate,
-    fuse_scores,
-    fusion_sweep,
     identify,
     load_database,
     load_manifest,
-    save_database,
-    save_manifest,
-    score_utterance,
     synth_corpus,
     train_database,
-    utterance_features,
-)
-from .signal_prep import (
-    AudioSignal,
-    FrameConfig,
-    FrameSequence,
-    frame_and_window,
-    hamming_window,
-    preemphasize,
-    preprocess,
-    remove_silence,
-)
-from .spectral import (
-    FilterbankConfig,
-    FrequencyScale,
-    PlpConfig,
-    build_filterbank,
-    extract_lp_features,
-    fb_cepstra,
-    plpcc,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AcrlagConfig",
-    "AllSilence",
-    "AudioFormatError",
-    "AudioSignal",
-    "BadFileFormat",
-    "CorpusManifest",
-    "DegenerateFrame",
-    "DegenerateResidual",
-    "DimError",
-    "EmptyInput",
-    "EvalReport",
-    "FeatureKind",
-    "FeatureKindMismatch",
-    "FeatureMatrix",
-    "FilterbankConfig",
-    "FilterbankTooDense",
-    "FrameConfig",
-    "FrameSequence",
-    "FrequencyScale",
-    "FusionConfig",
-    "GmmModel",
-    "IdentificationResult",
-    "InsufficientData",
-    "LagTooLarge",
-    "LevinsonResult",
-    "LpAnalysis",
-    "NoFeatures",
-    "NumericalFailure",
-    "PipelineConfig",
-    "PlpConfig",
-    "SpeakerDatabase",
-    "SpeakerEntry",
-    "TooShort",
-    "TrainConfig",
-    "UnstableFilter",
-    "VoxidError",
-    "__version__",
-    "acrlag_feature",
-    "acrlag_vector",
-    "analyze_frame",
-    "autocorr",
-    "build_filterbank",
-    "concatenate_features",
-    "em_fit",
-    "em_step",
-    "evaluate",
-    "export_csv",
-    "extract_acrlag",
-    "extract_lp_features",
-    "fb_cepstra",
-    "frame_and_window",
-    "fuse_scores",
-    "fusion_sweep",
-    "hamming_window",
-    "identify",
-    "lar",
-    "lbg_init",
-    "levinson_durbin",
-    "load_database",
-    "load_features",
-    "load_manifest",
-    "load_model",
-    "log_density",
-    "lpcc",
-    "lsf",
-    "lsf_to_coeffs",
-    "normalize_residual",
-    "plpcc",
-    "preemphasize",
-    "preprocess",
-    "read_wav",
-    "remove_silence",
-    "residual",
-    "save_database",
-    "save_features",
-    "save_manifest",
-    "save_model",
-    "score_utterance",
-    "synth_corpus",
-    "synthesize",
-    "train_database",
-    "train_gmm",
-    "utterance_features",
-    "utterance_score",
-    "utterance_scores",
-    "write_wav",
-]

@@ -80,18 +80,6 @@ def acrlag_feature(e: np.ndarray, config: AcrlagConfig = AcrlagConfig()) -> np.n
     return lp.autocorr(normalize_residual(e), config.max_lag)
 
 
-def acrlag_vector(frame: np.ndarray, config: AcrlagConfig = AcrlagConfig()) -> np.ndarray:
-    """Feature vector for one windowed frame: LP residual, then its
-    lag-bounded autocorrelation."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if config.max_lag >= frame.size:
-        raise LagTooLarge(
-            f"max_lag {config.max_lag} needs a frame longer than {frame.size} samples"
-        )
-    analysis = lp.analyze_frame(frame, config.lp_order)
-    return acrlag_feature(analysis.residual, config)
-
-
 def extract_acrlag(
     frames: FrameSequence | np.ndarray, config: AcrlagConfig = AcrlagConfig()
 ) -> FeatureMatrix:

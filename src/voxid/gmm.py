@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -328,14 +327,6 @@ def _frame_log_densities(stack: ModelStack, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_density(model: GmmModel, x: np.ndarray) -> float:
-    """Log of the mixture density at one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.dim:
-        raise DimError(f"expected a {model.dim}-dimensional vector, got shape {x.shape}")
-    return float(_frame_log_densities(stack_models([model]), x[None, :])[0, 0])
-
-
 def em_step(
     features: FeatureMatrix, model: GmmModel, floor: np.ndarray
 ) -> tuple[GmmModel, float]:
@@ -400,18 +391,6 @@ def stack_scores(stack: ModelStack, features: FeatureMatrix) -> np.ndarray:
     return _frame_log_densities(stack, features.values).sum(axis=1)
 
 
-def utterance_scores(models: Sequence[GmmModel], features: FeatureMatrix) -> np.ndarray:
-    """Sum of per-frame log-densities under each model, (S,)."""
-    if not models:
-        return np.empty(0)
-    return stack_scores(stack_models(models), features)
-
-
-def utterance_score(model: GmmModel, features: FeatureMatrix) -> float:
-    """Sum of per-frame log-densities."""
-    return float(utterance_scores([model], features)[0])
-
-
 def model_to_bytes(model: GmmModel) -> bytes:
     header = (
         MODEL_MAGIC
@@ -442,32 +421,3 @@ def model_from_bytes(blob: bytes) -> GmmModel:
         return GmmModel(kind, weights, means, variances)
     except ValueError as exc:  # values GmmModel rejects
         raise BadFileFormat(f"model: {exc}") from None
-
-
-def save_model(model: GmmModel, path: str | Path) -> None:
-    Path(path).write_bytes(model_to_bytes(model))
-
-
-def load_model(path: str | Path) -> GmmModel:
-    return model_from_bytes(Path(path).read_bytes())
-
-
-__all__ = [
-    "GmmModel",
-    "ModelStack",
-    "TrainConfig",
-    "lbg_init",
-    "log_density",
-    "em_step",
-    "em_fit",
-    "train_gmm",
-    "utterance_score",
-    "utterance_scores",
-    "variance_floor",
-    "save_model",
-    "stack_models",
-    "stack_scores",
-    "load_model",
-    "model_to_bytes",
-    "model_from_bytes",
-]

@@ -186,18 +186,6 @@ def _lpcc_batch(coefficients: np.ndarray, n_cepstra: int) -> np.ndarray:
     return c
 
 
-def lpcc(coefficients: np.ndarray, n_cepstra: int | None = None) -> np.ndarray:
-    """LP-derived cepstral coefficients c[1..n] of the synthesis filter."""
-    coefficients = _finite(coefficients, "lpcc")
-    if coefficients.ndim != 1:
-        raise ValueError("coefficients must be 1-D")
-    if n_cepstra is None:
-        n_cepstra = coefficients.size
-    if n_cepstra < 1:
-        raise ValueError("need at least one cepstral coefficient")
-    return _lpcc_batch(coefficients[None, :], n_cepstra)[0]
-
-
 def lsf_polynomials(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum and difference palindromic polynomials (P, Q) of A(z), row-wise.
 
@@ -237,33 +225,6 @@ def lsf(coefficients: np.ndarray) -> np.ndarray:
     if not valid[0]:
         raise UnstableFilter(f"the order-{coefficients.size} predictor is not minimum phase")
     return freqs[0]
-
-
-def lsf_to_coeffs(freqs: np.ndarray) -> np.ndarray:
-    """Rebuild predictor taps a[1..p] from line spectral frequencies."""
-    freqs = _finite(freqs, "lsf_to_coeffs")
-    p = freqs.size
-    if p < 1:
-        raise ValueError("need at least one frequency")
-    # P holds the even-indexed (0, 2, ...) ascending frequencies, Q the odd.
-    p_freqs = freqs[0::2]
-    q_freqs = freqs[1::2]
-
-    def poly_from_pairs(pairs: np.ndarray) -> np.ndarray:
-        poly = np.array([1.0])
-        for w in pairs:
-            poly = np.convolve(poly, [1.0, -2.0 * np.cos(w), 1.0])
-        return poly
-
-    p_poly = poly_from_pairs(p_freqs)
-    q_poly = poly_from_pairs(q_freqs)
-    if p % 2 == 0:
-        p_poly = np.convolve(p_poly, [1.0, 1.0])  # root at z = -1
-        q_poly = np.convolve(q_poly, [1.0, -1.0])  # root at z = +1
-    else:
-        q_poly = np.convolve(q_poly, [1.0, 0.0, -1.0])  # roots at z = +1 and -1
-    a_poly = 0.5 * (p_poly + q_poly)
-    return -a_poly[1 : p + 1]
 
 
 def lar(reflection: np.ndarray) -> np.ndarray:

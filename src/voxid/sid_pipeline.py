@@ -175,6 +175,12 @@ class PipelineConfig:
             unknown = sorted(set(values) - {f.name for f in fields(section)})
             if unknown:
                 raise BadFileFormat(f"unknown config key '{name}.{unknown[0]}'")
+            for key, value in values.items():
+                # JSON true is a Python int, and 80.0 equals 80, but neither is an integer.
+                if type(getattr(section, key)) is int and type(value) is not int:
+                    raise BadFileFormat(
+                        f"config key '{name}.{key}' must be an integer, got {value!r}"
+                    )
             try:
                 sections[name] = replace(section, **values)
             except (TypeError, ValueError) as exc:
@@ -444,7 +450,17 @@ class EvalReport:
 
 
 def score_manifest(db: SpeakerDatabase, manifest: CorpusManifest) -> tuple[ScoredTrial, ...]:
-    """Score every test utterance against every speaker, recording failures."""
+    """Score every test utterance against every speaker, recording failures.
+
+    Every speaker with test utterances must be enrolled, or none of its
+    trials could be scored right.
+    """
+    tested = [entry.speaker_id for entry in manifest.speakers if entry.test_utterances]
+    if not tested:
+        raise InsufficientData("manifest lists no test utterances")
+    missing = sorted(set(tested) - set(db.speaker_ids))
+    if missing:
+        raise VoxidError(f"test speakers not in the database: {', '.join(missing)}")
     trials = []
     for entry in manifest.speakers:
         for path in entry.test_utterances:

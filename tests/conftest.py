@@ -20,6 +20,17 @@ def random_ar_frame(
     return signal[-length:], coeffs
 
 
+# Config JSON whose integer settings are not JSON integers, with the key
+# the error must name.
+NON_INTEGER_CONFIGS = [
+    ({"frame": {"hop_samples": 80.0}}, "frame.hop_samples"),
+    ({"train": {"n_components": 8.0}}, "train.n_components"),
+    ({"train": {"em_iterations": 2.5}}, "train.em_iterations"),
+    ({"acrlag": {"max_lag": 12.0}}, "acrlag.max_lag"),
+    ({"frame": {"hop_samples": True}}, "frame.hop_samples"),
+]
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 

@@ -6,7 +6,6 @@ from voxid import lp
 from voxid.acrlag import (
     AcrlagConfig,
     acrlag_feature,
-    acrlag_vector,
     extract_acrlag,
     normalize_residual,
 )
@@ -92,9 +91,12 @@ class TestAcrlagFeature:
 
 
 class TestAcrlagVector:
+    """The feature vector of one windowed frame: LP residual, then its
+    lag-bounded autocorrelation."""
+
     def test_runs_full_chain(self, rng):
         frame, _ = random_ar_frame(rng, 13)
-        v = acrlag_vector(frame)
+        v = extract_acrlag(frame[None, :]).values[0]
         assert v.shape == (13,)
         # First element is the full energy of the normalized residual.
         assert v[0] > 0
@@ -103,7 +105,7 @@ class TestAcrlagVector:
     def test_equals_manual_chain(self, rng):
         frame, _ = random_ar_frame(rng, 13)
         e = lp.analyze_frame(frame, 13).residual
-        np.testing.assert_allclose(acrlag_vector(frame), acrlag_feature(e))
+        np.testing.assert_allclose(extract_acrlag(frame[None, :]).values[0], acrlag_feature(e))
 
     def test_matches_batch_rows(self, rng):
         # Non-degenerate frames survive extraction, so row i is frame i.
@@ -112,7 +114,8 @@ class TestAcrlagVector:
             batch = extract_acrlag(frames, cfg).values
             assert batch.shape == (40, cfg.dim)
             for frame, row in zip(frames, batch):
-                np.testing.assert_array_equal(acrlag_vector(frame, cfg), row)
+                e = lp.analyze_frame(frame, cfg.lp_order).residual
+                np.testing.assert_array_equal(acrlag_feature(e, cfg), row)
 
 
 class TestExtractAcrlag:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import voxid
+from tests.conftest import NON_INTEGER_CONFIGS
 from voxid import audio_io
 from voxid.acrlag import AcrlagConfig, extract_acrlag
 from voxid.cli import build_parser, main
@@ -84,6 +85,36 @@ def test_import_does_not_load_scipy():
     code = (
         "import sys, voxid, voxid.cli\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(voxid.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+# What the README's Python API example and the benchmark take from the
+# package root, and the functions the benchmark's tracer patches on its
+# submodules.
+PACKAGE_ROOT_NAMES = [
+    "FusionConfig", "PipelineConfig", "evaluate", "identify", "load_manifest", "read_wav",
+    "synth_corpus", "train_database", "load_database", "GmmModel", "VoxidError",
+    "__version__", "audio_io.read_wav", "signal_prep.remove_silence",
+    "sid_pipeline.preprocess", "sid_pipeline.fb_cepstra", "sid_pipeline.extract_acrlag",
+    "sid_pipeline.score_utterance", "gmm.lbg_init", "gmm.em_fit",
+]
+
+
+def test_package_root_provides_what_callers_take_from_it():
+    # A fresh interpreter, so no other test's import supplies a submodule.
+    code = (
+        "import functools, voxid\n"
+        "def missing(name):\n"
+        "    try:\n"
+        "        functools.reduce(getattr, name.split('.'), voxid)\n"
+        "    except AttributeError:\n"
+        "        return True\n"
+        f"print([name for name in {PACKAGE_ROOT_NAMES!r} if missing(name)])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(voxid.__file__).parents[1])}
     done = subprocess.run(
@@ -292,6 +323,20 @@ class TestTrainIdentifyEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{cfg}: not valid JSON" in err and reason in err
+
+    @pytest.mark.parametrize("doc, key", NON_INTEGER_CONFIGS)
+    def test_non_integer_config_value_is_an_error_line(
+        self, cli_corpus, tmp_path, capsys, doc, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        manifest = str(cli_corpus / "manifest.json")
+        out = str(tmp_path / "cfg.db")
+        code = main(["train", "--manifest", manifest, "--out", out, "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}' must be an integer")
+        assert "TypeError" not in err
 
     def test_too_few_distinct_frames_fails_cleanly(self, tmp_path, capsys):
         # A 100 Hz square wave at 8 kHz repeats every 80 samples, so its

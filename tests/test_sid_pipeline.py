@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import NON_INTEGER_CONFIGS
 from voxid import audio_io, sid_pipeline
 from voxid.acrlag import AcrlagConfig
-from voxid.errors import BadFileFormat, InsufficientData, NumericalFailure
+from voxid.errors import BadFileFormat, InsufficientData, NumericalFailure, VoxidError
 from voxid.gmm import GmmModel, TrainConfig
 from voxid.signal_prep import MAX_SAMPLE_MAGNITUDE, AudioSignal
 from voxid.sid_pipeline import (
@@ -375,6 +376,29 @@ class TestReports:
         assert trial.failed
         assert "cut.wav: data chunk truncated" in trial.error
 
+    def test_manifest_without_test_utterances_raises(self, tiny_corpus, tiny_db):
+        manifest, _ = tiny_corpus
+        untested = CorpusManifest(
+            tuple(replace(entry, test_utterances=()) for entry in manifest.speakers)
+        )
+        with pytest.raises(InsufficientData, match="^manifest lists no test utterances$"):
+            evaluate(tiny_db, untested)
+        with pytest.raises(InsufficientData, match="^manifest lists no test utterances$"):
+            fusion_sweep(tiny_db, untested, (0.5,))
+
+    def test_test_speaker_missing_from_database_raises(self, tiny_corpus, tiny_db, monkeypatch):
+        manifest, _ = tiny_corpus
+        renamed = CorpusManifest(
+            (replace(manifest.speakers[0], speaker_id="spkZZ"),) + manifest.speakers[1:]
+        )
+        scored = []
+        monkeypatch.setattr(sid_pipeline, "score_utterance", lambda *args: scored.append(args))
+        with pytest.raises(VoxidError, match="not in the database: spkZZ$"):
+            evaluate(tiny_db, renamed)
+        with pytest.raises(VoxidError, match="not in the database: spkZZ$"):
+            fusion_sweep(tiny_db, renamed, (0.5,))
+        assert scored == []
+
     def test_failed_trials_excluded_from_denominator(self):
         trials = (
             ScoredTrial(
@@ -558,7 +582,8 @@ class TestConfigJson:
             ({"train": {"n_components": 3}}, "train"),
             ({"frame": {"hop_samples": "80"}}, "frame"),
             ({"score_average": True}, "score_average"),
-        ],
+        ]
+        + NON_INTEGER_CONFIGS,
     )
     def test_bad_config_names_the_key(self, doc, key):
         with pytest.raises(BadFileFormat, match=key):
