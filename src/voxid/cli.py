@@ -14,7 +14,6 @@ from . import audio_io
 from .acrlag import extract_acrlag
 from .errors import BadFileFormat, VoxidError
 from .features import FeatureKind, FeatureMatrix, export_csv, save_features
-from .gmm import ALLOWED_COMPONENT_COUNTS
 from .sid_pipeline import (
     FusionConfig,
     PipelineConfig,
@@ -38,19 +37,21 @@ from .spectral import (
 
 
 class Extractor(NamedTuple):
-    """``voxid extract`` for one kind: ``run(frames, config, settings)`` and
-    the flags it reads, as {argparse dest: setting name}.  Unset flags keep
-    the extractor's own defaults."""
+    """``voxid extract`` for one kind: ``run(frames, config, settings)``,
+    the flags it reads as {argparse dest: setting name} (unset flags keep
+    its defaults), and the ``--config`` keys that set the values of flags
+    it does not read.  The pipeline's kinds read ``--config`` alone."""
 
     run: Callable[[FrameSequence, PipelineConfig, dict], FeatureMatrix]
     flags: dict[str, str]
+    config_keys: dict[str, str] = {}
 
 
 def _filterbank(scale: FrequencyScale) -> Extractor:
     def run(frames, config, settings):
-        return fb_cepstra(frames, replace(config.filterbank, scale=scale, **settings))
+        return fb_cepstra(frames, replace(config.filterbank, scale=scale))
 
-    return Extractor(run, {"n_filters": "n_filters", "n_cep": "n_cep", "fft_size": "fft_size"})
+    return Extractor(run, {}, {"n_cep": "filterbank.n_cep", "fft_size": "filterbank.fft_size"})
 
 
 def _lp_transform(kind: FeatureKind) -> Extractor:
@@ -62,10 +63,7 @@ def _lp_transform(kind: FeatureKind) -> Extractor:
 
 EXTRACTORS: dict[FeatureKind, Extractor] = {
     FeatureKind.ACRLAG: Extractor(
-        lambda frames, config, settings: extract_acrlag(
-            frames, replace(config.acrlag, **settings)
-        ),
-        {"lp_order": "lp_order", "lag": "max_lag"},
+        lambda frames, config, settings: extract_acrlag(frames, config.acrlag), {}
     ),
     FeatureKind.MFCC: _filterbank(FrequencyScale.MEL),
     FeatureKind.LFCC: _filterbank(FrequencyScale.HERTZ),
@@ -79,52 +77,23 @@ EXTRACTORS: dict[FeatureKind, Extractor] = {
 }
 
 # Settings flags of `voxid extract`: argparse dest -> help text.
-_EXTRACT_FLAGS = {
-    "lp_order": "residual LP order",
-    "lag": "maximum lag",
-    "order": "model order",
-    "n_filters": "filterbank size",
-    "n_cep": "cepstra kept",
-    "fft_size": "FFT length",
-}
+_EXTRACT_FLAGS = {"order": "model order", "n_cep": "cepstra kept", "fft_size": "FFT length"}
 
 
-def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    """Base config from --config JSON (if any), then flag overrides."""
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            doc = json.loads(path.read_bytes())
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
-        config = PipelineConfig.from_json_dict(doc)
-    else:
-        config = PipelineConfig()
-    frame_overrides = {
-        name: getattr(args, flag)
-        for name, flag in (
-            ("frame_len_samples", "frame_len"),
-            ("hop_samples", "hop"),
-            ("preemphasis", "preemphasis"),
-            ("energy_threshold_ratio", "energy_threshold"),
-        )
-        if getattr(args, flag, None) is not None
-    }
-    if frame_overrides:
-        config = replace(config, frame=replace(config.frame, **frame_overrides))
-    if getattr(args, "components", None) is not None:
-        config = replace(config, train=replace(config.train, n_components=args.components))
-    return config
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file overriding pipeline defaults")
-    parser.add_argument("--frame-len", type=int, help="frame length in samples")
-    parser.add_argument("--hop", type=int, help="hop in samples")
-    parser.add_argument("--preemphasis", type=float, help="pre-emphasis factor")
-    parser.add_argument(
-        "--energy-threshold", type=float, help="silence threshold ratio vs max block energy"
-    )
+def _load_config(path: str | None) -> PipelineConfig:
+    """Pipeline settings from the --config JSON file, or the defaults;
+    every error names the file."""
+    if path is None:
+        return PipelineConfig()
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return PipelineConfig.from_json_dict(doc)
+    except BadFileFormat as exc:
+        raise BadFileFormat(f"{path}: {exc}") from None
 
 
 def _cmd_synth_corpus(args: argparse.Namespace) -> int:
@@ -146,15 +115,18 @@ def _cmd_synth_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config)
+    extractor = EXTRACTORS[FeatureKind.parse(args.kind)]
+    given = {d: getattr(args, d) for d in _EXTRACT_FLAGS if getattr(args, d) is not None}
+    unread = [dest for dest in given if dest not in extractor.flags]
+    if unread:
+        key = extractor.config_keys.get(unread[0])
+        hint = f"; set the --config key '{key}' instead" if key else ""
+        flag = "--" + unread[0].replace("_", "-")
+        raise VoxidError(f"{flag} is not read by --kind {args.kind}{hint}")
+    settings = {extractor.flags[dest]: value for dest, value in given.items()}
     audio = audio_io.read_wav(args.audio)
     frames = preprocess(audio, config.frame)
-    extractor = EXTRACTORS[FeatureKind.parse(args.kind)]
-    settings = {
-        name: getattr(args, dest)
-        for dest, name in extractor.flags.items()
-        if getattr(args, dest) is not None
-    }
     matrix = extractor.run(frames, config, settings)
     save_features(matrix, args.out)
     if args.csv:
@@ -164,7 +136,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config)
     manifest = load_manifest(args.manifest)
     db = train_database(manifest, config)
     save_database(db, args.out)
@@ -261,14 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     for dest, text in _EXTRACT_FLAGS.items():
         kinds = "/".join(k.value.lower() for k, e in EXTRACTORS.items() if dest in e.flags)
         p.add_argument("--" + dest.replace("_", "-"), type=int, help=f"{text} ({kinds})")
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON file of pipeline settings")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train a speaker database from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output database file")
-    p.add_argument("--components", type=int, choices=ALLOWED_COMPONENT_COUNTS)
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON file of pipeline settings")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("identify", help="rank enrolled speakers for one WAV")

@@ -78,10 +78,6 @@ def impulse_train(
     rng: np.random.Generator,
     n_samples: int,
     period: float,
-    jitter: float = PERIOD_JITTER,
-    shimmer: float = SHIMMER,
-    vibrato_depth: float = VIBRATO_DEPTH,
-    vibrato_hz: float = VIBRATO_HZ,
     sample_rate_hz: int = SAMPLE_RATE_HZ,
 ) -> np.ndarray:
     """Quasi-periodic excitation with vibrato plus per-pulse wobble."""
@@ -91,11 +87,11 @@ def impulse_train(
     while position < n_samples:
         index = int(round(position))
         if index < n_samples:
-            excitation[index] = 1.0 + shimmer * rng.uniform(-1.0, 1.0)
-        undulation = 1.0 + vibrato_depth * np.sin(
-            2.0 * np.pi * vibrato_hz * position / sample_rate_hz + phase
+            excitation[index] = 1.0 + SHIMMER * rng.uniform(-1.0, 1.0)
+        undulation = 1.0 + VIBRATO_DEPTH * np.sin(
+            2.0 * np.pi * VIBRATO_HZ * position / sample_rate_hz + phase
         )
-        position += period * undulation * (1.0 + jitter * rng.uniform(-1.0, 1.0))
+        position += period * undulation * (1.0 + PERIOD_JITTER * rng.uniform(-1.0, 1.0))
     return excitation
 
 

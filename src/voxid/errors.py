@@ -22,7 +22,7 @@ class LagTooLarge(VoxidError):
 
 
 class DegenerateFrame(VoxidError):
-    """Frame energy too low for linear-prediction analysis."""
+    """Frame energy is zero or not finite: nothing for linear prediction to model."""
 
 
 class NumericalFailure(VoxidError):

@@ -18,10 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateFrame, LagTooLarge, NumericalFailure, UnstableFilter
 
-# Frames whose zero-lag autocorrelation falls at or below this are treated as
-# degenerate: there is no signal to model.
-DEGENERATE_ENERGY_FLOOR = 1e-12
-
 
 def _finite(values: np.ndarray, caller: str) -> np.ndarray:
     """values as a float64 array; NumericalFailure naming the caller if any
@@ -93,7 +89,8 @@ def _levinson_batch(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def levinson_durbin(r: np.ndarray, order: int) -> LevinsonResult:
-    """Solve the autocorrelation normal equations of the given order."""
+    """Solve the autocorrelation normal equations of the given order: one
+    row of the batch recursion, which accepts any positive, finite r[0]."""
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 1:
         raise ValueError("autocorrelation sequence must be 1-D")
@@ -101,8 +98,8 @@ def levinson_durbin(r: np.ndarray, order: int) -> LevinsonResult:
         raise ValueError("order must be at least 1")
     if r.size < order + 1:
         raise ValueError(f"need {order + 1} autocorrelation lags, got {r.size}")
-    if r[0] <= DEGENERATE_ENERGY_FLOOR:
-        raise DegenerateFrame(f"zero-lag autocorrelation {r[0]:g} is at or below the floor")
+    if not (r[0] > 0 and np.isfinite(r[0])):
+        raise DegenerateFrame(f"zero-lag autocorrelation {r[0]:g} is not positive and finite")
     a, ks, err, valid = _levinson_batch(r[None, : order + 1])
     if not valid[0]:
         raise NumericalFailure("Levinson-Durbin recursion lost stability")

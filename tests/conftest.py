@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,17 @@ NON_INTEGER_CONFIGS = [
     ({"acrlag": {"max_lag": 12.0}}, "acrlag.max_lag"),
     ({"frame": {"hop_samples": True}}, "frame.hop_samples"),
 ]
+
+
+# A variance that is positive and finite, but whose mean / var overflows.
+DENORMAL_VARIANCE = 1e-320
+
+
+def with_denormal_variance(blob: bytes, variance: float) -> bytes:
+    """The blob with its one stored copy of variance set to DENORMAL_VARIANCE."""
+    old = struct.pack("<d", variance)
+    assert blob.count(old) == 1
+    return blob.replace(old, struct.pack("<d", DENORMAL_VARIANCE))
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -108,8 +108,11 @@ class TestAcrlagVector:
         np.testing.assert_allclose(extract_acrlag(frame[None, :]).values[0], acrlag_feature(e))
 
     def test_matches_batch_rows(self, rng):
-        # Non-degenerate frames survive extraction, so row i is frame i.
+        # Non-degenerate frames survive extraction, so row i is frame i.  The
+        # scaled frames have r[0] down to about 1e-15; LP analysis takes any
+        # positive energy, in one frame as in the batch.
         frames = np.vstack([random_ar_frame(rng, 4 + i % 17)[0] for i in range(40)])
+        frames[::4] *= np.logspace(-6, -9, 10)[:, None]
         for cfg in (AcrlagConfig(), AcrlagConfig(lp_order=8, max_lag=20)):
             batch = extract_acrlag(frames, cfg).values
             assert batch.shape == (40, cfg.dim)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import voxid
-from tests.conftest import NON_INTEGER_CONFIGS
+from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance
 from voxid import audio_io
 from voxid.acrlag import AcrlagConfig, extract_acrlag
 from voxid.cli import build_parser, main
 from voxid.features import FeatureKind, feature_matrix_to_bytes, load_features
+from voxid.sid_pipeline import load_database
 from voxid.signal_prep import AudioSignal, FrameConfig, preprocess
 from voxid.spectral import (
     FilterbankConfig,
@@ -62,21 +63,22 @@ def cli_corpus(tmp_path_factory):
     return root
 
 
+def write_config(path: Path, doc: dict) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def train_m2(corpus: Path, out: Path) -> int:
+    """`voxid train` with two components per model, set through --config."""
+    config = write_config(out.with_suffix(".json"), {"train": {"n_components": 2}})
+    manifest = str(corpus / "manifest.json")
+    return main(["train", "--manifest", manifest, "--out", str(out), "--config", config])
+
+
 @pytest.fixture(scope="module")
 def cli_db(cli_corpus, tmp_path_factory):
     db_path = tmp_path_factory.mktemp("cli_db") / "speakers.db"
-    code = main(
-        [
-            "train",
-            "--manifest",
-            str(cli_corpus / "manifest.json"),
-            "--out",
-            str(db_path),
-            "--components",
-            "2",
-        ]
-    )
-    assert code == 0
+    assert train_m2(cli_corpus, db_path) == 0
     return db_path
 
 
@@ -157,9 +159,15 @@ class TestExtract:
     def test_settings_flags_reach_the_extractor(self, cli_corpus, tmp_path):
         wav = cli_corpus / "spk00" / "train_00.wav"
         frames = preprocess(audio_io.read_wav(wav), FrameConfig())
+        acrlag_config = write_config(
+            tmp_path / "acrlag.json", {"acrlag": {"lp_order": 10, "max_lag": 5}}
+        )
+        lfcc_config = write_config(
+            tmp_path / "lfcc.json", {"filterbank": {"n_filters": 24, "n_cep": 12}}
+        )
         cases = (
             (
-                ["--kind", "acrlag", "--lp-order", "10", "--lag", "5"],
+                ["--kind", "acrlag", "--config", acrlag_config],
                 extract_acrlag(frames, AcrlagConfig(lp_order=10, max_lag=5)),
             ),
             (
@@ -171,7 +179,7 @@ class TestExtract:
                 plpcc(frames, PlpConfig(model_order=12, n_cep=8)),
             ),
             (
-                ["--kind", "lfcc", "--n-filters", "24", "--n-cep", "12"],
+                ["--kind", "lfcc", "--config", lfcc_config],
                 fb_cepstra(
                     frames, FilterbankConfig(n_filters=24, n_cep=12, scale=FrequencyScale.HERTZ)
                 ),
@@ -181,6 +189,41 @@ class TestExtract:
             out = tmp_path / "f.ftr"
             assert main(["extract", str(wav), "--out", str(out), *flags]) == 0
             assert out.read_bytes() == feature_matrix_to_bytes(direct)
+
+    @pytest.mark.parametrize(
+        "kind, flag, config_key",
+        [
+            ("lpcc", "--n-cep", None),
+            ("lar", "--fft-size", None),
+            ("acrlag", "--order", None),
+            ("mfcc", "--order", None),
+            ("mfcc", "--n-cep", "filterbank.n_cep"),
+            ("lfcc", "--fft-size", "filterbank.fft_size"),
+        ],
+    )
+    def test_unread_flag_is_an_error_line(
+        self, cli_corpus, tmp_path, capsys, kind, flag, config_key
+    ):
+        wav = cli_corpus / "spk00" / "train_00.wav"
+        out = tmp_path / "f.ftr"
+        code = main(["extract", str(wav), "--kind", kind, "--out", str(out), flag, "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} is not read by --kind {kind}")
+        assert (f"--config key '{config_key}'" in err) == (config_key is not None)
+        assert not out.exists()
+
+    def test_help_offers_only_these_options(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        options = {
+            name: {a.option_strings[0] if a.option_strings else a.dest for a in p._actions}
+            for name, p in subparsers.items()
+        }
+        assert options["train"] == {"-h", "--manifest", "--out", "--config"}
+        assert options["extract"] == {
+            "-h", "audio", "--kind", "--out", "--csv", "--config", "--order", "--n-cep",
+            "--fft-size",
+        }
 
     def test_csv_export(self, cli_corpus, tmp_path):
         wav = cli_corpus / "spk01" / "train_00.wav"
@@ -273,19 +316,19 @@ class TestTrainIdentifyEvaluate:
 
     def test_train_rerun_byte_identical(self, cli_corpus, cli_db, tmp_path):
         again = tmp_path / "again.db"
-        code = main(
-            [
-                "train",
-                "--manifest",
-                str(cli_corpus / "manifest.json"),
-                "--out",
-                str(again),
-                "--components",
-                "2",
-            ]
-        )
-        assert code == 0
+        assert train_m2(cli_corpus, again) == 0
         assert again.read_bytes() == cli_db.read_bytes()
+
+    def test_denormal_variance_is_an_error_line(self, cli_corpus, cli_db, tmp_path, capsys):
+        # Loaded, the model would score spk02 NaN and drop it to last place.
+        variance = load_database(cli_db).residual_models["spk02"].variances[0, 0]
+        db = tmp_path / "denormal.db"
+        db.write_bytes(with_denormal_variance(cli_db.read_bytes(), variance))
+        wav = str(cli_corpus / "spk02" / "test_00.wav")
+        assert main(["identify", wav, "--db", str(db)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: model: ")
+        assert "identified" not in captured.out
 
     def test_bad_eta_fails(self, cli_corpus, cli_db):
         wav = cli_corpus / "spk00" / "test_00.wav"
@@ -311,18 +354,30 @@ class TestTrainIdentifyEvaluate:
 
     @pytest.mark.parametrize(
         "content, reason",
-        [(b'{"train": }', "Expecting value"), (b"\xff{}", "can't decode byte 0xff")],
-        ids=["not-json", "not-utf8"],
+        [
+            (b'{"train": }', "not valid JSON (Expecting value"),
+            (b"\xff{}", "not valid JSON ('utf-8' codec can't decode byte 0xff"),
+            (b'{"frame": {"hop": 80}}', "unknown config key 'frame.hop'"),
+            *(
+                (json.dumps(doc).encode(), f"config key '{key}' must be an integer")
+                for doc, key in NON_INTEGER_CONFIGS
+            ),
+        ],
+        ids=["not-json", "not-utf8", "unknown-key"]
+        + [f"non-integer-{i}" for i in range(len(NON_INTEGER_CONFIGS))],
     )
     def test_bad_config_file_is_named(self, cli_corpus, tmp_path, capsys, content, reason):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
         manifest = str(cli_corpus / "manifest.json")
-        out = str(tmp_path / "cfg.db")
-        code = main(["train", "--manifest", manifest, "--out", out, "--config", str(cfg)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"{cfg}: not valid JSON" in err and reason in err
+        wav = str(cli_corpus / "spk00" / "test_00.wav")
+        out = str(tmp_path / "out")
+        for command in (
+            ["train", "--manifest", manifest, "--out", out],
+            ["extract", wav, "--kind", "mfcc", "--out", out],
+        ):
+            assert main([*command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {cfg}: {reason}")
 
     @pytest.mark.parametrize("doc, key", NON_INTEGER_CONFIGS)
     def test_non_integer_config_value_is_an_error_line(
@@ -335,7 +390,7 @@ class TestTrainIdentifyEvaluate:
         code = main(["train", "--manifest", manifest, "--out", out, "--config", str(cfg)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config key '{key}' must be an integer")
+        assert err.startswith(f"error: {cfg}: config key '{key}' must be an integer")
         assert "TypeError" not in err
 
     def test_too_few_distinct_frames_fails_cleanly(self, tmp_path, capsys):

@@ -248,6 +248,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="finite"):
             GmmModel(KIND, np.array(weights), np.array(means), np.ones((2, 1)))
 
+    def test_denormal_variance_rejected_without_warnings(self):
+        # 1e-320 is positive and finite, but mean / var and -0.5 / var overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mean / var"):
+                GmmModel(KIND, np.array([1.0]), np.ones((1, 2)), np.array([[1.0, 1e-320]]))
+
 
 class TestTrainConfig:
     def test_rejects_non_power_of_two(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import NON_INTEGER_CONFIGS
+from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance
 from voxid import audio_io, sid_pipeline
 from voxid.acrlag import AcrlagConfig
 from voxid.errors import BadFileFormat, InsufficientData, NumericalFailure, VoxidError
@@ -518,6 +518,12 @@ class TestDatabasePersistence:
         blob[blob.index(b"spk00") + 4] ^= 0x01  # spk00 -> spk01
         with pytest.raises(BadFileFormat, match="repeat: spk01"):
             database_from_bytes(bytes(blob))
+
+    def test_denormal_variance_rejected(self, tiny_db):
+        variance = tiny_db.residual_models["spk02"].variances[0, 0]
+        blob = with_denormal_variance(database_to_bytes(tiny_db), variance)
+        with pytest.raises(BadFileFormat, match="model: .*mean / var"):
+            database_from_bytes(blob)
 
     def test_header_disagreeing_with_models_rejected(self, tiny_db):
         config = replace(TINY_TRAIN, acrlag=AcrlagConfig(max_lag=10))
