@@ -74,12 +74,7 @@ def wobbled_tract(rng: np.random.Generator, voice: SpeakerVoice) -> np.ndarray:
     return reflection_to_coefficients(np.clip(ks, -REFLECTION_CLIP, REFLECTION_CLIP))
 
 
-def impulse_train(
-    rng: np.random.Generator,
-    n_samples: int,
-    period: float,
-    sample_rate_hz: int = SAMPLE_RATE_HZ,
-) -> np.ndarray:
+def impulse_train(rng: np.random.Generator, n_samples: int, period: float) -> np.ndarray:
     """Quasi-periodic excitation with vibrato plus per-pulse wobble."""
     excitation = np.zeros(n_samples, dtype=np.float64)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -89,21 +84,17 @@ def impulse_train(
         if index < n_samples:
             excitation[index] = 1.0 + SHIMMER * rng.uniform(-1.0, 1.0)
         undulation = 1.0 + VIBRATO_DEPTH * np.sin(
-            2.0 * np.pi * VIBRATO_HZ * position / sample_rate_hz + phase
+            2.0 * np.pi * VIBRATO_HZ * position / SAMPLE_RATE_HZ + phase
         )
         position += period * undulation * (1.0 + PERIOD_JITTER * rng.uniform(-1.0, 1.0))
     return excitation
 
 
 def synth_speech_burst(
-    rng: np.random.Generator,
-    n_samples: int,
-    tract: np.ndarray,
-    period: float,
-    sample_rate_hz: int = SAMPLE_RATE_HZ,
+    rng: np.random.Generator, n_samples: int, tract: np.ndarray, period: float
 ) -> np.ndarray:
     """One voiced burst through an utterance-specific tract realization."""
-    excitation = impulse_train(rng, n_samples, period, sample_rate_hz=sample_rate_hz)
+    excitation = impulse_train(rng, n_samples, period)
     speech = lp.synthesize(excitation, tract)
     peak = np.max(np.abs(speech))
     if peak > 0:
@@ -111,19 +102,15 @@ def synth_speech_burst(
     return speech
 
 
-def synth_utterance(
-    rng: np.random.Generator,
-    voice: SpeakerVoice,
-    seconds: float,
-    sample_rate_hz: int = SAMPLE_RATE_HZ,
-) -> np.ndarray:
-    """A padded utterance: noise-only lead-in, two speech bursts separated by
-    a noise-only gap, and a noise-only tail, all at the configured SNR."""
-    pad = int(round(PAD_SECONDS * sample_rate_hz))
-    gap = int(round(GAP_SECONDS * sample_rate_hz))
-    total = int(round(seconds * sample_rate_hz))
+def synth_utterance(rng: np.random.Generator, voice: SpeakerVoice, seconds: float) -> np.ndarray:
+    """A padded utterance at SAMPLE_RATE_HZ: noise-only lead-in, two speech
+    bursts separated by a noise-only gap, and a noise-only tail, all at the
+    configured SNR."""
+    pad = int(round(PAD_SECONDS * SAMPLE_RATE_HZ))
+    gap = int(round(GAP_SECONDS * SAMPLE_RATE_HZ))
+    total = int(round(seconds * SAMPLE_RATE_HZ))
     speech_samples = total - 2 * pad - gap
-    if speech_samples < 2 * sample_rate_hz // 10:
+    if speech_samples < 2 * SAMPLE_RATE_HZ // 10:
         raise ValueError(f"{seconds} s leaves no room for speech between pads")
     first = speech_samples // 2
     second = speech_samples - first
@@ -131,11 +118,9 @@ def synth_utterance(
     tract = wobbled_tract(rng, voice)
     period = voice.pitch_period * (1.0 + PITCH_DRIFT * rng.uniform(-1.0, 1.0))
     samples = np.zeros(total, dtype=np.float64)
-    samples[pad : pad + first] = synth_speech_burst(
-        rng, first, tract, period, sample_rate_hz
-    )
+    samples[pad : pad + first] = synth_speech_burst(rng, first, tract, period)
     samples[pad + first + gap : pad + first + gap + second] = synth_speech_burst(
-        rng, second, tract, period, sample_rate_hz
+        rng, second, tract, period
     )
 
     speech_rms = np.sqrt(np.mean(samples[pad : pad + first] ** 2))

@@ -427,4 +427,4 @@ def model_from_bytes(blob: bytes) -> GmmModel:
     try:
         return GmmModel(kind, weights, means, variances)
     except ValueError as exc:  # values GmmModel rejects
-        raise BadFileFormat(f"model: {exc}") from None
+        raise BadFileFormat(str(exc)) from None

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,6 +188,28 @@ class PipelineConfig:
         return replace(defaults, **sections)
 
 
+class _Stream(NamedTuple):
+    """A feature stream: its extractor, the settings passed to it, and the
+    kind and dimension of its features and models."""
+
+    name: str
+    extract: Callable[..., FeatureMatrix]
+    settings: object
+    kind: FeatureKind
+    dim: int
+
+
+def _streams(config: PipelineConfig) -> tuple[_Stream, _Stream]:
+    """(spectral, residual): the order of every per-stream tuple and of each
+    speaker's models in a database blob. The extractors are looked up here on
+    every call, so a wrapper set on this module's attribute sees each call."""
+    fb, ac = config.filterbank, config.acrlag
+    return (
+        _Stream("spectral", fb_cepstra, fb, fb.feature_kind, fb.n_cep),
+        _Stream("residual", extract_acrlag, ac, FeatureKind.ACRLAG, ac.dim),
+    )
+
+
 @dataclass(frozen=True)
 class SpeakerDatabase:
     """Trained spectral and residual models for every enrolled speaker."""
@@ -205,27 +227,28 @@ class SpeakerDatabase:
         repeated = sorted(sid for sid, n in Counter(self.speaker_ids).items() if n > 1)
         if repeated:
             raise ValueError(f"speaker ids repeat: {', '.join(repeated)}")
-        cfg = self.config
-        n_components = cfg.train.n_components
-        streams = (
-            ("spectral", self.spectral_models, cfg.filterbank.feature_kind, cfg.filterbank.n_cep),
-            ("residual", self.residual_models, FeatureKind.ACRLAG, cfg.acrlag.dim),
-        )
+        n_components = self.config.train.n_components
         for sid in self.speaker_ids:
-            for stream, models, kind, dim in streams:
+            for stream, models in zip(_streams(self.config), self.stream_models):
                 if sid not in models:
-                    raise ValueError(f"speaker {sid} is missing a {stream} model")
+                    raise ValueError(f"speaker {sid} is missing a {stream.name} model")
                 model = models[sid]
-                if (model.feature_kind, model.dim, model.n_components) != (kind, dim, n_components):
+                expected = (stream.kind, stream.dim, n_components)
+                if (model.feature_kind, model.dim, model.n_components) != expected:
                     raise ValueError(
-                        f"speaker {sid}, {stream} model: {model.feature_kind.value} with "
-                        f"{model.n_components} components of dimension {model.dim}, but the "
-                        f"config gives {kind.value} with {n_components} of dimension {dim}"
+                        f"speaker {sid}, {stream.name} model: {model.feature_kind.value} with "
+                        f"{model.n_components} components of dimension {model.dim}, but the config "
+                        f"gives {stream.kind.value} with {n_components} of dimension {stream.dim}"
                     )
 
     @property
     def n_speakers(self) -> int:
         return len(self.speaker_ids)
+
+    @property
+    def stream_models(self) -> tuple[dict[str, GmmModel], dict[str, GmmModel]]:
+        """(spectral, residual) models, in the order of ``_streams``."""
+        return self.spectral_models, self.residual_models
 
     @cached_property
     def model_stacks(self) -> tuple[gmm.ModelStack, gmm.ModelStack]:
@@ -233,60 +256,35 @@ class SpeakerDatabase:
         the first score; training, saving and loading never need them."""
         return tuple(
             gmm.stack_models([models[sid] for sid in self.speaker_ids])
-            for models in (self.spectral_models, self.residual_models)
+            for models in self.stream_models
         )
-
-
-def utterance_features(
-    audio: AudioSignal, config: PipelineConfig
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """(spectral, residual) feature matrices from one preprocessing pass."""
-    frames = preprocess(audio, config.frame)
-    return fb_cepstra(frames, config.filterbank), extract_acrlag(frames, config.acrlag)
-
-
-def _stream_features(
-    paths: Sequence[str], config: PipelineConfig, speaker_id: str
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    spectral_parts, residual_parts = [], []
-    for p in paths:
-        try:
-            spectral, residual = utterance_features(audio_io.read_wav(p), config)
-        except VoxidError as exc:
-            raise type(exc)(f"{speaker_id}: {p}: {exc}") from None
-        spectral_parts.append(spectral)
-        residual_parts.append(residual)
-    return concatenate_features(spectral_parts), concatenate_features(residual_parts)
 
 
 def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerDatabase:
     """Fit one model per stream per speaker from the manifest's train lists."""
     if not manifest.speakers:
         raise InsufficientData("manifest lists no speakers")
-    spectral_models: dict[str, GmmModel] = {}
-    residual_models: dict[str, GmmModel] = {}
+    streams = _streams(config)
+    stream_models: tuple[dict[str, GmmModel], ...] = tuple({} for _ in streams)
     for entry in manifest.speakers:
+        sid = entry.speaker_id
         if not entry.train_utterances:
-            raise InsufficientData(f"speaker {entry.speaker_id} has no train utterances")
-        spectral, residual = _stream_features(
-            entry.train_utterances, config, entry.speaker_id
-        )
-        for stream, feats, store in (
-            ("spectral", spectral, spectral_models),
-            ("residual", residual, residual_models),
-        ):
+            raise InsufficientData(f"speaker {sid} has no train utterances")
+        parts: list[list[FeatureMatrix]] = [[] for _ in streams]
+        for p in entry.train_utterances:
             try:
-                store[entry.speaker_id] = gmm.train_gmm(feats, config.train)
+                frames = preprocess(audio_io.read_wav(p), config.frame)
+                for stream, stream_parts in zip(streams, parts):
+                    stream_parts.append(stream.extract(frames, stream.settings))
+            except VoxidError as exc:
+                raise type(exc)(f"{sid}: {p}: {exc}") from None
+        features = [concatenate_features(stream_parts) for stream_parts in parts]
+        for stream, feats, models in zip(streams, features, stream_models):
+            try:
+                models[sid] = gmm.train_gmm(feats, config.train)
             except InsufficientData as exc:
-                raise InsufficientData(
-                    f"speaker {entry.speaker_id}, {stream} stream: {exc}"
-                ) from None
-    return SpeakerDatabase(
-        config=config,
-        speaker_ids=manifest.speaker_ids,
-        spectral_models=spectral_models,
-        residual_models=residual_models,
-    )
+                raise InsufficientData(f"speaker {sid}, {stream.name} stream: {exc}") from None
+    return SpeakerDatabase(config, manifest.speaker_ids, *stream_models)
 
 
 @dataclass(frozen=True)
@@ -307,22 +305,19 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
         raise InsufficientData("speaker database is empty")
     frames = preprocess(audio, db.config.frame)
     missing = [None] * db.n_speakers
-    streams = []
-    for name, extract, cfg, stack in (
-        ("spectral", fb_cepstra, db.config.filterbank, db.model_stacks[0]),
-        ("residual", extract_acrlag, db.config.acrlag, db.model_stacks[1]),
-    ):
+    columns = []
+    for stream, stack in zip(_streams(db.config), db.model_stacks):
         try:
-            features = extract(frames, cfg)
+            features = stream.extract(frames, stream.settings)
         except VoxidError:
-            streams.append(missing)
+            columns.append(missing)
             continue
         if not np.isfinite(features.values).all():
-            raise NumericalFailure(f"{name} stream: features are not finite")
-        streams.append(gmm.stack_scores(stack, features).tolist())
-    if all(stream is missing for stream in streams):
+            raise NumericalFailure(f"{stream.name} stream: features are not finite")
+        columns.append(gmm.stack_scores(stack, features).tolist())
+    if all(column is missing for column in columns):
         raise InsufficientData("both feature streams failed for this utterance")
-    return tuple(map(SpeakerScores, db.speaker_ids, *streams))
+    return tuple(map(SpeakerScores, db.speaker_ids, *columns))
 
 
 def fuse_scores(spectral: float, residual: float, cfg: FusionConfig = FusionConfig()) -> float:
@@ -531,8 +526,8 @@ def database_to_bytes(db: SpeakerDatabase) -> bytes:
     ]
     for sid in db.speaker_ids:
         out.append(pack_text(sid))
-        for model in (db.spectral_models[sid], db.residual_models[sid]):
-            model_bytes = gmm.model_to_bytes(model)
+        for models in db.stream_models:
+            model_bytes = gmm.model_to_bytes(models[sid])
             out += [struct.pack("<Q", len(model_bytes)), model_bytes]
     return b"".join(out)
 
@@ -548,18 +543,21 @@ def database_from_bytes(blob: bytes) -> SpeakerDatabase:
         raise BadFileFormat(f"database header is not valid JSON ({exc})") from None
     config = PipelineConfig.from_json_dict(doc)
     (n_speakers,) = reader.unpack("<I")
+    streams = _streams(config)
     speaker_ids = []
-    spectral_models: dict[str, GmmModel] = {}
-    residual_models: dict[str, GmmModel] = {}
+    stream_models: tuple[dict[str, GmmModel], ...] = tuple({} for _ in streams)
     for _ in range(n_speakers):
         sid = reader.text()
         speaker_ids.append(sid)
-        for models in (spectral_models, residual_models):
-            (size,) = reader.unpack("<Q")
-            models[sid] = gmm.model_from_bytes(reader.take(size))
+        for stream, models in zip(streams, stream_models):
+            try:
+                (size,) = reader.unpack("<Q")
+                models[sid] = gmm.model_from_bytes(reader.take(size))
+            except BadFileFormat as exc:
+                raise BadFileFormat(f"speaker {sid}, {stream.name} model: {exc}") from None
     reader.end()
     try:
-        return SpeakerDatabase(config, tuple(speaker_ids), spectral_models, residual_models)
+        return SpeakerDatabase(config, tuple(speaker_ids), *stream_models)
     except ValueError as exc:  # repeated ids, models that disagree with the config
         raise BadFileFormat(f"database: {exc}") from None
 
@@ -580,7 +578,6 @@ def synth_corpus(
     train_seconds: float = 4.0,
     test_seconds: float = 3.0,
     seed: int = 0,
-    sample_rate_hz: int = corpus.SAMPLE_RATE_HZ,
 ) -> tuple[CorpusManifest, Path]:
     """Generate the synthetic corpus on disk and write its manifest.
 
@@ -605,9 +602,9 @@ def synth_corpus(
             for i in range(count):
                 rng = corpus.utterance_rng(seed, index, utterance_index)
                 utterance_index += 1
-                samples = corpus.synth_utterance(rng, voice, seconds, sample_rate_hz)
+                samples = corpus.synth_utterance(rng, voice, seconds)
                 wav_path = speaker_dir / f"{split}_{i:02d}.wav"
-                audio_io.write_wav(wav_path, AudioSignal(samples, sample_rate_hz))
+                audio_io.write_wav(wav_path, AudioSignal(samples, corpus.SAMPLE_RATE_HZ))
                 bucket.append(str(wav_path))
         entries.append(
             SpeakerEntry(voice.speaker_id, tuple(train_paths), tuple(test_paths))

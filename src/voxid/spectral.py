@@ -14,7 +14,9 @@ from .errors import FilterbankTooDense, NoFeatures
 from .features import FeatureKind, FeatureMatrix
 from .signal_prep import FrameSequence, frame_array
 
-# Filterbank energies are floored before the log so silent bands stay finite.
+# Each frame's filterbank energies are floored at LOG_FLOOR times the frame's
+# peak energy before the log, so silent bands stay finite and a gain applied
+# to the audio moves the floor with it.
 LOG_FLOOR = 1e-10
 
 
@@ -120,7 +122,8 @@ def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()
     bank = build_filterbank(cfg, frames.source_rate_hz)
     power = _power_spectra(frames.frames, cfg.fft_size)
     energies = power @ bank.T
-    log_energies = np.log(np.maximum(energies, LOG_FLOOR))
+    floor = np.maximum(LOG_FLOOR * energies.max(axis=1, keepdims=True), np.finfo(float).tiny)
+    log_energies = np.log(np.maximum(energies, floor))
     k, n = np.arange(1, cfg.n_cep + 1)[:, None], np.arange(cfg.n_filters)
     basis = np.sqrt(2.0 / cfg.n_filters) * np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_filters))
     return FeatureMatrix(cfg.feature_kind, log_energies @ basis.T)

@@ -327,7 +327,7 @@ class TestTrainIdentifyEvaluate:
         wav = str(cli_corpus / "spk02" / "test_00.wav")
         assert main(["identify", wav, "--db", str(db)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: model: ")
+        assert captured.err.startswith("error: speaker spk02, residual model: -0.5 / var")
         assert "identified" not in captured.out
 
     def test_bad_eta_fails(self, cli_corpus, cli_db):

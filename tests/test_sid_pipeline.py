@@ -1,6 +1,7 @@
 import json
 import struct
 import warnings
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -233,6 +234,25 @@ class TestTrainDatabase:
         with pytest.raises(Exception, match=entries[0].speaker_id):
             train_database(broken, TINY_TRAIN)
 
+    def test_layers_are_called_through_the_module(self, tiny_corpus, monkeypatch):
+        # The benchmark's tracer times these layers by wrapping the module
+        # attributes; a call that bypasses them would read as zero.
+        layers = ("preprocess", "fb_cepstra", "extract_acrlag")
+        calls = Counter()
+        for name in layers:
+            def counted(*args, _name=name, _layer=getattr(sid_pipeline, name)):
+                calls[_name] += 1
+                return _layer(*args)
+
+            monkeypatch.setattr(sid_pipeline, name, counted)
+        manifest, _ = tiny_corpus
+        db = train_database(manifest, TINY_TRAIN)
+        n_train = sum(len(entry.train_utterances) for entry in manifest.speakers)
+        assert calls == dict.fromkeys(layers, n_train)
+        calls.clear()
+        identify(db, audio_io.read_wav(manifest.speakers[0].test_utterances[0]))
+        assert calls == dict.fromkeys(layers, 1)
+
 
 class TestScoringAndIdentify:
     def test_score_utterance_covers_all_speakers(self, tiny_corpus, tiny_db):
@@ -295,6 +315,22 @@ class TestScoringAndIdentify:
                 identify(tiny_db, huge)
             (trial,) = score_manifest(tiny_db, manifest)
         assert trial.failed and trial.error.startswith("silence removal: ")
+
+    @pytest.mark.parametrize("gain", [1e-5, 1e-8, 1e-30, 1e-100, 1e-150])
+    def test_quiet_audio_identifies_as_the_unscaled_audio(self, tiny_corpus, tiny_db, gain):
+        manifest, _ = tiny_corpus
+        for entry in manifest.speakers:
+            for path in entry.test_utterances:
+                audio = audio_io.read_wav(path)
+                quiet = AudioSignal(audio.samples * gain, audio.sample_rate_hz)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = identify(tiny_db, quiet)
+                expected = identify(tiny_db, audio)
+                winners = ("fused_winner", "spectral_winner", "residual_winner")
+                assert [getattr(got, w) for w in winners] == [
+                    getattr(expected, w) for w in winners
+                ]
 
     def test_audio_at_the_magnitude_limit_scores_without_warnings(self, tiny_corpus, tiny_db):
         manifest, _ = tiny_corpus
@@ -523,6 +559,35 @@ class TestDatabasePersistence:
         variance = tiny_db.residual_models["spk02"].variances[0, 0]
         blob = with_denormal_variance(database_to_bytes(tiny_db), variance)
         with pytest.raises(BadFileFormat, match="model: .*mean / var"):
+            database_from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                lambda blob, db: with_denormal_variance(
+                    blob, db.residual_models["spk02"].variances[0, 0]
+                ),
+                "speaker spk02, residual model: -0.5 / var",
+            ),
+            (
+                lambda blob, db: blob[: blob.index(b"spk01") + len("spk01") + 20],
+                "speaker spk01, spectral model: database truncated",
+            ),
+            (
+                # Models are stored speaker by speaker, spectral first: the
+                # fourth magic opens spk01's residual model.
+                lambda blob, db: blob.replace(b"VOXGMM", b"VOXGMX").replace(
+                    b"VOXGMX", b"VOXGMM", 3
+                ),
+                "speaker spk01, residual model: bad model magic",
+            ),
+        ],
+        ids=["variance", "truncated", "magic"],
+    )
+    def test_bad_model_names_speaker_and_stream(self, tiny_db, corrupt, message):
+        blob = corrupt(database_to_bytes(tiny_db), tiny_db)
+        with pytest.raises(BadFileFormat, match=f"^{message}"):
             database_from_bytes(blob)
 
     def test_header_disagreeing_with_models_rejected(self, tiny_db):

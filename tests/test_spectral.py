@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,8 @@ def dense_cepstra(frames: np.ndarray, cfg: FilterbankConfig, rate: int) -> np.nd
                 else:
                     w = 0.0
                 energies[i] += w * power[j]
-        logs = np.log(np.maximum(energies, 1e-10))
+        floor = max(1e-10 * energies.max(), np.finfo(float).tiny)
+        logs = np.log(np.maximum(energies, floor))
         n = cfg.n_filters
         for m in range(1, cfg.n_cep + 1):
             basis = np.cos(np.pi * m * (2 * np.arange(n) + 1) / (2 * n))
@@ -159,8 +162,19 @@ class TestFbCepstra:
         assert a.kind is b.kind is FeatureKind.LFCC
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("gain", [1e-5, 1e-8, 1e-150])
+    def test_quiet_frames_only_move_dropped_c0(self, rng, gain):
+        # The log floor scales with each frame's peak energy, so it never
+        # binds on these frames, however quiet.
+        frames = rng.standard_normal((3, 160))
+        base = fb_cepstra(make_frames(frames)).values
+        quiet = fb_cepstra(make_frames(gain * frames)).values
+        np.testing.assert_allclose(quiet, base, atol=1e-10)
+
     def test_silence_hits_log_floor_not_nan(self):
-        got = fb_cepstra(make_frames(np.zeros((2, 160)))).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fb_cepstra(make_frames(np.zeros((2, 160)))).values
         assert np.all(np.isfinite(got))
 
 
