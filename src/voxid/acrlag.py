@@ -17,7 +17,7 @@ import numpy as np
 from . import lp
 from .errors import DegenerateResidual, LagTooLarge, NoFeatures
 from .features import FeatureKind, FeatureMatrix
-from .signal_prep import FrameSequence, frame_array
+from .signal_prep import FrameSequence
 
 DEFAULT_LP_ORDER = 13
 DEFAULT_MAX_LAG = 12
@@ -80,15 +80,13 @@ def acrlag_feature(e: np.ndarray, config: AcrlagConfig = AcrlagConfig()) -> np.n
     return lp.autocorr(normalize_residual(e), config.max_lag)
 
 
-def extract_acrlag(
-    frames: FrameSequence | np.ndarray, config: AcrlagConfig = AcrlagConfig()
-) -> FeatureMatrix:
+def extract_acrlag(frames: FrameSequence, config: AcrlagConfig = AcrlagConfig()) -> FeatureMatrix:
     """ACRLAG matrix for every frame of an utterance.
 
     Frames the LP analysis cannot model (zero energy, unstable recursion) or
     whose residual collapses to a constant are dropped rather than padded.
     """
-    data = frame_array(frames)
+    data = frames.frames
     if config.max_lag >= data.shape[1]:
         raise LagTooLarge(
             f"max_lag {config.max_lag} needs frames longer than {data.shape[1]} samples"

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
+from .signal_prep import SAMPLE_RATE_HZ
 
-SAMPLE_RATE_HZ = 8000
 VOCAL_TRACT_ORDER = 10
 REFLECTION_MAGNITUDE = 0.7
 PITCH_PERIOD_RANGE = (40, 120)  # samples at 8 kHz: 66.7 to 200 Hz

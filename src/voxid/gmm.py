@@ -43,6 +43,10 @@ DEFAULT_VARIANCE_FLOOR_RATIO = 1e-3
 # and 11 ms in one block of 100 (Xeon, 2 MB L2 per core, one BLAS thread).
 SCORE_BLOCK = 16
 
+# Stacked scores equal one-model scores only below this feature dimension
+# (see _weighted_log_densities); the pipeline refuses wider streams.
+EXACT_STACK_DIM = 32
+
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -304,10 +308,10 @@ def _weighted_log_densities(
     start to stop of the stack, mixture-major: (models, M, T) C-contiguous.
 
     squares is data * data.  Each entry is two dot products of length d
-    and one add.  With d < 32 and a power-of-two M (every count training
-    allows), a model's entries were found not to depend on which other
-    models share the product (OpenBLAS, one thread); otherwise BLAS may
-    sum a dot product in another order, a last-bit difference.
+    and one add.  With d < EXACT_STACK_DIM and a power-of-two M (every
+    count training allows), a model's entries were found not to depend on
+    which other models share the product (OpenBLAS, one thread); otherwise
+    BLAS may sum a dot product in another order, a last-bit difference.
     """
     m = stack.n_components
     rows = slice(start * m, None if stop is None else stop * m)

@@ -145,6 +145,18 @@ class PipelineConfig:
     filterbank: FilterbankConfig = field(default_factory=FilterbankConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self) -> None:
+        """Each stream's features are narrow enough for exact stacked scores."""
+        for key, value, dim in (
+            ("filterbank.n_cep", self.filterbank.n_cep, self.filterbank.n_cep),
+            ("acrlag.max_lag", self.acrlag.max_lag, self.acrlag.dim),
+        ):
+            if dim >= gmm.EXACT_STACK_DIM:
+                raise ValueError(
+                    f"config key '{key}': {value} gives features of dimension {dim}; "
+                    f"scores are exact only below dimension {gmm.EXACT_STACK_DIM}"
+                )
+
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PipelineConfig":
         """Settings from ``--config`` JSON or a database header; absent keys
@@ -185,7 +197,10 @@ class PipelineConfig:
                 sections[name] = replace(section, **values)
             except (TypeError, ValueError) as exc:
                 raise BadFileFormat(f"config key {name!r}: {exc}") from None
-        return replace(defaults, **sections)
+        try:
+            return replace(defaults, **sections)
+        except ValueError as exc:  # a stream too wide to score exactly
+            raise BadFileFormat(str(exc)) from None
 
 
 class _Stream(NamedTuple):

@@ -6,7 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllSilence, EmptyInput, NumericalFailure, TooShort
+from .errors import AllSilence, AudioFormatError, EmptyInput, NumericalFailure, TooShort
+
+# Every frame length, hop and lag is counted in samples at this rate, so the
+# pipeline analyses audio at this rate only.
+SAMPLE_RATE_HZ = 8000
 
 # Samples up to this magnitude square to at most 2**-64 of the float64 limit.
 # That margin exceeds the squared frame length times the FFT size of any
@@ -70,15 +74,11 @@ class FrameSequence:
     """Windowed analysis frames, one per row."""
 
     frames: np.ndarray
-    config: FrameConfig
-    source_rate_hz: int
 
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames, dtype=np.float64)
         if frames.ndim != 2:
             raise ValueError("frames must be a 2-D array (frame index x sample)")
-        if frames.shape[1] != self.config.frame_len_samples:
-            raise ValueError("frame width does not match config.frame_len_samples")
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -160,22 +160,20 @@ def frame_and_window(signal: AudioSignal, cfg: FrameConfig) -> FrameSequence:
         raise TooShort(f"signal of {x.size} samples is shorter than one {n}-sample frame")
     frames = np.lib.stride_tricks.sliding_window_view(x, n)[::hop]
     frames = frames * hamming_window(n)
-    return FrameSequence(frames, cfg, signal.sample_rate_hz)
+    return FrameSequence(frames)
 
 
 def preprocess(signal: AudioSignal, cfg: FrameConfig | None = None) -> FrameSequence:
-    """Full conditioning chain: silence removal, pre-emphasis, framing, windowing."""
+    """Full conditioning chain: silence removal, pre-emphasis, framing, windowing.
+
+    Audio at any rate but SAMPLE_RATE_HZ is refused before any work.
+    """
+    if signal.sample_rate_hz != SAMPLE_RATE_HZ:
+        raise AudioFormatError(
+            f"audio at {signal.sample_rate_hz} Hz; voxid analyses {SAMPLE_RATE_HZ} Hz audio"
+        )
     cfg = cfg if cfg is not None else FrameConfig()
     voiced = remove_silence(signal, cfg)
     emphasized = preemphasize(voiced, cfg.preemphasis)
     return frame_and_window(emphasized, cfg)
 
-
-def frame_array(frames: "FrameSequence | np.ndarray") -> np.ndarray:
-    """Accept a FrameSequence or a bare 2-D array and return the frame matrix."""
-    if isinstance(frames, FrameSequence):
-        return frames.frames
-    data = np.asarray(frames, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("frames must be a 2-D array (frame index x sample)")
-    return data

@@ -12,12 +12,14 @@ import numpy as np
 from . import lp
 from .errors import FilterbankTooDense, NoFeatures
 from .features import FeatureKind, FeatureMatrix
-from .signal_prep import FrameSequence, frame_array
+from .signal_prep import SAMPLE_RATE_HZ, FrameSequence
 
 # Each frame's filterbank energies are floored at LOG_FLOOR times the frame's
 # peak energy before the log, so silent bands stay finite and a gain applied
 # to the audio moves the floor with it.
 LOG_FLOOR = 1e-10
+
+NYQUIST_HZ = SAMPLE_RATE_HZ / 2.0
 
 
 class FrequencyScale(str, Enum):
@@ -66,38 +68,34 @@ class FilterbankConfig:
             raise ValueError("n_cep must be smaller than n_filters")
         if not _is_power_of_two(self.fft_size):
             raise ValueError("fft_size must be a power of two")
-        if self.f_low_hz < 0:
-            raise ValueError("f_low_hz must be non-negative")
-
-    def band_edge_hz(self, sample_rate_hz: int) -> tuple[float, float]:
-        high = self.f_high_hz if self.f_high_hz is not None else sample_rate_hz / 2.0
-        if not self.f_low_hz < high <= sample_rate_hz / 2.0:
+        high = NYQUIST_HZ if self.f_high_hz is None else self.f_high_hz
+        if not 0.0 <= self.f_low_hz < high <= NYQUIST_HZ:
             raise ValueError(
                 f"band edges ({self.f_low_hz}, {high}) must satisfy "
-                f"0 <= low < high <= {sample_rate_hz / 2.0}"
+                f"0 <= low < high <= {NYQUIST_HZ}"
             )
-        return self.f_low_hz, high
 
     @property
     def feature_kind(self) -> FeatureKind:
         return FeatureKind.MFCC if self.scale is FrequencyScale.MEL else FeatureKind.LFCC
 
 
-def build_filterbank(cfg: FilterbankConfig, sample_rate_hz: int) -> np.ndarray:
+def build_filterbank(cfg: FilterbankConfig) -> np.ndarray:
     """Triangular filter matrix of shape (n_filters, fft_size // 2 + 1).
 
     Boundary points are spaced equally on the configured scale; filter i
     rises linearly in hertz from point i to point i+1 (its center) and falls
     to point i+2, so adjacent filters overlap by construction.
     """
-    f_low, f_high = cfg.band_edge_hz(sample_rate_hz)
+    f_low = cfg.f_low_hz
+    f_high = NYQUIST_HZ if cfg.f_high_hz is None else cfg.f_high_hz
     if cfg.scale is FrequencyScale.MEL:
         points = hertz_from_mel(
             np.linspace(mel_from_hertz(f_low), mel_from_hertz(f_high), cfg.n_filters + 2)
         )
     else:
         points = np.linspace(f_low, f_high, cfg.n_filters + 2)
-    bin_hz = np.arange(cfg.fft_size // 2 + 1) * (sample_rate_hz / cfg.fft_size)
+    bin_hz = np.arange(cfg.fft_size // 2 + 1) * (SAMPLE_RATE_HZ / cfg.fft_size)
 
     left, center, right = points[:-2, None], points[1:-1, None], points[2:, None]
     rising = (bin_hz - left) / (center - left)
@@ -113,13 +111,20 @@ def build_filterbank(cfg: FilterbankConfig, sample_rate_hz: int) -> np.ndarray:
 
 
 def _power_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
+    # rfft would silently cut a longer frame to its first fft_size samples.
+    # A ValueError, not a VoxidError: this is a settings fault, which the
+    # pipeline must not take for one utterance's failed stream.
+    if frames.shape[1] > fft_size:
+        raise ValueError(
+            f"frames of {frames.shape[1]} samples do not fit a {fft_size}-point FFT"
+        )
     spectra = np.fft.rfft(frames, n=fft_size, axis=1)
     return spectra.real**2 + spectra.imag**2
 
 
 def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()) -> FeatureMatrix:
     """Filterbank cepstra: |FFT|^2 -> filterbank -> log -> orthonormal DCT-II, c0 dropped."""
-    bank = build_filterbank(cfg, frames.source_rate_hz)
+    bank = build_filterbank(cfg)
     power = _power_spectra(frames.frames, cfg.fft_size)
     energies = power @ bank.T
     floor = np.maximum(LOG_FLOOR * energies.max(axis=1, keepdims=True), np.finfo(float).tiny)
@@ -145,8 +150,9 @@ class PlpConfig:
         if not _is_power_of_two(self.fft_size):
             raise ValueError("fft_size must be a power of two")
 
-    def resolved_bands(self, sample_rate_hz: int) -> int:
-        nyquist_bark = float(bark_from_hertz(sample_rate_hz / 2.0))
+    @property
+    def resolved_bands(self) -> int:
+        nyquist_bark = float(bark_from_hertz(NYQUIST_HZ))
         # The band samples become the autocorrelation support, so the count
         # must exceed the model order with a little headroom.
         return max(int(np.ceil(nyquist_bark)) + 1, self.model_order + 2)
@@ -161,24 +167,22 @@ def equal_loudness(f: np.ndarray | float) -> np.ndarray | float:
     return (fsq / (fsq + 1.6e5)) ** 2 * (fsq + 1.44e6) / (fsq + 9.61e6)
 
 
-def bark_filterbank(n_bands: int, fft_size: int, sample_rate_hz: int) -> np.ndarray:
+def bark_filterbank(n_bands: int, fft_size: int) -> np.ndarray:
     """Critical-band weights of shape (n_bands, fft_size // 2 + 1).
 
     Band centers sit equally spaced on the Bark axis from 0 to the Nyquist
     Bark.  Each band is flat within +-0.5 Bark of its center and falls off
     exponentially outside: 10 dB per Bark below, 25 dB per Bark above.
     """
-    bin_hz = np.arange(fft_size // 2 + 1) * (sample_rate_hz / fft_size)
+    bin_hz = np.arange(fft_size // 2 + 1) * (SAMPLE_RATE_HZ / fft_size)
     bin_bark = np.asarray(bark_from_hertz(bin_hz))
-    centers = np.linspace(0.0, float(bark_from_hertz(sample_rate_hz / 2.0)), n_bands)
+    centers = np.linspace(0.0, float(bark_from_hertz(NYQUIST_HZ)), n_bands)
     lo = bin_bark[None, :] - centers[:, None] - 0.5
     hi = bin_bark[None, :] - centers[:, None] + 0.5
     return 10.0 ** np.minimum(0.0, np.minimum(hi, -2.5 * lo))
 
 
-def _plp_from_power(
-    power: np.ndarray, cfg: PlpConfig, sample_rate_hz: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _plp_from_power(power: np.ndarray, cfg: PlpConfig) -> tuple[np.ndarray, np.ndarray]:
     """PLPCC rows from power spectra; returns (cepstra, valid-row mask).
 
     The equal-loudness curve is folded into the band weights, and each band
@@ -186,9 +190,9 @@ def _plp_from_power(
     therefore maps to a flat auditory spectrum (the weighting's own response
     is divided out), and onward to near-zero predictor coefficients.
     """
-    n_bands = cfg.resolved_bands(sample_rate_hz)
-    bin_hz = np.arange(cfg.fft_size // 2 + 1) * (sample_rate_hz / cfg.fft_size)
-    weights = bark_filterbank(n_bands, cfg.fft_size, sample_rate_hz)
+    n_bands = cfg.resolved_bands
+    bin_hz = np.arange(cfg.fft_size // 2 + 1) * (SAMPLE_RATE_HZ / cfg.fft_size)
+    weights = bark_filterbank(n_bands, cfg.fft_size)
     weights = weights * np.asarray(equal_loudness(bin_hz))[None, :]
     areas = weights.sum(axis=1)
 
@@ -208,7 +212,7 @@ def plpcc(frames: FrameSequence, cfg: PlpConfig = PlpConfig()) -> FeatureMatrix:
     """Perceptual LP cepstra: Bark integration, equal loudness, cube-root
     loudness, all-pole fit, cepstral recursion."""
     power = _power_spectra(frames.frames, cfg.fft_size)
-    cepstra, valid = _plp_from_power(power, cfg, frames.source_rate_hz)
+    cepstra, valid = _plp_from_power(power, cfg)
     if not np.any(valid):
         raise NoFeatures("no frame supported a perceptual LP fit")
     return FeatureMatrix(FeatureKind.PLPCC, cepstra[valid])
@@ -221,9 +225,7 @@ def _lsf_rows(coeffs: np.ndarray, reflection: np.ndarray) -> np.ndarray:
     return freqs[valid]
 
 
-def extract_lp_features(
-    frames: FrameSequence | np.ndarray, kind: FeatureKind, order: int = 19
-) -> FeatureMatrix:
+def extract_lp_features(frames: FrameSequence, kind: FeatureKind, order: int = 19) -> FeatureMatrix:
     """LP-transform features (LPCC, LSF, or LAR) at the given model order."""
     kind = FeatureKind(kind)
     if kind is FeatureKind.LPCC:
@@ -234,7 +236,7 @@ def extract_lp_features(
         transform = _lsf_rows
     else:
         raise ValueError(f"{kind.value} is not an LP-transform feature")
-    r = lp._autocorr_batch(frame_array(frames), order)
+    r = lp._autocorr_batch(frames.frames, order)
     coeffs, reflection, _, valid = lp._levinson_batch(r)
     if not np.any(valid):
         raise NoFeatures("no frame supported an LP fit")

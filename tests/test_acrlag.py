@@ -11,6 +11,7 @@ from voxid.acrlag import (
 )
 from voxid.errors import DegenerateResidual, NoFeatures
 from voxid.features import FeatureKind
+from voxid.signal_prep import FrameSequence
 
 
 class TestNormalizeResidual:
@@ -96,7 +97,7 @@ class TestAcrlagVector:
 
     def test_runs_full_chain(self, rng):
         frame, _ = random_ar_frame(rng, 13)
-        v = extract_acrlag(frame[None, :]).values[0]
+        v = extract_acrlag(FrameSequence(frame[None, :])).values[0]
         assert v.shape == (13,)
         # First element is the full energy of the normalized residual.
         assert v[0] > 0
@@ -105,7 +106,9 @@ class TestAcrlagVector:
     def test_equals_manual_chain(self, rng):
         frame, _ = random_ar_frame(rng, 13)
         e = lp.analyze_frame(frame, 13).residual
-        np.testing.assert_allclose(extract_acrlag(frame[None, :]).values[0], acrlag_feature(e))
+        np.testing.assert_allclose(
+            extract_acrlag(FrameSequence(frame[None, :])).values[0], acrlag_feature(e)
+        )
 
     def test_matches_batch_rows(self, rng):
         # Non-degenerate frames survive extraction, so row i is frame i.  The
@@ -114,7 +117,7 @@ class TestAcrlagVector:
         frames = np.vstack([random_ar_frame(rng, 4 + i % 17)[0] for i in range(40)])
         frames[::4] *= np.logspace(-6, -9, 10)[:, None]
         for cfg in (AcrlagConfig(), AcrlagConfig(lp_order=8, max_lag=20)):
-            batch = extract_acrlag(frames, cfg).values
+            batch = extract_acrlag(FrameSequence(frames), cfg).values
             assert batch.shape == (40, cfg.dim)
             for frame, row in zip(frames, batch):
                 e = lp.analyze_frame(frame, cfg.lp_order).residual
@@ -133,9 +136,9 @@ class TestExtractAcrlag:
         frames[2] = rng.standard_normal(160)
         frame, _ = random_ar_frame(rng, 13)
         frames[4] = frame
-        feats = extract_acrlag(frames)
+        feats = extract_acrlag(FrameSequence(frames))
         assert feats.n_frames == 2
 
     def test_all_degenerate_raises(self):
         with pytest.raises(NoFeatures):
-            extract_acrlag(np.zeros((4, 160)))
+            extract_acrlag(FrameSequence(np.zeros((4, 160))))

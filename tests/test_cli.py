@@ -254,6 +254,16 @@ class TestExtract:
         assert capsys.readouterr().err.startswith("error: silence removal: ")
         assert not out.exists()
 
+    def test_frame_longer_than_the_fft_is_an_error_line(self, cli_corpus, tmp_path, capsys):
+        wav = str(cli_corpus / "spk00" / "test_00.wav")
+        out = tmp_path / "p.ftr"
+        code = main(["extract", wav, "--kind", "plpcc", "--fft-size", "128", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: frames of 160 samples do not fit a 128-point FFT\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main(
             ["extract", str(tmp_path / "nope.wav"), "--kind", "mfcc", "--out", "x.ftr"]
@@ -358,12 +368,14 @@ class TestTrainIdentifyEvaluate:
             (b'{"train": }', "not valid JSON (Expecting value"),
             (b"\xff{}", "not valid JSON ('utf-8' codec can't decode byte 0xff"),
             (b'{"frame": {"hop": 80}}', "unknown config key 'frame.hop'"),
+            (b'{"filterbank": {"f_high_hz": 5000}}', "config key 'filterbank': band edges"),
+            (b'{"acrlag": {"max_lag": 31}}', "config key 'acrlag.max_lag': 31 gives features"),
             *(
                 (json.dumps(doc).encode(), f"config key '{key}' must be an integer")
                 for doc, key in NON_INTEGER_CONFIGS
             ),
         ],
-        ids=["not-json", "not-utf8", "unknown-key"]
+        ids=["not-json", "not-utf8", "unknown-key", "band-edge", "too-wide"]
         + [f"non-integer-{i}" for i in range(len(NON_INTEGER_CONFIGS))],
     )
     def test_bad_config_file_is_named(self, cli_corpus, tmp_path, capsys, content, reason):
@@ -378,6 +390,35 @@ class TestTrainIdentifyEvaluate:
         ):
             assert main([*command, "--config", str(cfg)]) == 1
             assert capsys.readouterr().err.startswith(f"error: {cfg}: {reason}")
+
+    def test_frame_longer_than_the_fft_is_an_error_line(self, cli_corpus, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json", {"frame": {"frame_len_samples": 1024, "hop_samples": 512}}
+        )
+        manifest = str(cli_corpus / "manifest.json")
+        out = tmp_path / "cfg.db"
+        code = main(["train", "--manifest", manifest, "--out", str(out), "--config", cfg])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: frames of 1024 samples do not fit a 512-point FFT\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["identify", "extract"])
+    def test_other_rates_are_an_error_line(self, cli_corpus, cli_db, tmp_path, capsys, command):
+        speech = audio_io.read_wav(cli_corpus / "spk02" / "test_00.wav")
+        wav = tmp_path / "16k.wav"
+        audio_io.write_wav(wav, AudioSignal(speech.samples, 16000))
+        out = tmp_path / "x.ftr"
+        options = {
+            "identify": ["--db", str(cli_db)],
+            "extract": ["--kind", "mfcc", "--out", str(out)],
+        }
+        assert main([command, str(wav), *options[command]]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == "error: audio at 16000 Hz; voxid analyses 8000 Hz audio\n"
+        assert "identified" not in captured.out
 
     @pytest.mark.parametrize("doc, key", NON_INTEGER_CONFIGS)
     def test_non_integer_config_value_is_an_error_line(

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance
 from voxid import audio_io, sid_pipeline
 from voxid.acrlag import AcrlagConfig
-from voxid.errors import BadFileFormat, InsufficientData, NumericalFailure, VoxidError
+from voxid.errors import (
+    AudioFormatError,
+    BadFileFormat,
+    InsufficientData,
+    NumericalFailure,
+    VoxidError,
+)
 from voxid.gmm import GmmModel, TrainConfig
 from voxid.signal_prep import MAX_SAMPLE_MAGNITUDE, AudioSignal
 from voxid.sid_pipeline import (
@@ -375,6 +381,64 @@ class TestScoringAndIdentify:
                 assert score_utterance(tiny_db, audio)[index] == expected
                 assert score_utterance(wide, audio)[index] == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_identify_takes_8khz_audio_only(self, tiny_corpus, tiny_db, data):
+        # At 8 kHz: a winner with finite scores, or a VoxidError.  At any
+        # other rate: AudioFormatError naming both rates.  Nothing else, and
+        # no warning, escapes.
+        manifest, _ = tiny_corpus
+        speech = audio_io.read_wav(manifest.speakers[0].test_utterances[0]).samples
+        rate = data.draw(st.sampled_from([8000, 11025, 16000]), "rate")
+        shape = data.draw(
+            st.sampled_from(["speech", "noise", "dc", "clipped", "constant", "one frame"]),
+            "shape",
+        )
+        n = 160 if shape == "one frame" else data.draw(st.integers(0, 2 * rate), "length")
+        x = np.resize(speech, n)
+        if shape == "noise":
+            x = np.random.default_rng(n).standard_normal(n)
+        elif shape == "dc":
+            x = x + 0.5
+        elif shape == "clipped":
+            x = np.clip(8.0 * x, -0.5, 0.5)
+        elif shape == "constant":
+            x = np.full(n, 0.25)
+        peak = 10.0 ** data.draw(st.floats(-300.0, 300.0), "log10 peak")
+        if n and np.abs(x).max() > 0:
+            x = x * (peak / np.abs(x).max())
+        audio = AudioSignal(x, rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rate != 8000:
+                with pytest.raises(AudioFormatError, match=f"^audio at {rate} Hz; .* 8000 Hz"):
+                    identify(tiny_db, audio)
+                return
+            try:
+                result = identify(tiny_db, audio)
+            except VoxidError:
+                return
+        assert result.fused_winner in tiny_db.speaker_ids
+        scores = [v for s in result.scores for v in (s.spectral, s.residual) if v is not None]
+        assert np.isfinite(scores).all()
+
+    def test_other_rates_are_refused_in_training_and_evaluation(
+        self, tiny_corpus, tiny_db, tmp_path
+    ):
+        manifest, _ = tiny_corpus
+        entry = manifest.speakers[0]
+        speech = audio_io.read_wav(entry.test_utterances[0])
+        wide = tmp_path / "16k.wav"
+        audio_io.write_wav(wide, AudioSignal(speech.samples, 16000))
+        reason = "audio at 16000 Hz; voxid analyses 8000 Hz audio"
+        training = CorpusManifest((replace(entry, train_utterances=(str(wide),)),))
+        with pytest.raises(AudioFormatError) as caught:
+            train_database(training, TINY_TRAIN)
+        assert str(caught.value) == f"{entry.speaker_id}: {wide}: {reason}"
+        testing = CorpusManifest((replace(entry, test_utterances=(str(wide),)),))
+        (trial,) = score_manifest(tiny_db, testing)
+        assert trial.failed and trial.error == reason
+
     def test_model_stacks_are_built_on_the_first_score(self, tiny_corpus, tiny_db):
         manifest, _ = tiny_corpus
         db = database_from_bytes(database_to_bytes(tiny_db))
@@ -605,6 +669,19 @@ class TestDatabasePersistence:
                 audio = audio_io.read_wav(path)
                 assert identify(old, audio) == identify(tiny_db, audio)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"n_cep": 19, "n_filters": 20', '"n_cep": 32, "n_filters": 40', "filterbank.n_cep"),
+            ('"max_lag": 12', '"max_lag": 31', "acrlag.max_lag"),
+        ],
+        ids=["n_cep", "max_lag"],
+    )
+    def test_header_with_a_too_wide_stream_rejected(self, tiny_db, old, new, key):
+        header = V1_CONFIG_JSON.replace(old, new)
+        with pytest.raises(BadFileFormat, match=f"^config key '{key}': .* dimension 32"):
+            database_from_bytes(with_config_json(database_to_bytes(tiny_db), header))
+
     def test_score_average_true_rejected(self, tiny_db):
         header = V1_CONFIG_JSON.replace('"score_average": false', '"score_average": true')
         with pytest.raises(BadFileFormat, match="score_average"):
@@ -653,6 +730,9 @@ class TestConfigJson:
             ({"train": {"n_components": 3}}, "train"),
             ({"frame": {"hop_samples": "80"}}, "frame"),
             ({"score_average": True}, "score_average"),
+            ({"filterbank": {"f_high_hz": 5000}}, "filterbank"),
+            ({"filterbank": {"n_filters": 40, "n_cep": 32}}, "filterbank.n_cep"),
+            ({"acrlag": {"max_lag": 31}}, "acrlag.max_lag"),
         ]
         + NON_INTEGER_CONFIGS,
     )
