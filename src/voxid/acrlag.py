@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import DegenerateResidual, LagTooLarge, NoFeatures
+from .errors import DegenerateResidual, NoFeatures
 from .features import FeatureKind, FeatureMatrix
 from .signal_prep import FrameSequence
 
@@ -72,11 +72,6 @@ def normalize_residual(e: np.ndarray) -> np.ndarray:
 
 def acrlag_feature(e: np.ndarray, config: AcrlagConfig = AcrlagConfig()) -> np.ndarray:
     """Feature vector r[0..max_lag] of one normalized residual."""
-    e = np.asarray(e, dtype=np.float64)
-    if config.max_lag >= e.size:
-        raise LagTooLarge(
-            f"max_lag {config.max_lag} needs a residual longer than {e.size} samples"
-        )
     return lp.autocorr(normalize_residual(e), config.max_lag)
 
 
@@ -87,10 +82,6 @@ def extract_acrlag(frames: FrameSequence, config: AcrlagConfig = AcrlagConfig())
     whose residual collapses to a constant are dropped rather than padded.
     """
     data = frames.frames
-    if config.max_lag >= data.shape[1]:
-        raise LagTooLarge(
-            f"max_lag {config.max_lag} needs frames longer than {data.shape[1]} samples"
-        )
     r = lp._autocorr_batch(data, config.lp_order)
     coeffs, _, _, valid = lp._levinson_batch(r)
     normalized, valid = _normalize_rows(lp._residual_batch(data, coeffs), valid)

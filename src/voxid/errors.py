@@ -41,10 +41,6 @@ class NoFeatures(VoxidError):
     """No frame survived feature extraction."""
 
 
-class FilterbankTooDense(VoxidError):
-    """A triangular filter covers fewer than two FFT bins."""
-
-
 class InsufficientData(VoxidError):
     """Fewer training vectors than mixture components."""
 

@@ -32,7 +32,7 @@ def _autocorr_batch(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """Row-wise one-sided autocorrelation of a (n_frames, frame_len) array."""
     n = frames.shape[1]
     if max_lag >= n:
-        raise LagTooLarge(f"max_lag {max_lag} needs a frame longer than {n} samples")
+        raise LagTooLarge(f"lag {max_lag} needs a frame longer than {n} samples")
     out = np.empty((frames.shape[0], max_lag + 1), dtype=np.float64)
     for lag in range(max_lag + 1):
         out[:, lag] = np.einsum("ij,ij->i", frames[:, : n - lag], frames[:, lag:])

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import audio_io, corpus, gmm
 from .acrlag import AcrlagConfig, extract_acrlag
-from .errors import BadFileFormat, InsufficientData, NumericalFailure, VoxidError
+from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
 from .gmm import GmmModel, TrainConfig
 from .signal_prep import AudioSignal, FrameConfig, preprocess
@@ -146,7 +146,24 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
-        """Each stream's features are narrow enough for exact stacked scores."""
+        """Frames fit the FFT and hold every LP and ACRLAG lag, so neither
+        extractor can refuse these settings; and each stream's features are
+        narrow enough for exact stacked scores."""
+        frame_len, fft_size = self.frame.frame_len_samples, self.filterbank.fft_size
+        if frame_len > fft_size:
+            raise ValueError(
+                f"config key 'frame.frame_len_samples': frames of {frame_len} samples "
+                f"do not fit a {fft_size}-point FFT (filterbank.fft_size)"
+            )
+        for key, lag in (
+            ("acrlag.lp_order", self.acrlag.lp_order),
+            ("acrlag.max_lag", self.acrlag.max_lag),
+        ):
+            if lag >= frame_len:
+                raise ValueError(
+                    f"config key '{key}': {lag} needs frames longer than "
+                    f"{frame_len} samples (frame.frame_len_samples)"
+                )
         for key, value, dim in (
             ("filterbank.n_cep", self.filterbank.n_cep, self.filterbank.n_cep),
             ("acrlag.max_lag", self.acrlag.max_lag, self.acrlag.dim),
@@ -199,7 +216,7 @@ class PipelineConfig:
                 raise BadFileFormat(f"config key {name!r}: {exc}") from None
         try:
             return replace(defaults, **sections)
-        except ValueError as exc:  # a stream too wide to score exactly
+        except ValueError as exc:  # settings that disagree across sections
             raise BadFileFormat(str(exc)) from None
 
 
@@ -312,9 +329,9 @@ class SpeakerScores:
 def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
     """Both streams' log-likelihoods against every enrolled speaker.
 
-    A stream whose features cannot be extracted from this utterance scores
-    None for all speakers; preprocessing failures and non-finite features
-    propagate to the caller.
+    A stream that keeps no frame of this utterance (NoFeatures) scores None
+    for all speakers.  Every other error propagates to the caller: the
+    config admits no settings an extractor would refuse.
     """
     if not db.speaker_ids:
         raise InsufficientData("speaker database is empty")
@@ -324,7 +341,7 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     for stream, stack in zip(_streams(db.config), db.model_stacks):
         try:
             features = stream.extract(frames, stream.settings)
-        except VoxidError:
+        except NoFeatures:
             columns.append(missing)
             continue
         if not np.isfinite(features.values).all():

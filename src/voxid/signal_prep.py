@@ -6,17 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllSilence, AudioFormatError, EmptyInput, NumericalFailure, TooShort
+from .errors import AllSilence, AudioFormatError, EmptyInput, TooShort
 
 # Every frame length, hop and lag is counted in samples at this rate, so the
 # pipeline analyses audio at this rate only.
 SAMPLE_RATE_HZ = 8000
-
-# Samples up to this magnitude square to at most 2**-64 of the float64 limit.
-# That margin exceeds the squared frame length times the FFT size of any
-# usable configuration, so block energies, power spectra and autocorrelations
-# stay finite.  WAV input lies in [-1, 1).
-MAX_SAMPLE_MAGNITUDE = float(np.sqrt(np.finfo(np.float64).max)) * 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -122,17 +116,15 @@ def retained_block_indices(
 def remove_silence(signal: AudioSignal, cfg: FrameConfig) -> AudioSignal:
     """Drop frame-sized blocks below the utterance-relative energy threshold.
 
+    The signal is first scaled by the power of two that puts its peak in
+    [0.5, 1).  That scaling is exact, so audio at any gain 2**k gives the
+    same samples, and no later stage sees subnormal or overflowing values.
     The trailing partial block, if any, is always dropped.
     """
     x = signal.samples
     if x.size == 0:
         raise EmptyInput("cannot run silence removal on an empty signal")
-    peak = np.max(np.abs(x))
-    if peak > MAX_SAMPLE_MAGNITUDE:
-        raise NumericalFailure(
-            f"silence removal: peak sample magnitude {peak:.3g} exceeds "
-            f"{MAX_SAMPLE_MAGNITUDE:.3g}; energies would overflow"
-        )
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     n = cfg.frame_len_samples
     keep = retained_block_indices(x, n, cfg.energy_threshold_ratio)
     if keep.size == 0:

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from . import lp
-from .errors import FilterbankTooDense, NoFeatures
+from .errors import NoFeatures
 from .features import FeatureKind, FeatureMatrix
 from .signal_prep import SAMPLE_RATE_HZ, FrameSequence
 
@@ -74,6 +74,12 @@ class FilterbankConfig:
                 f"band edges ({self.f_low_hz}, {high}) must satisfy "
                 f"0 <= low < high <= {NYQUIST_HZ}"
             )
+        too_narrow = np.flatnonzero(np.count_nonzero(build_filterbank(self), axis=1) < 2)
+        if too_narrow.size:
+            raise ValueError(
+                f"filter {too_narrow[0]} covers fewer than 2 of the {self.fft_size // 2 + 1} "
+                "FFT bins; increase fft_size or reduce n_filters"
+            )
 
     @property
     def feature_kind(self) -> FeatureKind:
@@ -100,20 +106,13 @@ def build_filterbank(cfg: FilterbankConfig) -> np.ndarray:
     left, center, right = points[:-2, None], points[1:-1, None], points[2:, None]
     rising = (bin_hz - left) / (center - left)
     falling = (right - bin_hz) / (right - center)
-    bank = np.clip(np.minimum(rising, falling), 0.0, None)
-    too_narrow = np.flatnonzero(np.count_nonzero(bank, axis=1) < 2)
-    if too_narrow.size:
-        raise FilterbankTooDense(
-            f"filter {too_narrow[0]} covers fewer than 2 of the {bin_hz.size} FFT bins; "
-            "increase fft_size or reduce n_filters"
-        )
-    return bank
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def _power_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
     # rfft would silently cut a longer frame to its first fft_size samples.
-    # A ValueError, not a VoxidError: this is a settings fault, which the
-    # pipeline must not take for one utterance's failed stream.
+    # PipelineConfig refuses that pairing; `voxid extract --kind plpcc
+    # --fft-size` can still ask for it.
     if frames.shape[1] > fft_size:
         raise ValueError(
             f"frames of {frames.shape[1]} samples do not fit a {fft_size}-point FFT"

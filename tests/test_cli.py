@@ -236,24 +236,6 @@ class TestExtract:
         header = csv.read_text().splitlines()[0]
         assert header.startswith("mfcc_0,")
 
-    @pytest.mark.parametrize("amplitude", [1e154, 1e300])
-    def test_huge_audio_exits_1_without_warnings(
-        self, cli_corpus, tmp_path, monkeypatch, capsys, amplitude
-    ):
-        # A 16-bit WAV cannot hold such samples; read_wav stands in for a
-        # source that can.
-        wav = cli_corpus / "spk00" / "train_00.wav"
-        speech = audio_io.read_wav(wav)
-        huge = AudioSignal(speech.samples * amplitude, speech.sample_rate_hz)
-        monkeypatch.setattr(audio_io, "read_wav", lambda path: huge)
-        out = tmp_path / "m.ftr"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["extract", str(wav), "--kind", "mfcc", "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: silence removal: ")
-        assert not out.exists()
-
     def test_frame_longer_than_the_fft_is_an_error_line(self, cli_corpus, tmp_path, capsys):
         wav = str(cli_corpus / "spk00" / "test_00.wav")
         out = tmp_path / "p.ftr"
@@ -340,6 +322,24 @@ class TestTrainIdentifyEvaluate:
         assert captured.err.startswith("error: speaker spk02, residual model: -0.5 / var")
         assert "identified" not in captured.out
 
+    @pytest.mark.parametrize("amplitude", [1e154, 1e300])
+    def test_huge_audio_is_identified_without_warnings(
+        self, cli_corpus, cli_db, monkeypatch, capsys, amplitude
+    ):
+        # A 16-bit WAV cannot hold such samples; read_wav stands in for a
+        # source that can.
+        wav = cli_corpus / "spk02" / "test_00.wav"
+        speech = audio_io.read_wav(wav)
+        huge = AudioSignal(speech.samples * amplitude, speech.sample_rate_hz)
+        monkeypatch.setattr(audio_io, "read_wav", lambda path: huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["identify", str(wav), "--db", str(cli_db)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("identified: spk02\n")
+        assert captured.err == ""
+
     def test_bad_eta_fails(self, cli_corpus, cli_db):
         wav = cli_corpus / "spk00" / "test_00.wav"
         code = main(["identify", str(wav), "--db", str(cli_db), "--eta", "1.5"])
@@ -374,9 +374,23 @@ class TestTrainIdentifyEvaluate:
                 (json.dumps(doc).encode(), f"config key '{key}' must be an integer")
                 for doc, key in NON_INTEGER_CONFIGS
             ),
+            (
+                b'{"acrlag": {"lp_order": 200}}',
+                "config key 'acrlag.lp_order': 200 needs frames longer than 160 samples",
+            ),
+            (
+                b'{"frame": {"frame_len_samples": 12, "hop_samples": 6}}',
+                "config key 'acrlag.lp_order': 13 needs frames longer than 12 samples "
+                "(frame.frame_len_samples)",
+            ),
+            (
+                b'{"filterbank": {"n_filters": 100, "fft_size": 128}}',
+                "config key 'filterbank': filter 0 covers fewer than 2 of the 65 FFT bins",
+            ),
         ],
         ids=["not-json", "not-utf8", "unknown-key", "band-edge", "too-wide"]
-        + [f"non-integer-{i}" for i in range(len(NON_INTEGER_CONFIGS))],
+        + [f"non-integer-{i}" for i in range(len(NON_INTEGER_CONFIGS))]
+        + ["lp-order", "short-frame", "too-dense"],
     )
     def test_bad_config_file_is_named(self, cli_corpus, tmp_path, capsys, content, reason):
         cfg = tmp_path / "cfg.json"
@@ -400,7 +414,8 @@ class TestTrainIdentifyEvaluate:
         code = main(["train", "--manifest", manifest, "--out", str(out), "--config", cfg])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: frames of 1024 samples do not fit a 512-point FFT\n"
+            f"error: {cfg}: config key 'frame.frame_len_samples': frames of 1024 samples "
+            "do not fit a 512-point FFT (filterbank.fft_size)\n"
         )
         assert not out.exists()
 

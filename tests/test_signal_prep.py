@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxid.errors import AllSilence, EmptyInput, NumericalFailure, TooShort
+from voxid.errors import AllSilence, EmptyInput, TooShort
 from voxid.signal_prep import (
-    MAX_SAMPLE_MAGNITUDE,
     AudioSignal,
     FrameConfig,
     FrameSequence,
@@ -83,7 +82,8 @@ class TestSilenceRemoval:
         x = np.zeros(20)
         x[8:12] = 1.0
         out = remove_silence(signal(x), cfg)
-        np.testing.assert_array_equal(out.samples, x[8:12])
+        # The peak of 1.0 is halved into [0.5, 1).
+        np.testing.assert_array_equal(out.samples, 0.5 * x[8:12])
 
     def test_equal_energy_blocks_all_retained(self):
         cfg = FrameConfig(frame_len_samples=4, hop_samples=2)
@@ -115,27 +115,37 @@ class TestSilenceRemoval:
         )
         assert list(got) == expected
         out = remove_silence(signal(x), cfg)
+        scale = 2.0 ** -np.frexp(np.abs(x).max())[1]
         np.testing.assert_array_equal(
             out.samples,
-            np.concatenate(
+            scale
+            * np.concatenate(
                 [
                     x[b * cfg.frame_len_samples : (b + 1) * cfg.frame_len_samples]
                     for b in expected
                 ]
             ),
         )
+        assert 0.5 <= np.abs(out.samples).max() < 1.0
 
     def test_all_zero_signal_is_all_silence(self):
         with pytest.raises(AllSilence):
             remove_silence(signal(np.zeros(1000)), FrameConfig())
 
-    def test_magnitude_limit_is_inclusive(self, rng):
-        x = rng.uniform(-1.0, 1.0, 1000) * (0.5 * MAX_SAMPLE_MAGNITUDE)
-        x[0] = MAX_SAMPLE_MAGNITUDE
-        assert len(remove_silence(signal(x), FrameConfig())) > 0
-        x[0] = -np.nextafter(MAX_SAMPLE_MAGNITUDE, np.inf)
-        with pytest.raises(NumericalFailure, match="^silence removal: peak sample magnitude"):
-            remove_silence(signal(x), FrameConfig())
+    @pytest.mark.parametrize("k", [-1000, -400, 1, 400, 1000])
+    def test_power_of_two_gain_gives_the_same_samples(self, rng, k):
+        # Scaling by 2**k is exact while the samples stay normal, and the
+        # rescale to a peak in [0.5, 1) undoes it exactly.
+        x = rng.uniform(-1.0, 1.0, 1000)
+        base = remove_silence(signal(x), FrameConfig()).samples
+        scaled = remove_silence(signal(np.ldexp(x, k)), FrameConfig()).samples
+        np.testing.assert_array_equal(scaled, base)
+
+    def test_largest_and_subnormal_peaks_are_rescaled(self):
+        x = np.tile([1.0, -0.5, 0.25, 0.0], 250)
+        for top in (np.finfo(np.float64).max, 5e-324):
+            out = remove_silence(signal(x * top), FrameConfig()).samples
+            assert 0.5 <= np.abs(out).max() < 1.0
 
     @given(st.integers(1, 2000), st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
