@@ -64,24 +64,32 @@ def _levinson_batch(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     Returns (coefficients, reflection, error, valid).  Rows flagged invalid had
     r[0] <= 0, a non-finite intermediate, or |k| >= 1; their outputs are zeroed
     so callers can drop them without tripping on NaNs.
+
+    The recursion runs order-major, on (p, m) arrays updated in place, so
+    every step works on contiguous rows of m values.
     """
     r = np.asarray(r, dtype=np.float64)
     m, cols = r.shape
     p = cols - 1
-    a = np.zeros((m, 0), dtype=np.float64)
-    ks = np.zeros((m, p), dtype=np.float64)
+    lags = np.ascontiguousarray(r.T)
+    a = np.zeros((p, m), dtype=np.float64)
+    ks = np.zeros((p, m), dtype=np.float64)
     err = r[:, 0].copy()
     valid = (err > 0) & np.isfinite(err)
-    for i in range(1, p + 1):
-        acc = r[:, i] - np.einsum("mj,mj->m", a, r[:, i - 1 : 0 : -1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.where(valid, acc / err, 0.0)
-        valid &= np.isfinite(k) & (np.abs(k) < 1.0)
-        k = np.where(valid, k, 0.0)
-        a = np.concatenate((a - k[:, None] * a[:, ::-1], k[:, None]), axis=1)
-        ks[:, i - 1] = k
-        err = err * (1.0 - k * k)
-        valid &= np.isfinite(err) & (err > 0)
+    # A row that divides by zero, overflows or meets a NaN fails |k| < 1 or
+    # err > 0 and is flagged invalid.
+    with np.errstate(all="ignore"):
+        for i in range(1, p + 1):
+            prev = a[: i - 1]  # the order-(i - 1) predictor
+            k = (lags[i] - np.einsum("jm,jm->m", prev, lags[i - 1 : 0 : -1])) / err
+            valid &= np.abs(k) < 1.0
+            k = np.where(valid, k, 0.0)
+            prev -= k * prev[::-1]
+            a[i - 1] = k
+            ks[i - 1] = k
+            err = err * (1.0 - k * k)
+            valid &= err > 0
+    a, ks = a.T.copy(), ks.T.copy()
     a[~valid] = 0.0
     ks[~valid] = 0.0
     err = np.where(valid, err, 0.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,14 +135,18 @@ def remove_silence(signal: AudioSignal, cfg: FrameConfig) -> AudioSignal:
     return AudioSignal(blocks[keep].reshape(-1), signal.sample_rate_hz)
 
 
+@lru_cache(maxsize=8)
 def hamming_window(n: int) -> np.ndarray:
-    """Raised-cosine taper w(k) = 0.54 - 0.46*cos(2*pi*k/(n-1))."""
+    """Raised-cosine taper w(k) = 0.54 - 0.46*cos(2*pi*k/(n-1)), read-only:
+    each length is built once."""
     if n < 1:
         raise ValueError("window length must be positive")
     if n == 1:
-        return np.ones(1)
-    k = np.arange(n)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
+        window = np.ones(1)
+    else:
+        window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    window.flags.writeable = False
+    return window
 
 
 def frame_and_window(signal: AudioSignal, cfg: FrameConfig) -> FrameSequence:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,11 @@ from .signal_prep import SAMPLE_RATE_HZ, FrameSequence
 LOG_FLOOR = 1e-10
 
 NYQUIST_HZ = SAMPLE_RATE_HZ / 2.0
+
+# The largest FFT a config may ask for: 2 s frames at 8 kHz.  A filterbank
+# config keeps its (n_filters, fft_size // 2 + 1) matrix, so an unbounded
+# size read from a database header could ask for any amount of memory.
+MAX_FFT_SIZE = 2**14
 
 
 class FrequencyScale(str, Enum):
@@ -43,13 +49,24 @@ def hertz_from_bark(z: np.ndarray | float) -> np.ndarray | float:
     return 600.0 * np.sinh(np.asarray(z, dtype=np.float64) / 6.0)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def _check_fft_size(n: int) -> None:
+    if not (n > 0 and (n & (n - 1)) == 0):
+        raise ValueError("fft_size must be a power of two")
+    if n > MAX_FFT_SIZE:
+        raise ValueError(f"fft_size {n} is above the largest FFT size, {MAX_FFT_SIZE}")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class FilterbankConfig:
-    """Triangular-filterbank cepstrum settings (MFCC when mel, LFCC when hertz)."""
+    """Triangular-filterbank cepstrum settings (MFCC when mel, LFCC when hertz).
+
+    The filterbank and DCT basis are built once per config, read-only.
+    """
 
     n_filters: int = 20
     scale: FrequencyScale = FrequencyScale.MEL
@@ -66,15 +83,14 @@ class FilterbankConfig:
             raise ValueError("need at least one cepstral coefficient")
         if self.n_cep >= self.n_filters:
             raise ValueError("n_cep must be smaller than n_filters")
-        if not _is_power_of_two(self.fft_size):
-            raise ValueError("fft_size must be a power of two")
+        _check_fft_size(self.fft_size)
         high = NYQUIST_HZ if self.f_high_hz is None else self.f_high_hz
         if not 0.0 <= self.f_low_hz < high <= NYQUIST_HZ:
             raise ValueError(
                 f"band edges ({self.f_low_hz}, {high}) must satisfy "
                 f"0 <= low < high <= {NYQUIST_HZ}"
             )
-        too_narrow = np.flatnonzero(np.count_nonzero(build_filterbank(self), axis=1) < 2)
+        too_narrow = np.flatnonzero(np.count_nonzero(self.filterbank, axis=1) < 2)
         if too_narrow.size:
             raise ValueError(
                 f"filter {too_narrow[0]} covers fewer than 2 of the {self.fft_size // 2 + 1} "
@@ -84,6 +100,19 @@ class FilterbankConfig:
     @property
     def feature_kind(self) -> FeatureKind:
         return FeatureKind.MFCC if self.scale is FrequencyScale.MEL else FeatureKind.LFCC
+
+    @cached_property
+    def filterbank(self) -> np.ndarray:
+        return _read_only(build_filterbank(self))
+
+    @cached_property
+    def dct_basis(self) -> np.ndarray:
+        """Orthonormal DCT-II rows 1 to n_cep, (n_cep, n_filters)."""
+        k, n = np.arange(1, self.n_cep + 1)[:, None], np.arange(self.n_filters)
+        basis = np.sqrt(2.0 / self.n_filters) * np.cos(
+            np.pi * k * (2 * n + 1) / (2 * self.n_filters)
+        )
+        return _read_only(basis)
 
 
 def build_filterbank(cfg: FilterbankConfig) -> np.ndarray:
@@ -123,14 +152,11 @@ def _power_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
 
 def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()) -> FeatureMatrix:
     """Filterbank cepstra: |FFT|^2 -> filterbank -> log -> orthonormal DCT-II, c0 dropped."""
-    bank = build_filterbank(cfg)
     power = _power_spectra(frames.frames, cfg.fft_size)
-    energies = power @ bank.T
+    energies = power @ cfg.filterbank.T
     floor = np.maximum(LOG_FLOOR * energies.max(axis=1, keepdims=True), np.finfo(float).tiny)
     log_energies = np.log(np.maximum(energies, floor))
-    k, n = np.arange(1, cfg.n_cep + 1)[:, None], np.arange(cfg.n_filters)
-    basis = np.sqrt(2.0 / cfg.n_filters) * np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_filters))
-    return FeatureMatrix(cfg.feature_kind, log_energies @ basis.T)
+    return FeatureMatrix(cfg.feature_kind, log_energies @ cfg.dct_basis.T)
 
 
 @dataclass(frozen=True)
@@ -146,8 +172,7 @@ class PlpConfig:
             raise ValueError("model_order must be at least 1")
         if self.n_cep < 1:
             raise ValueError("need at least one cepstral coefficient")
-        if not _is_power_of_two(self.fft_size):
-            raise ValueError("fft_size must be a power of two")
+        _check_fft_size(self.fft_size)
 
     @property
     def resolved_bands(self) -> int:

@@ -246,6 +246,16 @@ class TestExtract:
         )
         assert not out.exists()
 
+    def test_fft_above_the_cap_is_an_error_line(self, cli_corpus, tmp_path, capsys):
+        wav = str(cli_corpus / "spk00" / "test_00.wav")
+        out = tmp_path / "p.ftr"
+        code = main(["extract", wav, "--kind", "plpcc", "--fft-size", str(2**30), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: fft_size {2**30} is above the largest FFT size, 16384\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main(
             ["extract", str(tmp_path / "nope.wav"), "--kind", "mfcc", "--out", "x.ftr"]
@@ -387,10 +397,17 @@ class TestTrainIdentifyEvaluate:
                 b'{"filterbank": {"n_filters": 100, "fft_size": 128}}',
                 "config key 'filterbank': filter 0 covers fewer than 2 of the 65 FFT bins",
             ),
+            *(
+                (
+                    b'{"filterbank": {"fft_size": %d}}' % size,
+                    f"config key 'filterbank': fft_size {size} is above the largest FFT size",
+                )
+                for size in (2**18, 2**30)
+            ),
         ],
         ids=["not-json", "not-utf8", "unknown-key", "band-edge", "too-wide"]
         + [f"non-integer-{i}" for i in range(len(NON_INTEGER_CONFIGS))]
-        + ["lp-order", "short-frame", "too-dense"],
+        + ["lp-order", "short-frame", "too-dense", "fft-2**18", "fft-2**30"],
     )
     def test_bad_config_file_is_named(self, cli_corpus, tmp_path, capsys, content, reason):
         cfg = tmp_path / "cfg.json"

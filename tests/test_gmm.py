@@ -15,6 +15,7 @@ from voxid.errors import (
 )
 from voxid.features import FeatureKind, FeatureMatrix, pack_text
 from voxid.gmm import (
+    ALLOWED_COMPONENT_COUNTS,
     GmmModel,
     TrainConfig,
     em_fit,
@@ -31,6 +32,7 @@ from voxid.gmm import (
     LOG_TWO_PI,
     SCORE_BLOCK,
     _assign,
+    _exp_flushed,
     _logsumexp,
     _moments,
     variance_floor,
@@ -221,6 +223,72 @@ class TestLogSumExp:
             got = _logsumexp(a, axis)
         np.testing.assert_array_equal(got, logsumexp(a, axis=axis))
         np.testing.assert_array_equal(got.ravel(), EDGE_ROWS_EXPECTED)
+
+
+def logsumexp_plain_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """Oracle: the shifted log-sum-exp with a plain np.exp of every term."""
+    peak = a.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
+
+
+def far_component_block(rng, shape: tuple, axis: int, share: float) -> np.ndarray:
+    """Log-densities in which about `share` of the max-shifted entries lie in
+    [-760, -690], around the subnormal range of exp, and each row along
+    axis holds one exact-0 maximum; the rest lie in [-40, 0)."""
+    shifted = np.where(
+        rng.random(shape) < share, rng.uniform(-760.0, -690.0, shape), rng.uniform(-40.0, 0.0, shape)
+    )
+    winner = rng.integers(0, shape[axis], size=shape[:axis] + (1,) + shape[axis + 1 :])
+    np.put_along_axis(shifted, winner, 0.0, axis=axis)
+    # Half the rows sit at a level where the shift is exact, half need not be.
+    level_shape = shape[:axis] + (1,) + shape[axis + 1 :]
+    level = np.where(rng.random(level_shape) < 0.5, 0.0, rng.uniform(-80.0, 20.0, level_shape))
+    return shifted + level
+
+
+class TestFlushedExp:
+    """_logsumexp flushes the terms whose exp is below 2**-1022 to 0; the
+    sums they vanish from keep the bits of a plain np.exp."""
+
+    @pytest.mark.parametrize("m", ALLOWED_COMPONENT_COUNTS)
+    @pytest.mark.parametrize(
+        "shape, axis", [((SCORE_BLOCK, None, 231), 1), ((None, 231), 0)], ids=["block-M-T", "M-T"]
+    )
+    def test_matches_plain_exp_bit_for_bit(self, rng, m, shape, axis):
+        shape = tuple(m if n is None else n for n in shape)
+        for share in (0.1, 0.3, 0.5, 0.7, 0.9):
+            # One entry in m of a row is its maximum.
+            expected = min(share, 1.0 - 1.0 / m)
+            a = far_component_block(rng, shape, axis, min(1.0, share * m / (m - 1)))
+            shifted = a - a.max(axis=axis, keepdims=True)
+            in_range = np.mean((shifted >= -760.0) & (shifted <= -690.0))
+            assert abs(in_range - expected) < 0.05
+            before = a.copy()
+            np.testing.assert_array_equal(_logsumexp(a, axis), logsumexp_plain_exp(a, axis))
+            np.testing.assert_array_equal(a, before)
+
+    def test_equals_exp_where_normal_and_zero_where_subnormal(self, rng):
+        tiny = np.finfo(np.float64).tiny
+        limit = np.log(tiny)  # exp(limit) is normal, exp of the next float down is not
+        x = np.concatenate(
+            [
+                rng.uniform(-800.0, 5.0, 20_000),
+                rng.uniform(-710.0, -707.0, 2_000),
+                np.nextafter(limit, [-np.inf, np.inf]),
+                [limit, -745.2, -745.1, -708.4, -708.39, -1e300, 0.0, -0.0, 1.0],
+                [np.nan, np.inf, -np.inf],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _exp_flushed(x.copy())
+            plain = np.exp(x)
+        np.testing.assert_array_equal(got, np.where(plain < tiny, 0.0, plain))
+        assert not np.any(np.signbit(got))
+        assert np.isnan(got[-3]) and got[-2] == np.inf and got[-1] == 0.0
+        assert got[x == limit] == np.exp(limit) and got[x == np.nextafter(limit, -np.inf)] == 0.0
 
 
 class TestModelValidation:

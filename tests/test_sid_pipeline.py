@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import asdict, replace
@@ -728,6 +729,21 @@ class TestDatabasePersistence:
         assert header != V1_CONFIG_JSON
         with pytest.raises(BadFileFormat, match=f"^{reason}"):
             database_from_bytes(with_config_json(database_to_bytes(tiny_db), header))
+
+    @pytest.mark.parametrize("fft_size", [2**18, 2**30])
+    def test_header_with_a_huge_fft_rejected_before_allocating(self, tiny_db, fft_size):
+        header = V1_CONFIG_JSON.replace('"fft_size": 512', f'"fft_size": {fft_size}')
+        blob = with_config_json(database_to_bytes(tiny_db), header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                BadFileFormat, match=f"^config key 'filterbank': fft_size {fft_size} is above"
+            ):
+                database_from_bytes(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_score_average_true_rejected(self, tiny_db):
         header = V1_CONFIG_JSON.replace('"score_average": false', '"score_average": true')

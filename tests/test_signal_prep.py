@@ -70,6 +70,13 @@ class TestHammingWindow:
         w = hamming_window(161)
         assert w[80] == pytest.approx(1.0)
 
+    def test_built_once_per_length_and_read_only(self):
+        w = hamming_window(160)
+        assert hamming_window(160) is w and hamming_window(161) is not w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+        np.testing.assert_array_equal(hamming_window(1), [1.0])
+
     @given(st.integers(2, 400))
     def test_symmetry(self, n):
         w = hamming_window(n)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from voxid.errors import NoFeatures
 from voxid.features import FeatureKind
 from voxid.signal_prep import FrameSequence
 from voxid.spectral import (
+    MAX_FFT_SIZE,
     FilterbankConfig,
     FrequencyScale,
     PlpConfig,
@@ -116,6 +118,33 @@ class TestFilterbank:
     def test_too_dense_rejected(self):
         with pytest.raises(ValueError, match="^filter 0 covers fewer than 2 of the 65 FFT bins"):
             FilterbankConfig(n_filters=100, n_cep=19, fft_size=128)
+
+    def test_built_once_per_config_and_read_only(self):
+        cfg = FilterbankConfig(scale=FrequencyScale.HERTZ, n_filters=24, n_cep=12)
+        assert cfg.filterbank is cfg.filterbank and cfg.dct_basis is cfg.dct_basis
+        np.testing.assert_array_equal(cfg.filterbank, build_filterbank(cfg))
+        assert cfg.dct_basis.shape == (12, 24)
+        for matrix in (cfg.filterbank, cfg.dct_basis):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+        assert FilterbankConfig() == FilterbankConfig()
+        assert hash(FilterbankConfig()) == hash(FilterbankConfig())
+
+    @pytest.mark.parametrize("fft_size", [2**18, 2**30])
+    @pytest.mark.parametrize("config", [FilterbankConfig, PlpConfig])
+    def test_fft_size_above_the_cap_refused_before_allocating(self, config, fft_size):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^fft_size {fft_size} is above .* {MAX_FFT_SIZE}"):
+                config(fft_size=fft_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_fft_size_at_the_cap_accepted(self):
+        assert FilterbankConfig(fft_size=MAX_FFT_SIZE).filterbank.shape == (20, MAX_FFT_SIZE // 2 + 1)
+        assert PlpConfig(fft_size=MAX_FFT_SIZE).fft_size == MAX_FFT_SIZE
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
