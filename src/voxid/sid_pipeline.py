@@ -8,8 +8,10 @@ argmax of utterance log-likelihoods, optionally after linear score fusion.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import struct
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -23,7 +25,7 @@ from .acrlag import AcrlagConfig, extract_acrlag
 from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
 from .gmm import GmmModel, TrainConfig
-from .signal_prep import AudioSignal, FrameConfig, preprocess
+from .signal_prep import AudioSignal, FrameConfig, FrameSequence, preprocess
 from .spectral import FilterbankConfig, fb_cepstra
 
 DB_MAGIC = b"VOXSDB"
@@ -292,30 +294,103 @@ class SpeakerDatabase:
         )
 
 
+class _Failure(NamedTuple):
+    """The error a stream met, and the step at which it met it: the
+    utterance's index while extracting, one past the last utterance while
+    stacking, and two past it while training."""
+
+    step: int
+    error: Exception
+
+
+def _fit_stream(
+    stream: _Stream, frames: list[FrameSequence], n_utterances: int, train: TrainConfig
+) -> GmmModel | _Failure | None:
+    """One stream of one speaker: extract every utterance, stack, fit. With
+    fewer frame sequences than utterances (reading stopped at an error), only
+    extracts, and returns None if that succeeds. Never raises an Exception."""
+    step = 0
+    try:
+        parts = []
+        for step, utterance in enumerate(frames):
+            parts.append(stream.extract(utterance, stream.settings))
+        if len(frames) < n_utterances:
+            return None
+        step = n_utterances
+        features = concatenate_features(parts)
+        step += 1
+        return gmm.train_gmm(features, train)
+    except Exception as exc:
+        return _Failure(step, exc)
+
+
+def _map_streams(task: Callable[[_Stream], object], streams: Sequence[_Stream]) -> list:
+    """``[task(stream) for stream in streams]``, with the first stream on the
+    calling thread and each other one on a thread of its own, started and
+    joined here. Each thread runs in a copy of the caller's context, so a
+    NumPy errstate set by the caller holds in it. The threads are joined
+    also when the calling thread's task raises. ``task`` must not raise."""
+    results = [None] * len(streams)
+
+    def run(index: int) -> None:
+        results[index] = task(streams[index])
+
+    started = []
+    try:
+        for index in range(1, len(streams)):
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, index))
+            worker.start()
+            started.append(worker)
+        run(0)
+    finally:
+        for worker in started:
+            worker.join()
+    return results
+
+
 def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerDatabase:
-    """Fit one model per stream per speaker from the manifest's train lists."""
+    """Fit one model per stream per speaker from the manifest's train lists.
+
+    Each speaker's utterances are read and preprocessed in order on the
+    calling thread; then its streams extract, stack and train at the same
+    time (see ``_map_streams``). The models, and the error raised, are those
+    of one utterance after another, stream after stream: the lowest
+    utterance's error first, the spectral stream's before the residual's,
+    then stacking and training errors in stream order.
+    """
     if not manifest.speakers:
         raise InsufficientData("manifest lists no speakers")
     streams = _streams(config)
     stream_models: tuple[dict[str, GmmModel], ...] = tuple({} for _ in streams)
     for entry in manifest.speakers:
-        sid = entry.speaker_id
-        if not entry.train_utterances:
+        sid, paths = entry.speaker_id, entry.train_utterances
+        if not paths:
             raise InsufficientData(f"speaker {sid} has no train utterances")
-        parts: list[list[FeatureMatrix]] = [[] for _ in streams]
-        for p in entry.train_utterances:
+        # (step, order, error): order 0 is reading, then 1 + the stream's index,
+        # so the lowest key is the error one stream after another meets first.
+        frames, failures = [], []
+        for step, p in enumerate(paths):
             try:
-                frames = preprocess(audio_io.read_wav(p), config.frame)
-                for stream, stream_parts in zip(streams, parts):
-                    stream_parts.append(stream.extract(frames, stream.settings))
-            except VoxidError as exc:
-                raise type(exc)(f"{sid}: {p}: {exc}") from None
-        features = [concatenate_features(stream_parts) for stream_parts in parts]
-        for stream, feats, models in zip(streams, features, stream_models):
-            try:
-                models[sid] = gmm.train_gmm(feats, config.train)
-            except InsufficientData as exc:
-                raise InsufficientData(f"speaker {sid}, {stream.name} stream: {exc}") from None
+                frames.append(preprocess(audio_io.read_wav(p), config.frame))
+            except Exception as exc:
+                failures.append((step, 0, exc))
+                break
+        outcomes = _map_streams(
+            lambda stream: _fit_stream(stream, frames, len(paths), config.train), streams
+        )
+        for order, outcome in enumerate(outcomes, 1):
+            if isinstance(outcome, _Failure):
+                failures.append((outcome.step, order, outcome.error))
+        if failures:
+            step, order, exc = min(failures, key=lambda failure: failure[:2])
+            if step < len(paths) and isinstance(exc, VoxidError):
+                raise type(exc)(f"{sid}: {paths[step]}: {exc}") from None
+            if step == len(paths) + 1 and isinstance(exc, InsufficientData):
+                name = streams[order - 1].name
+                raise InsufficientData(f"speaker {sid}, {name} stream: {exc}") from None
+            raise exc
+        for models, model in zip(stream_models, outcomes):
+            models[sid] = model
     return SpeakerDatabase(config, manifest.speaker_ids, *stream_models)
 
 

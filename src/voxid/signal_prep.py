@@ -27,7 +27,11 @@ class AudioSignal:
             raise ValueError("AudioSignal expects a 1-D mono sample array")
         if not np.all(np.isfinite(samples)):
             raise ValueError("AudioSignal samples must be finite")
-        if int(self.sample_rate_hz) <= 0:
+        rate = self.sample_rate_hz
+        # int() would cut 8000.9 to 8000 and turn "8000" or True into a rate.
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)):
+            raise ValueError(f"sample_rate_hz must be an integer, got {rate!r}")
+        if rate <= 0:
             raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))

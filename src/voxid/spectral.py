@@ -161,7 +161,10 @@ def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()
 
 @dataclass(frozen=True)
 class PlpConfig:
-    """Perceptual-LP cepstrum settings."""
+    """Perceptual-LP cepstrum settings.
+
+    The band weights and their areas are built once per config, read-only.
+    """
 
     model_order: int = 19
     n_cep: int = 19
@@ -180,6 +183,19 @@ class PlpConfig:
         # The band samples become the autocorrelation support, so the count
         # must exceed the model order with a little headroom.
         return max(int(np.ceil(nyquist_bark)) + 1, self.model_order + 2)
+
+    @cached_property
+    def band_weights(self) -> np.ndarray:
+        """Critical-band weights times the equal-loudness curve,
+        (resolved_bands, fft_size // 2 + 1)."""
+        bin_hz = np.arange(self.fft_size // 2 + 1) * (SAMPLE_RATE_HZ / self.fft_size)
+        weights = bark_filterbank(self.resolved_bands, self.fft_size)
+        return _read_only(weights * np.asarray(equal_loudness(bin_hz))[None, :])
+
+    @cached_property
+    def band_areas(self) -> np.ndarray:
+        """Each weighted band's area, the divisor of its energy."""
+        return _read_only(self.band_weights.sum(axis=1))
 
 
 def equal_loudness(f: np.ndarray | float) -> np.ndarray | float:
@@ -215,12 +231,7 @@ def _plp_from_power(power: np.ndarray, cfg: PlpConfig) -> tuple[np.ndarray, np.n
     is divided out), and onward to near-zero predictor coefficients.
     """
     n_bands = cfg.resolved_bands
-    bin_hz = np.arange(cfg.fft_size // 2 + 1) * (SAMPLE_RATE_HZ / cfg.fft_size)
-    weights = bark_filterbank(n_bands, cfg.fft_size)
-    weights = weights * np.asarray(equal_loudness(bin_hz))[None, :]
-    areas = weights.sum(axis=1)
-
-    auditory = (power @ weights.T) / areas[None, :]
+    auditory = (power @ cfg.band_weights.T) / cfg.band_areas[None, :]
     loudness = np.cbrt(auditory)
     # Band samples stand in for the warped spectrum on [0, pi]; the inverse
     # real FFT of that half-spectrum is the model autocorrelation.

@@ -1,5 +1,12 @@
+import itertools
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -23,6 +30,7 @@ from voxid.errors import (
     NumericalFailure,
     VoxidError,
 )
+from voxid.features import FeatureMatrix
 from voxid.gmm import GmmModel, TrainConfig
 from voxid.signal_prep import AudioSignal
 from voxid.sid_pipeline import (
@@ -270,6 +278,172 @@ class TestTrainDatabase:
         calls.clear()
         identify(db, audio_io.read_wav(manifest.speakers[0].test_utterances[0]))
         assert calls == dict.fromkeys(layers, 1)
+
+
+# Trains the tiny corpus at M=8 and M=32 with train_database and with a
+# serial oracle that shares nothing with it but the layers, and prints
+# whether each pair of databases is byte-identical. It runs in a fresh
+# interpreter so that the BLAS thread count is set before NumPy loads.
+SERIAL_ORACLE = """
+import sys
+from voxid import audio_io, gmm
+from voxid.acrlag import extract_acrlag
+from voxid.features import concatenate_features
+from voxid.gmm import TrainConfig
+from voxid.sid_pipeline import (
+    PipelineConfig, SpeakerDatabase, database_to_bytes, load_manifest, train_database,
+)
+from voxid.signal_prep import preprocess
+from voxid.spectral import fb_cepstra
+
+manifest = load_manifest(sys.argv[1])
+for m in (8, 32):
+    config = PipelineConfig(train=TrainConfig(n_components=m))
+    models = ({}, {})
+    for entry in manifest.speakers:
+        frames = [preprocess(audio_io.read_wav(p), config.frame) for p in entry.train_utterances]
+        for extract, settings, stream_models in (
+            (fb_cepstra, config.filterbank, models[0]),
+            (extract_acrlag, config.acrlag, models[1]),
+        ):
+            features = concatenate_features([extract(f, settings) for f in frames])
+            stream_models[entry.speaker_id] = gmm.train_gmm(features, config.train)
+    oracle = SpeakerDatabase(config, manifest.speaker_ids, *models)
+    same = database_to_bytes(train_database(manifest, config)) == database_to_bytes(oracle)
+    print(m, same)
+"""
+
+
+def one_speaker(manifest: CorpusManifest, n_utterances: int) -> CorpusManifest:
+    """One speaker enrolled from the first n train utterances of the corpus."""
+    paths = [p for entry in manifest.speakers for p in entry.train_utterances]
+    return CorpusManifest((SpeakerEntry("solo", tuple(paths[:n_utterances]), ()),))
+
+
+def stub_layer(monkeypatch, name: str, failures: dict[int, BaseException], rows=None):
+    """Replace a pipeline layer: call n raises failures[n], and any other
+    call returns the real features, cut to their first rows when set."""
+    layer, calls = getattr(sid_pipeline, name), itertools.count()
+
+    def stub(frames, settings):
+        n = next(calls)
+        if n in failures:
+            raise failures[n]
+        features = layer(frames, settings)
+        return features if rows is None else FeatureMatrix(features.kind, features.values[:rows])
+
+    monkeypatch.setattr(sid_pipeline, name, stub)
+
+
+class TestConcurrentEnrollment:
+    """train_database runs each speaker's streams at once, with the models
+    and the error of one utterance after another, stream after stream."""
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_bytes_equal_a_serial_oracle(self, tiny_corpus, blas_threads):
+        _, manifest_path = tiny_corpus
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(sid_pipeline.__file__).parents[1]),
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), blas_threads),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", SERIAL_ORACLE, str(manifest_path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stdout.split("\n") == ["8 True", "32 True", ""]
+
+    def test_lowest_utterance_error_wins_across_streams(self, tiny_corpus, monkeypatch):
+        manifest = one_speaker(tiny_corpus[0], 5)
+        paths = manifest.speakers[0].train_utterances
+        baseline = threading.active_count()
+        stub_layer(monkeypatch, "fb_cepstra", {3: NoFeatures("spectral gave out")})
+        stub_layer(monkeypatch, "extract_acrlag", {1: NoFeatures("residual gave out")})
+        with pytest.raises(NoFeatures, match=f"^solo: {re.escape(paths[1])}: residual gave out$"):
+            train_database(manifest, TINY_TRAIN)
+        assert threading.active_count() == baseline
+
+    def test_spectral_error_wins_at_the_same_utterance(self, tiny_corpus, monkeypatch):
+        manifest = one_speaker(tiny_corpus[0], 4)
+        paths = manifest.speakers[0].train_utterances
+        baseline = threading.active_count()
+        stub_layer(monkeypatch, "fb_cepstra", {2: LagTooLarge("spectral gave out")})
+        stub_layer(monkeypatch, "extract_acrlag", {2: NoFeatures("residual gave out")})
+        with pytest.raises(LagTooLarge, match=f"^solo: {re.escape(paths[2])}: spectral gave out$"):
+            train_database(manifest, TINY_TRAIN)
+        assert threading.active_count() == baseline
+
+    def test_extraction_error_before_a_bad_file_wins(self, tiny_corpus, monkeypatch, tmp_path):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"junk" * 64)
+        good = one_speaker(tiny_corpus[0], 3).speakers[0].train_utterances
+        manifest = CorpusManifest((SpeakerEntry("solo", good + (str(bad),), ()),))
+        baseline = threading.active_count()
+        stub_layer(monkeypatch, "extract_acrlag", {2: NoFeatures("residual gave out")})
+        with pytest.raises(NoFeatures, match=f"^solo: {re.escape(good[2])}: residual gave out$"):
+            train_database(manifest, TINY_TRAIN)
+        monkeypatch.undo()
+        with pytest.raises(AudioFormatError, match=f"^solo: {re.escape(str(bad))}: "):
+            train_database(manifest, TINY_TRAIN)
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("short", [("extract_acrlag",), ("fb_cepstra", "extract_acrlag")])
+    def test_training_errors_name_the_first_stream_that_fails(
+        self, tiny_corpus, monkeypatch, short
+    ):
+        # One row per utterance is too few for 8 components.
+        manifest = one_speaker(tiny_corpus[0], 3)
+        config = PipelineConfig(train=TrainConfig(n_components=8))
+        baseline = threading.active_count()
+        for name in short:
+            stub_layer(monkeypatch, name, {}, rows=1)
+        stream = "spectral" if "fb_cepstra" in short else "residual"
+        with pytest.raises(InsufficientData, match=f"^speaker solo, {stream} stream: "):
+            train_database(manifest, config)
+        assert threading.active_count() == baseline
+
+    def test_no_thread_outlives_a_call(self, tiny_corpus):
+        baseline = threading.active_count()
+        train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
+        assert threading.active_count() == baseline
+
+    def test_worker_is_joined_when_the_calling_thread_stops(self, tiny_corpus, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        started, finished = threading.Event(), threading.Event()
+        residual = sid_pipeline.extract_acrlag
+
+        def slow_residual(frames, settings):
+            started.set()
+            time.sleep(0.05)
+            finished.set()
+            return residual(frames, settings)
+
+        def stop(frames, settings):
+            assert started.wait(timeout=10.0)
+            raise Stop
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(sid_pipeline, "extract_acrlag", slow_residual)
+        monkeypatch.setattr(sid_pipeline, "fb_cepstra", stop)
+        with pytest.raises(Stop):
+            train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
+        assert finished.is_set()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("name", ["fb_cepstra", "extract_acrlag"])
+    def test_callers_errstate_holds_in_both_streams(self, tiny_corpus, monkeypatch, name):
+        # The residual stream runs on the worker thread.
+        def overflow(frames, settings):
+            np.array([1e308]) * 10.0
+            raise AssertionError("the overflow did not raise")
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(sid_pipeline, name, overflow)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
+        assert threading.active_count() == baseline
 
 
 class TestScoringAndIdentify:

@@ -223,6 +223,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             AudioSignal(np.zeros(4), 0)
 
+    @pytest.mark.parametrize("rate", [8000.9, 8000.0, "8000", True])
+    def test_rate_must_be_an_integer(self, rate):
+        # Not truncated or parsed into a rate that would then be analysed.
+        with pytest.raises(ValueError, match=f"must be an integer, got {rate!r}$"):
+            AudioSignal(np.zeros(4), rate)
+
+    def test_numpy_integer_rate_becomes_an_int(self):
+        audio = AudioSignal(np.zeros(4), np.int64(8000))
+        assert type(audio.sample_rate_hz) is int and audio.sample_rate_hz == 8000
+        assert preprocess(AudioSignal(np.ones(800), np.int64(8000))).n_frames > 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         samples = np.ones(800)

@@ -13,6 +13,7 @@ from voxid.spectral import (
     FilterbankConfig,
     FrequencyScale,
     PlpConfig,
+    bark_filterbank,
     build_filterbank,
     equal_loudness,
     extract_lp_features,
@@ -233,6 +234,18 @@ class TestPlp:
     def test_band_count_covers_order(self):
         cfg = PlpConfig()
         assert cfg.resolved_bands >= cfg.model_order + 2
+
+    def test_band_weights_built_once_per_config_and_read_only(self):
+        cfg = PlpConfig(model_order=12, fft_size=256)
+        assert cfg.band_weights is cfg.band_weights and cfg.band_areas is cfg.band_areas
+        bin_hz = np.arange(129) * RATE / 256
+        weights = bark_filterbank(cfg.resolved_bands, 256) * equal_loudness(bin_hz)
+        np.testing.assert_array_equal(cfg.band_weights, weights)
+        np.testing.assert_array_equal(cfg.band_areas, weights.sum(axis=1))
+        for array in (cfg.band_weights, cfg.band_areas):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert hash(PlpConfig()) == hash(PlpConfig())
 
 
 class TestLpFeatureKinds:
