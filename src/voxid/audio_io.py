@@ -36,6 +36,8 @@ def read_wav(path: str | Path) -> AudioSignal:
         raise AudioFormatError(f"{path}: file ends inside the WAV header") from None
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
+    except OSError as exc:  # a directory, a missing file, a failed read
+        raise AudioFormatError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
     if rate < 1:
         raise AudioFormatError(f"{path}: frame rate {rate} Hz is not positive")
     if len(raw) != 2 * n_frames:

@@ -9,6 +9,7 @@ argmax of utterance log-likelihoods, optionally after linear score fusion.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import json
 import struct
 import threading
@@ -25,7 +26,7 @@ from .acrlag import AcrlagConfig, extract_acrlag
 from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
 from .gmm import GmmModel, TrainConfig
-from .signal_prep import AudioSignal, FrameConfig, FrameSequence, preprocess
+from .signal_prep import AudioSignal, FrameConfig, preprocess
 from .spectral import FilterbankConfig, fb_cepstra
 
 DB_MAGIC = b"VOXSDB"
@@ -207,10 +208,15 @@ class PipelineConfig:
             if unknown:
                 raise BadFileFormat(f"unknown config key '{name}.{unknown[0]}'")
             for key, value in values.items():
-                # JSON true is a Python int, and 80.0 equals 80, but neither is an integer.
+                # JSON true is a Python int, and 80.0 equals 80, but neither is an
+                # integer; and false equals 0.0, but no setting takes a boolean.
                 if type(getattr(section, key)) is int and type(value) is not int:
                     raise BadFileFormat(
                         f"config key '{name}.{key}' must be an integer, got {value!r}"
+                    )
+                if isinstance(value, bool):
+                    raise BadFileFormat(
+                        f"config key '{name}.{key}' must not be a boolean, got {value!r}"
                     )
             try:
                 sections[name] = replace(section, **values)
@@ -294,34 +300,29 @@ class SpeakerDatabase:
         )
 
 
-class _Failure(NamedTuple):
-    """The error a stream met, and the step at which it met it: the
-    utterance's index while extracting, one past the last utterance while
-    stacking, and two past it while training."""
-
-    step: int
-    error: Exception
+def _named(exc: Exception, prefix: str) -> Exception:
+    """A VoxidError as its type with ``prefix: `` before its message; any
+    other error as it is."""
+    return type(exc)(f"{prefix}: {exc}") if isinstance(exc, VoxidError) else exc
 
 
-def _fit_stream(
-    stream: _Stream, frames: list[FrameSequence], n_utterances: int, train: TrainConfig
-) -> GmmModel | _Failure | None:
-    """One stream of one speaker: extract every utterance, stack, fit. With
-    fewer frame sequences than utterances (reading stopped at an error), only
-    extracts, and returns None if that succeeds. Never raises an Exception."""
-    step = 0
+def _fit_stream(stream: _Stream, reads: list, train: TrainConfig) -> list:
+    """One stream of one speaker, step by step: each read utterance's
+    features, then, if every utterance was read, the stacked features and
+    the model. The first Exception ends the list in the place of the step
+    that raised it; an Exception in ``reads`` ends it there. Never raises
+    an Exception."""
+    steps = []
     try:
-        parts = []
-        for step, utterance in enumerate(frames):
-            parts.append(stream.extract(utterance, stream.settings))
-        if len(frames) < n_utterances:
-            return None
-        step = n_utterances
-        features = concatenate_features(parts)
-        step += 1
-        return gmm.train_gmm(features, train)
+        for frames in reads:
+            if isinstance(frames, Exception):
+                return steps
+            steps.append(stream.extract(frames, stream.settings))
+        steps.append(concatenate_features(steps))
+        steps.append(gmm.train_gmm(steps[-1], train))
     except Exception as exc:
-        return _Failure(step, exc)
+        steps.append(exc)
+    return steps
 
 
 def _map_streams(task: Callable[[_Stream], object], streams: Sequence[_Stream]) -> list:
@@ -353,10 +354,11 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
 
     Each speaker's utterances are read and preprocessed in order on the
     calling thread; then its streams extract, stack and train at the same
-    time (see ``_map_streams``). The models, and the error raised, are those
-    of one utterance after another, stream after stream: the lowest
-    utterance's error first, the spectral stream's before the residual's,
-    then stacking and training errors in stream order.
+    time (see ``_map_streams``). Reading and each stream return their
+    steps' results in order. The error raised is the first one met when
+    the steps are walked in the serial order: each utterance's reading,
+    spectral and residual features in turn, then both streams' stacking,
+    then both streams' training.
     """
     if not manifest.speakers:
         raise InsufficientData("manifest lists no speakers")
@@ -366,31 +368,29 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
         sid, paths = entry.speaker_id, entry.train_utterances
         if not paths:
             raise InsufficientData(f"speaker {sid} has no train utterances")
-        # (step, order, error): order 0 is reading, then 1 + the stream's index,
-        # so the lowest key is the error one stream after another meets first.
-        frames, failures = [], []
-        for step, p in enumerate(paths):
+        reads = []
+        for path in paths:
+            where = sid  # read_wav's errors name the path
             try:
-                frames.append(preprocess(audio_io.read_wav(p), config.frame))
+                audio = audio_io.read_wav(path)
+                where = f"{sid}: {path}"
+                reads.append(preprocess(audio, config.frame))
             except Exception as exc:
-                failures.append((step, 0, exc))
+                reads.append(_named(exc, where))
                 break
-        outcomes = _map_streams(
-            lambda stream: _fit_stream(stream, frames, len(paths), config.train), streams
-        )
-        for order, outcome in enumerate(outcomes, 1):
-            if isinstance(outcome, _Failure):
-                failures.append((outcome.step, order, outcome.error))
-        if failures:
-            step, order, exc = min(failures, key=lambda failure: failure[:2])
-            if step < len(paths) and isinstance(exc, VoxidError):
-                raise type(exc)(f"{sid}: {paths[step]}: {exc}") from None
-            if step == len(paths) + 1 and isinstance(exc, InsufficientData):
-                name = streams[order - 1].name
-                raise InsufficientData(f"speaker {sid}, {name} stream: {exc}") from None
-            raise exc
-        for models, model in zip(stream_models, outcomes):
-            models[sid] = model
+        outcomes = _map_streams(lambda stream: _fit_stream(stream, reads, config.train), streams)
+        for step, results in enumerate(itertools.zip_longest(reads, *outcomes)):
+            for stream, exc in zip((None, *streams), results):
+                if not isinstance(exc, Exception):
+                    continue
+                if stream is not None and step < len(paths):
+                    exc = _named(exc, f"{sid}: {paths[step]}")
+                elif step == len(paths) + 1 and isinstance(exc, InsufficientData):
+                    exc = _named(exc, f"speaker {sid}, {stream.name} stream")
+                raise exc
+        for models, steps in zip(stream_models, outcomes):
+            models[sid] = steps[-1]
+        del reads, outcomes  # the frames and features, before the next speaker's
     return SpeakerDatabase(config, manifest.speaker_ids, *stream_models)
 
 

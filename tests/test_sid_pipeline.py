@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance
-from voxid import audio_io, sid_pipeline
+from voxid import audio_io, gmm, sid_pipeline
 from voxid.acrlag import AcrlagConfig
 from voxid.errors import (
     AudioFormatError,
@@ -30,7 +30,7 @@ from voxid.errors import (
     NumericalFailure,
     VoxidError,
 )
-from voxid.features import FeatureMatrix
+from voxid.features import FeatureMatrix, concatenate_features
 from voxid.gmm import GmmModel, TrainConfig
 from voxid.signal_prep import AudioSignal
 from voxid.sid_pipeline import (
@@ -260,6 +260,25 @@ class TestTrainDatabase:
         with pytest.raises(Exception, match=entries[0].speaker_id):
             train_database(broken, TINY_TRAIN)
 
+    def test_unreadable_train_file_is_named_once(self, tmp_path):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"junk" * 64)
+        manifest = CorpusManifest((SpeakerEntry("solo", (str(bad),), ()),))
+        reason = r"not a readable PCM WAV file \(file does not start with RIFF id\)"
+        with pytest.raises(AudioFormatError, match=f"^solo: {re.escape(str(bad))}: {reason}$"):
+            train_database(manifest, TINY_TRAIN)
+
+    def test_directory_among_train_files_names_speaker_and_path(self, tiny_corpus, tmp_path):
+        entry = tiny_corpus[0].speakers[0]
+        folder = tmp_path / "folder.wav"
+        folder.mkdir()
+        manifest = CorpusManifest(
+            (replace(entry, train_utterances=entry.train_utterances + (str(folder),)),)
+        )
+        with pytest.raises(AudioFormatError, match=f"^spk..: {re.escape(str(folder))}: ") as caught:
+            train_database(manifest, TINY_TRAIN)
+        assert str(caught.value).count(str(folder)) == 1
+
     def test_layers_are_called_through_the_module(self, tiny_corpus, monkeypatch):
         # The benchmark's tracer times these layers by wrapping the module
         # attributes; a call that bypasses them would read as zero.
@@ -335,6 +354,47 @@ def stub_layer(monkeypatch, name: str, failures: dict[int, BaseException], rows=
     monkeypatch.setattr(sid_pipeline, name, stub)
 
 
+# The calls of a stubbed layer that raise, and the error each raises.
+LAYER_FAULTS = st.dictionaries(
+    st.integers(0, 4), st.sampled_from([NoFeatures, LagTooLarge, ValueError]), max_size=2
+)
+
+
+def serial_enrollment(entry: SpeakerEntry, config: PipelineConfig):
+    """The type and message of the error that enrolling the speaker one step
+    after another meets first, or its (spectral, residual) model bytes:
+    read, spectral and residual features for each utterance in turn, then
+    stack both streams, then train both. The layers are looked up on
+    sid_pipeline, so stubs set there apply."""
+    sid = entry.speaker_id
+    streams = (
+        ("spectral", sid_pipeline.fb_cepstra, config.filterbank),
+        ("residual", sid_pipeline.extract_acrlag, config.acrlag),
+    )
+    parts = ([], [])
+    for path in entry.train_utterances:
+        try:
+            audio = audio_io.read_wav(path)
+        except VoxidError as exc:  # read_wav's errors name the path
+            return type(exc), f"{sid}: {exc}"
+        try:
+            frames = sid_pipeline.preprocess(audio, config.frame)
+            for (_, extract, layer_settings), stream_parts in zip(streams, parts):
+                stream_parts.append(extract(frames, layer_settings))
+        except VoxidError as exc:
+            return type(exc), f"{sid}: {path}: {exc}"
+        except Exception as exc:
+            return type(exc), str(exc)
+    stacked = [concatenate_features(stream_parts) for stream_parts in parts]
+    models = []
+    for (name, _, _), features in zip(streams, stacked):
+        try:
+            models.append(gmm.model_to_bytes(gmm.train_gmm(features, config.train)))
+        except InsufficientData as exc:
+            return InsufficientData, f"speaker {sid}, {name} stream: {exc}"
+    return tuple(models)
+
+
 class TestConcurrentEnrollment:
     """train_database runs each speaker's streams at once, with the models
     and the error of one utterance after another, stream after stream."""
@@ -400,6 +460,43 @@ class TestConcurrentEnrollment:
         stream = "spectral" if "fb_cepstra" in short else "residual"
         with pytest.raises(InsufficientData, match=f"^speaker solo, {stream} stream: "):
             train_database(manifest, config)
+        assert threading.active_count() == baseline
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_utterances=st.integers(1, 5),
+        bad_file=st.none() | st.integers(0, 4),
+        faults=st.tuples(LAYER_FAULTS, LAYER_FAULTS),
+        short=st.sets(st.sampled_from(["fb_cepstra", "extract_acrlag"])),
+    )
+    def test_errors_are_those_of_a_serial_loop(
+        self, tiny_corpus, tmp_path_factory, n_utterances, bad_file, faults, short
+    ):
+        # One row per utterance is too few for 8 components.
+        config = PipelineConfig(train=TrainConfig(n_components=8))
+        paths = list(one_speaker(tiny_corpus[0], n_utterances).speakers[0].train_utterances)
+        if bad_file is not None and bad_file < n_utterances:
+            bad = tmp_path_factory.mktemp("corrupt") / "bad.wav"
+            bad.write_bytes(b"junk" * 64)
+            paths[bad_file] = str(bad)
+        entry = SpeakerEntry("solo", tuple(paths), ())
+
+        def enroll(how):
+            with pytest.MonkeyPatch.context() as patch:
+                for name, layer_faults in zip(("fb_cepstra", "extract_acrlag"), faults):
+                    failures = {n: fault(f"{name} call {n}") for n, fault in layer_faults.items()}
+                    stub_layer(patch, name, failures, rows=1 if name in short else None)
+                try:
+                    return how()
+                except Exception as exc:
+                    return type(exc), str(exc)
+
+        baseline = threading.active_count()
+        expected = enroll(lambda: serial_enrollment(entry, config))
+        got = enroll(lambda: train_database(CorpusManifest((entry,)), config))
+        if isinstance(got, SpeakerDatabase):
+            got = tuple(gmm.model_to_bytes(models["solo"]) for models in got.stream_models)
+        assert got == expected
         assert threading.active_count() == baseline
 
     def test_no_thread_outlives_a_call(self, tiny_corpus):
@@ -676,6 +773,20 @@ class TestReports:
         (trial,) = score_manifest(tiny_db, manifest)
         assert trial.failed
         assert "cut.wav: data chunk truncated" in trial.error
+
+    def test_directory_is_a_failed_trial(self, tiny_corpus, tiny_db, tmp_path):
+        manifest, _ = tiny_corpus
+        folder = tmp_path / "folder.wav"
+        folder.mkdir()
+        entry = manifest.speakers[0]
+        manifest = CorpusManifest(
+            (replace(entry, test_utterances=entry.test_utterances + (str(folder),)),)
+        )
+        report = evaluate(tiny_db, manifest)
+        assert report.n_failed == 1
+        (failed,) = [trial for trial in report.trials if trial.error is not None]
+        assert failed.utterance == str(folder)
+        assert failed.error.startswith(f"{folder}: cannot be read")
 
     def test_manifest_without_test_utterances_raises(self, tiny_corpus, tiny_db):
         manifest, _ = tiny_corpus
@@ -977,6 +1088,8 @@ class TestConfigJson:
             ({"frame": {"frame_len_samples": 12, "hop_samples": 6}}, "frame.frame_len_samples"),
             ({"filterbank": {"n_filters": 100, "fft_size": 128}}, "filterbank"),
             ({"frame": {"frame_len_samples": 1024, "hop_samples": 512}}, "filterbank.fft_size"),
+            ({"filterbank": {"f_low_hz": True}}, "filterbank.f_low_hz"),
+            ({"frame": {"preemphasis": False}}, "frame.preemphasis"),
         ],
     )
     def test_bad_config_names_the_key(self, doc, key):
