@@ -39,16 +39,19 @@ DEFAULT_VARIANCE_FLOOR_RATIO = 1e-3
 # At most this many models share one pair of scoring products.  At 8
 # components and ~230 frames each (T, K) temporary of a block is 0.24 MB.
 # Both streams against 100 speakers (d = 19 and 13, 231 frames) took a
-# median 3.5-4.3 ms in blocks of 4 to 32 (1.0 MB peak at 16, 1.7 MB at 32)
-# and 11 ms in one block of 100 (Xeon, 2 MB L2 per core, one BLAS thread).
+# median 1.9-2.1 ms in blocks of 12 to 32, which trade places from run to
+# run (1.0 MB peak at 16, 1.7 MB at 32), 2.2-2.3 ms in blocks of 8, 2.5 ms
+# in blocks of 4 and 3.5 ms in one block of 100 (Xeon, 2 MB L2 per core,
+# one BLAS thread).
 SCORE_BLOCK = 16
 
 # np.exp of an input below log(tiny), about -708.40, is subnormal or 0, and
-# NumPy's exp takes a slow path for it: near -720 about 100 ns an element
-# against 1 ns (Xeon, AVX-512 or AVX2).  Against 100 speakers, 15-17% of the
-# spectral stream's max-shifted log-densities lie below it (two test
-# utterances of the benchmark corpus), so the log-sum-exp flushes them.
-EXP_FLUSH_BELOW = float(np.log(np.finfo(np.float64).tiny))
+# NumPy's exp takes a slow path for it: near -720 about 100 ns an element,
+# and 5.5 ns even for -inf, against 0.7 ns for a normal result (Xeon,
+# AVX-512).  Against 100 speakers, 13-20% of a block's max-shifted
+# log-densities lie below it, so the log-sum-exp raises every term to this
+# clamp first: exp(-700) is normal and below 2**-1000.
+EXP_CLAMP = -700.0
 
 # Stacked scores equal one-model scores only below this feature dimension
 # (see _weighted_log_densities); the pipeline refuses wider streams.
@@ -137,8 +140,13 @@ def _assign(twice_data: np.ndarray, unit_quad: np.ndarray, centroids: np.ndarray
     both fixed while k is.
     """
     log_norm = -0.5 * (centroids.shape[1] * LOG_TWO_PI)
-    quad = unit_quad - twice_data @ centroids.T + (centroids * centroids).sum(axis=1)[None, :]
-    return np.argmax(log_norm - 0.5 * quad, axis=1)
+    # Each step in the product's own buffer, in the order written above.
+    log_dens = twice_data @ centroids.T
+    np.subtract(unit_quad, log_dens, out=log_dens)
+    log_dens += (centroids * centroids).sum(axis=1)
+    log_dens *= 0.5
+    np.subtract(log_norm, log_dens, out=log_dens)
+    return np.argmax(log_dens, axis=1)
 
 
 def _moments(resp: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,30 +236,26 @@ def lbg_init(
     return GmmModel(features.kind, counts / counts.sum(), centroids, variances)
 
 
-def _exp_flushed(x: np.ndarray) -> np.ndarray:
-    """np.exp(x) computed in x, with an exact 0 wherever x < EXP_FLUSH_BELOW.
-
-    NaN and +-inf come out as np.exp gives them.  x is overwritten and
-    returned.
-    """
-    # NaN < limit is False, so NaN is kept; exp(-inf) is 0 on the fast path.
-    x[x < EXP_FLUSH_BELOW] = -np.inf
-    return np.exp(x, out=x)
-
-
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along one axis, shifted by the maximum.
+    """log(sum(exp(a))) along one axis, shifted by the maximum; a is
+    overwritten.
 
-    A non-finite maximum is replaced by 0, so a row of only -inf gives -inf,
-    a NaN gives NaN and +inf gives +inf, all without a warning.  Every other
-    row holds its maximum as an exact 0, so its sum has a term of exactly
-    1.0; the terms _exp_flushed sets to 0 are below 2**-1022 and would
-    vanish against it, so the sums keep the bits of a plain np.exp.
+    A non-finite maximum is replaced by 0, so a NaN gives NaN and +inf gives
+    +inf, and a row of only -inf is set to -inf, all without a warning.
+    Every other row holds its maximum as an exact 0, so its sum has a term
+    of exactly 1.0; the terms raised to EXP_CLAMP are below 2**-1000 before
+    and after and vanish against it, so the sums keep the bits of a plain
+    np.exp.
     """
     peak = a.max(axis=axis, keepdims=True)
+    empty = peak == -np.inf
     peak[~np.isfinite(peak)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(_exp_flushed(a - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
+    a -= peak
+    np.maximum(a, EXP_CLAMP, out=a)
+    total = np.log(np.exp(a, out=a).sum(axis=axis, keepdims=True))
+    total += peak
+    total[empty] = -np.inf
+    return np.squeeze(total, axis=axis)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -339,7 +343,8 @@ def _weighted_log_densities(
     weighted = squares @ stack.half_precisions[rows].T
     weighted += data @ stack.scaled_means[rows].T
     weighted += stack.offsets[rows]
-    return np.ascontiguousarray(weighted.T).reshape(-1, m, data.shape[0])
+    # The explicit model count reshapes a product of 0 frames too.
+    return np.ascontiguousarray(weighted.T).reshape(weighted.shape[1] // m, m, data.shape[0])
 
 
 def _frame_log_densities(stack: ModelStack, data: np.ndarray) -> np.ndarray:
@@ -372,10 +377,10 @@ def em_step(
     """
     data = features.values
     weighted = _weighted_log_densities(stack_models([model]), data, data * data)[0]
-    frame_ll = _logsumexp(weighted, axis=0)
+    frame_ll = _logsumexp(weighted.copy(), axis=0)
     total_ll = float(frame_ll.sum())
 
-    # Plain np.exp: flushing a responsibility could move a weight whose
+    # Plain np.exp: clamping a responsibility could move a weight whose
     # occupancy is subnormal.
     resp = np.exp(weighted - frame_ll[None, :])
     if not np.all(np.isfinite(resp)):

@@ -16,6 +16,7 @@ from voxid.errors import (
 from voxid.features import FeatureKind, FeatureMatrix, pack_text
 from voxid.gmm import (
     ALLOWED_COMPONENT_COUNTS,
+    EXP_CLAMP,
     GmmModel,
     TrainConfig,
     em_fit,
@@ -32,7 +33,6 @@ from voxid.gmm import (
     LOG_TWO_PI,
     SCORE_BLOCK,
     _assign,
-    _exp_flushed,
     _logsumexp,
     _moments,
     variance_floor,
@@ -90,7 +90,7 @@ def em_step_frame_major_reference(
     with np.errstate(divide="ignore"):
         log_weights = np.log(model.weights)
     weighted = _component_log_densities(model.means, model.variances, data) + log_weights
-    frame_ll = _logsumexp(weighted, axis=1)
+    frame_ll = _logsumexp(weighted.copy(), axis=1)
     resp = np.exp(weighted - frame_ll[:, None])
     occupancy, means, variances = _moments(resp, data)
     empty = np.isnan(means)
@@ -197,13 +197,13 @@ class TestLogSumExp:
             a = rng.standard_normal(shape) * rng.uniform(1.0, 300.0)
             for axis in range(3):
                 np.testing.assert_allclose(
-                    _logsumexp(a, axis), logsumexp(a, axis=axis), rtol=1e-12, atol=0
+                    _logsumexp(a.copy(), axis), logsumexp(a, axis=axis), rtol=1e-12, atol=0
                 )
 
     def test_edge_rows_match_scipy_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _logsumexp(EDGE_ROWS, 1)
+            got = _logsumexp(EDGE_ROWS.copy(), 1)
         np.testing.assert_array_equal(got, logsumexp(EDGE_ROWS, axis=1))
         np.testing.assert_array_equal(got, EDGE_ROWS_EXPECTED)
 
@@ -220,7 +220,7 @@ class TestLogSumExp:
         a = layout(EDGE_ROWS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _logsumexp(a, axis)
+            got = _logsumexp(a.copy(), axis)
         np.testing.assert_array_equal(got, logsumexp(a, axis=axis))
         np.testing.assert_array_equal(got.ravel(), EDGE_ROWS_EXPECTED)
 
@@ -248,9 +248,41 @@ def far_component_block(rng, shape: tuple, axis: int, share: float) -> np.ndarra
     return shifted + level
 
 
-class TestFlushedExp:
-    """_logsumexp flushes the terms whose exp is below 2**-1022 to 0; the
-    sums they vanish from keep the bits of a plain np.exp."""
+def clamp_edge_rows() -> np.ndarray:
+    """Rows of log-densities around the values the clamp separates, each
+    with an exact-0 maximum, then rows whose maximum is not finite."""
+    tiny_log = np.log(np.finfo(np.float64).tiny)
+    near = [
+        EXP_CLAMP,
+        np.nextafter(EXP_CLAMP, -np.inf),
+        np.nextafter(EXP_CLAMP, np.inf),
+        tiny_log,
+        np.nextafter(tiny_log, -np.inf),
+        np.nextafter(tiny_log, np.inf),
+        -745.2,
+        -745.1,
+        -1e300,
+        -np.inf,
+    ]
+    rows = [[0.0, x, x] for x in near] + [[x, 0.0, y] for x in near for y in near]
+    rows += [
+        [0.0, -np.inf, -np.inf],
+        [-np.inf, -np.inf, -np.inf],
+        [np.nan, EXP_CLAMP, -np.inf],
+        [np.nan, -np.inf, -np.inf],
+        [np.inf, EXP_CLAMP - 1.0, -np.inf],
+        [np.inf, -np.inf, np.inf],
+    ]
+    return np.array(rows)
+
+
+class TestClampedExp:
+    """_logsumexp raises the max-shifted terms below EXP_CLAMP to it before
+    its exp; those terms vanish against each row's exact 1.0, so the sums
+    keep the bits of a plain np.exp."""
+
+    def test_clamp_is_normal_and_below_two_to_the_minus_1000(self):
+        assert np.finfo(np.float64).tiny < np.exp(EXP_CLAMP) < 2.0**-1000
 
     @pytest.mark.parametrize("m", ALLOWED_COMPONENT_COUNTS)
     @pytest.mark.parametrize(
@@ -265,30 +297,46 @@ class TestFlushedExp:
             shifted = a - a.max(axis=axis, keepdims=True)
             in_range = np.mean((shifted >= -760.0) & (shifted <= -690.0))
             assert abs(in_range - expected) < 0.05
-            before = a.copy()
-            np.testing.assert_array_equal(_logsumexp(a, axis), logsumexp_plain_exp(a, axis))
-            np.testing.assert_array_equal(a, before)
+            saved = a.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _logsumexp(a, axis)
+            np.testing.assert_array_equal(got, logsumexp_plain_exp(saved, axis))
 
-    def test_equals_exp_where_normal_and_zero_where_subnormal(self, rng):
-        tiny = np.finfo(np.float64).tiny
-        limit = np.log(tiny)  # exp(limit) is normal, exp of the next float down is not
-        x = np.concatenate(
-            [
-                rng.uniform(-800.0, 5.0, 20_000),
-                rng.uniform(-710.0, -707.0, 2_000),
-                np.nextafter(limit, [-np.inf, np.inf]),
-                [limit, -745.2, -745.1, -708.4, -708.39, -1e300, 0.0, -0.0, 1.0],
-                [np.nan, np.inf, -np.inf],
-            ]
-        )
+    @pytest.mark.parametrize(
+        "layout, axis",
+        [
+            (lambda rows: np.ascontiguousarray(rows.T), 0),
+            (lambda rows: np.ascontiguousarray(np.stack([rows.T, rows.T - 3.0])), 1),
+        ],
+        ids=["M-T", "block-M-T"],
+    )
+    @pytest.mark.parametrize("level", [0.0, -0.375, 20.0, -80.0])
+    def test_edge_rows_match_plain_exp_without_warnings(self, layout, axis, level):
+        a = layout(clamp_edge_rows() + level)
+        saved = a.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _exp_flushed(x.copy())
-            plain = np.exp(x)
-        np.testing.assert_array_equal(got, np.where(plain < tiny, 0.0, plain))
-        assert not np.any(np.signbit(got))
-        assert np.isnan(got[-3]) and got[-2] == np.inf and got[-1] == 0.0
-        assert got[x == limit] == np.exp(limit) and got[x == np.nextafter(limit, -np.inf)] == 0.0
+            got = _logsumexp(a, axis)
+            expected = logsumexp_plain_exp(saved, axis)
+        np.testing.assert_array_equal(got, expected)
+        # All-(-inf) rows give -inf, not log(M * exp(EXP_CLAMP)).
+        assert np.count_nonzero(got == -np.inf) == np.count_nonzero(
+            np.all(saved == -np.inf, axis=axis)
+        ) > 0
+
+    def test_scoring_and_em_leave_their_inputs_untouched(self, rng):
+        d, m = 4, 8
+        w = rng.uniform(0.2, 1.0, m)
+        model = GmmModel(KIND, w / w.sum(), rng.standard_normal((m, d)), rng.uniform(0.3, 2.0, (m, d)))
+        # Far frames put many terms below EXP_CLAMP.
+        fm = feats(rng.standard_normal((300, d)) * 40.0)
+        saved = (fm.values.copy(), model.weights.copy(), model.means.copy(), model.variances.copy())
+        stack = stack_models([model] * (SCORE_BLOCK + 1))
+        stack_scores(stack, fm)
+        em_step(fm, model, variance_floor(fm, 1e-3))
+        for array, before in zip((fm.values, model.weights, model.means, model.variances), saved):
+            np.testing.assert_array_equal(array, before)
 
 
 class TestModelValidation:
@@ -467,6 +515,19 @@ class TestLbgInit:
         log_dens = _component_log_densities(centroids, np.ones_like(centroids), data)
         labels = _assign(2.0 * data, (data * data) @ np.ones((12, d)).T, centroids)
         np.testing.assert_array_equal(labels, np.argmax(log_dens, axis=1))
+
+    def test_assign_takes_the_first_nan_like_argmax(self, rng):
+        # np.argmax returns the first NaN of a row: a NaN frame goes to
+        # centroid 0, and with NaN centroids 2 and 4 every other frame to 2.
+        d = 5
+        centroids = rng.standard_normal((6, d))
+        centroids[[2, 4], 1] = np.nan
+        data = rng.standard_normal((40, d))
+        data[7, 3] = np.nan
+        log_dens = _component_log_densities(centroids, np.ones_like(centroids), data)
+        labels = _assign(2.0 * data, (data * data) @ np.ones((6, d)).T, centroids)
+        np.testing.assert_array_equal(labels, np.argmax(log_dens, axis=1))
+        np.testing.assert_array_equal(labels, np.where(np.arange(40) == 7, 0, 2))
 
     def test_deterministic(self, rng):
         data = rng.standard_normal((512, 6))
@@ -665,6 +726,13 @@ class TestUtteranceScore:
             model_score(model, a) + model_score(model, b),
             abs=1e-9,
         )
+
+    def test_zero_frames_score_zero_per_model(self, rng):
+        # The empty sum, in one block and across a block boundary.
+        for n_models in (1, SCORE_BLOCK + 3):
+            stack = stack_models([self.make_model(rng, m=4) for _ in range(n_models)])
+            got = stack_scores(stack, feats(np.zeros((0, 3))))
+            np.testing.assert_array_equal(got, np.zeros(n_models))
 
     def test_kind_and_dim_guards(self, rng):
         stack = stack_models([self.make_model(rng)])
