@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .spectral import FilterbankConfig, fb_cepstra
 
 DB_MAGIC = b"VOXSDB"
 DB_VERSION = 1
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -325,12 +327,15 @@ def _fit_stream(stream: _Stream, reads: list, train: TrainConfig) -> list:
     return steps
 
 
-def _map_streams(task: Callable[[_Stream], object], streams: Sequence[_Stream]) -> list:
-    """``[task(stream) for stream in streams]``, with the first stream on the
-    calling thread and each other one on a thread of its own, started and
-    joined here. Each thread runs in a copy of the caller's context, so a
-    NumPy errstate set by the caller holds in it. The threads are joined
-    also when the calling thread's task raises. ``task`` must not raise."""
+def _map_streams(task: Callable[[_T], _R], streams: Sequence[_T]) -> list[_R]:
+    """``[task(stream) for stream in streams]``, with the first stream's task
+    on the calling thread and each other one on a thread of its own, started
+    and joined here; enrollment and scoring both run their streams so. Each
+    thread runs in a copy of the caller's context, so a NumPy errstate set
+    by the caller holds in it (NumPy 2 keeps errstate in a context
+    variable). The threads are joined also when the calling thread's task
+    raises, so none outlives the call. ``task`` must not raise: it returns
+    what it met, and the caller decides which error to raise."""
     results = [None] * len(streams)
 
     def run(index: int) -> None:
@@ -401,27 +406,46 @@ class SpeakerScores:
     residual: float | None
 
 
+def _score_stream(
+    stream: _Stream, stack: gmm.ModelStack, frames, missing: list
+) -> list | Exception:
+    """One stream's scores of the frames against its stack, as a list in
+    speaker order; ``missing`` when the stream keeps no frame (NoFeatures);
+    otherwise the Exception met. Never raises an Exception."""
+    try:
+        features = stream.extract(frames, stream.settings)
+        if not np.isfinite(features.values).all():
+            raise NumericalFailure(f"{stream.name} stream: features are not finite")
+        return gmm.stack_scores(stack, features).tolist()
+    except NoFeatures:
+        return missing
+    except Exception as exc:
+        return exc
+
+
 def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
     """Both streams' log-likelihoods against every enrolled speaker.
 
-    A stream that keeps no frame of this utterance (NoFeatures) scores None
-    for all speakers.  Every other error propagates to the caller: the
-    config admits no settings an extractor would refuse.
+    The utterance is preprocessed once on the calling thread; then its
+    streams extract and score at the same time (see ``_map_streams``). A
+    stream that keeps no frame of this utterance (NoFeatures) scores None
+    for all speakers.  Every other error propagates to the caller, the
+    spectral stream's before the residual stream's, as when one stream
+    runs after the other: the config admits no settings an extractor
+    would refuse.
     """
     if not db.speaker_ids:
         raise InsufficientData("speaker database is empty")
     frames = preprocess(audio, db.config.frame)
     missing = [None] * db.n_speakers
-    columns = []
-    for stream, stack in zip(_streams(db.config), db.model_stacks):
-        try:
-            features = stream.extract(frames, stream.settings)
-        except NoFeatures:
-            columns.append(missing)
-            continue
-        if not np.isfinite(features.values).all():
-            raise NumericalFailure(f"{stream.name} stream: features are not finite")
-        columns.append(gmm.stack_scores(stack, features).tolist())
+    # The residual stream, the longer one, runs on the calling thread, so
+    # the spectral stream's thread has mostly finished by the time it is
+    # joined and the caller seldom sleeps waiting for it.
+    pairs = tuple(zip(_streams(db.config), db.model_stacks))
+    columns = _map_streams(lambda pair: _score_stream(*pair, frames, missing), pairs[::-1])[::-1]
+    for column in columns:
+        if isinstance(column, Exception):
+            raise column
     if all(column is missing for column in columns):
         raise InsufficientData("both feature streams failed for this utterance")
     return tuple(map(SpeakerScores, db.speaker_ids, *columns))

@@ -751,6 +751,19 @@ class TestUtteranceScore:
         expected = [model_score(model, data) for model in models]
         np.testing.assert_array_equal(got, expected)
 
+    # The corpus's utterances keep about 231 frames: every frame count mod 8
+    # around it, against the benchmark's 100 speakers, for both streams.
+    @pytest.mark.parametrize("n_frames", range(224, 240))
+    @pytest.mark.parametrize("d", [13, 19])
+    def test_stacked_scores_equal_one_model_reference_at_corpus_frame_counts(
+        self, rng, d, n_frames
+    ):
+        models = [self.make_model(rng, d=d, m=8) for _ in range(100)]
+        data = rng.standard_normal((n_frames, d))
+        got = stack_scores(stack_models(models), feats(data))
+        expected = [model_score(model, data) for model in models]
+        np.testing.assert_array_equal(got, expected)
+
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
     def test_stacked_scores_match_direct_oracle(self, rng, m):
         models = [self.make_model(rng, d=3, m=m) for _ in range(2 * SCORE_BLOCK + 3)]

@@ -82,6 +82,25 @@ def with_config_json(blob: bytes, config_json: str) -> bytes:
     return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + length :]
 
 
+def with_decoys(db: SpeakerDatabase, n: int) -> SpeakerDatabase:
+    """db plus n decoys as the benchmark builds them: each a trained
+    speaker's models with every mean moved by a seeded normal draw of half
+    a standard deviation."""
+    rng = np.random.default_rng(7)
+    stores = tuple(dict(models) for models in db.stream_models)
+    ids = list(db.speaker_ids)
+    for i in range(n):
+        base = db.speaker_ids[i % db.n_speakers]
+        for store in stores:
+            m = store[base]
+            shift = 0.5 * np.sqrt(m.variances) * rng.standard_normal(m.means.shape)
+            store[f"decoy{i:02d}"] = GmmModel(
+                m.feature_kind, m.weights, m.means + shift, m.variances
+            )
+        ids.append(f"decoy{i:02d}")
+    return SpeakerDatabase(db.config, tuple(ids), *stores)
+
+
 def identify_or_error(db: SpeakerDatabase, audio: AudioSignal):
     """identify's result, or the type and message of the VoxidError it raised."""
     try:
@@ -354,6 +373,39 @@ def stub_layer(monkeypatch, name: str, failures: dict[int, BaseException], rows=
     monkeypatch.setattr(sid_pipeline, name, stub)
 
 
+def assert_worker_joined_when_the_calling_thread_stops(
+    monkeypatch, call, caller: str, worker: str
+) -> None:
+    """call() raises the BaseException that the layer named caller raises
+    on the calling thread while the layer named worker runs on the worker
+    thread, and returns only after the worker has finished; no thread
+    outlives it."""
+
+    class Stop(BaseException):
+        pass
+
+    started, finished = threading.Event(), threading.Event()
+    layer = getattr(sid_pipeline, worker)
+
+    def slow(frames, settings):
+        started.set()
+        time.sleep(0.05)
+        finished.set()
+        return layer(frames, settings)
+
+    def stop(frames, settings):
+        assert started.wait(timeout=10.0)
+        raise Stop
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(sid_pipeline, worker, slow)
+    monkeypatch.setattr(sid_pipeline, caller, stop)
+    with pytest.raises(Stop):
+        call()
+    assert finished.is_set()
+    assert threading.active_count() == baseline
+
+
 # The calls of a stubbed layer that raise, and the error each raises.
 LAYER_FAULTS = st.dictionaries(
     st.integers(0, 4), st.sampled_from([NoFeatures, LagTooLarge, ValueError]), max_size=2
@@ -505,29 +557,12 @@ class TestConcurrentEnrollment:
         assert threading.active_count() == baseline
 
     def test_worker_is_joined_when_the_calling_thread_stops(self, tiny_corpus, monkeypatch):
-        class Stop(BaseException):
-            pass
-
-        started, finished = threading.Event(), threading.Event()
-        residual = sid_pipeline.extract_acrlag
-
-        def slow_residual(frames, settings):
-            started.set()
-            time.sleep(0.05)
-            finished.set()
-            return residual(frames, settings)
-
-        def stop(frames, settings):
-            assert started.wait(timeout=10.0)
-            raise Stop
-
-        baseline = threading.active_count()
-        monkeypatch.setattr(sid_pipeline, "extract_acrlag", slow_residual)
-        monkeypatch.setattr(sid_pipeline, "fb_cepstra", stop)
-        with pytest.raises(Stop):
-            train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
-        assert finished.is_set()
-        assert threading.active_count() == baseline
+        assert_worker_joined_when_the_calling_thread_stops(
+            monkeypatch,
+            lambda: train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN),
+            caller="fb_cepstra",
+            worker="extract_acrlag",
+        )
 
     @pytest.mark.parametrize("name", ["fb_cepstra", "extract_acrlag"])
     def test_callers_errstate_holds_in_both_streams(self, tiny_corpus, monkeypatch, name):
@@ -540,6 +575,104 @@ class TestConcurrentEnrollment:
         monkeypatch.setattr(sid_pipeline, name, overflow)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
+        assert threading.active_count() == baseline
+
+
+def serial_scores(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
+    """score_utterance one stream after the other on the calling thread,
+    with each stream's models stacked here in speaker order. The layers are
+    looked up on sid_pipeline, so stubs set there apply."""
+    frames = sid_pipeline.preprocess(audio, db.config.frame)
+    columns = []
+    for extract, settings, models in (
+        (sid_pipeline.fb_cepstra, db.config.filterbank, db.spectral_models),
+        (sid_pipeline.extract_acrlag, db.config.acrlag, db.residual_models),
+    ):
+        stack = gmm.stack_models([models[sid] for sid in db.speaker_ids])
+        columns.append(gmm.stack_scores(stack, extract(frames, settings)).tolist())
+    return tuple(map(SpeakerScores, db.speaker_ids, *columns))
+
+
+class TestConcurrentScoring:
+    """score_utterance runs each utterance's streams at once, with the
+    scores and the error of the spectral stream, then the residual one."""
+
+    @pytest.mark.parametrize("n_decoys", [0, 2 * gmm.SCORE_BLOCK])
+    def test_scores_and_reports_equal_a_serial_loop(self, tiny_corpus, tiny_db, n_decoys):
+        manifest, _ = tiny_corpus
+        db = with_decoys(tiny_db, n_decoys)
+        baseline = threading.active_count()
+        trials = []
+        for entry in manifest.speakers:
+            for path in entry.test_utterances:
+                audio = audio_io.read_wav(path)
+                expected = serial_scores(db, audio)
+                assert score_utterance(db, audio) == expected
+                assert identify(db, audio).scores == expected
+                trials.append(ScoredTrial(entry.speaker_id, path, expected))
+        assert evaluate(db, manifest) == report_from_scores(trials)
+        etas = (0.0, 0.3, 1.0)
+        assert fusion_sweep(db, manifest, etas) == [
+            report_from_scores(trials, FusionConfig(eta)) for eta in etas
+        ]
+        assert threading.active_count() == baseline
+
+    def test_spectral_error_wins_over_a_residual_error(self, tiny_corpus, tiny_db, monkeypatch):
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
+        baseline = threading.active_count()
+        stub_layer(monkeypatch, "fb_cepstra", {0: LagTooLarge("spectral gave out")})
+        stub_layer(monkeypatch, "extract_acrlag", {0: NumericalFailure("residual gave out")})
+        with pytest.raises(LagTooLarge, match="^spectral gave out$"):
+            score_utterance(tiny_db, audio)
+        assert threading.active_count() == baseline
+
+    def test_non_finite_residual_features_name_the_stream(
+        self, tiny_corpus, tiny_db, monkeypatch
+    ):
+        residual = sid_pipeline.extract_acrlag
+
+        def one_nan_row(frames, settings):
+            features = residual(frames, settings)
+            features.values[0] = np.nan
+            return features
+
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
+        baseline = threading.active_count()
+        monkeypatch.setattr(sid_pipeline, "extract_acrlag", one_nan_row)
+        with pytest.raises(NumericalFailure, match="^residual stream: features are not finite$"):
+            score_utterance(tiny_db, audio)
+        assert threading.active_count() == baseline
+
+    def test_worker_is_joined_when_the_calling_thread_stops(
+        self, tiny_corpus, tiny_db, monkeypatch
+    ):
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
+        # The residual stream scores on the calling thread, the spectral
+        # stream on the worker.
+        assert_worker_joined_when_the_calling_thread_stops(
+            monkeypatch,
+            lambda: score_utterance(tiny_db, audio),
+            caller="extract_acrlag",
+            worker="fb_cepstra",
+        )
+
+    @pytest.mark.parametrize("name", ["fb_cepstra", "extract_acrlag"])
+    def test_callers_errstate_holds_in_both_streams_scoring(
+        self, tiny_corpus, tiny_db, monkeypatch, name
+    ):
+        # Finite features whose squares overflow in the stream's scoring;
+        # the spectral stream runs on the worker thread.
+        layer = getattr(sid_pipeline, name)
+
+        def huge(frames, settings):
+            features = layer(frames, settings)
+            return FeatureMatrix(features.kind, features.values * 1e200)
+
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
+        baseline = threading.active_count()
+        monkeypatch.setattr(sid_pipeline, name, huge)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            score_utterance(tiny_db, audio)
         assert threading.active_count() == baseline
 
 
@@ -599,12 +732,21 @@ class TestScoringAndIdentify:
 
             return extract
 
+        baseline = threading.active_count()
+        # Either stream's NoFeatures leaves the decision to the other one.
+        for name, off, on in (
+            ("extract_acrlag", "residual", "spectral"),
+            ("fb_cepstra", "spectral", "residual"),
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sid_pipeline, name, raising(NoFeatures))
+                scores = score_utterance(tiny_db, audio)
+                assert [getattr(s, on) for s in scores] == [getattr(s, on) for s in expected]
+                assert all(getattr(s, off) is None for s in scores)
+                result = identify(tiny_db, audio)
+                assert result.fused_winner == getattr(result, f"{on}_winner")
+                assert getattr(result, f"{off}_winner") is None
         monkeypatch.setattr(sid_pipeline, "extract_acrlag", raising(NoFeatures))
-        scores = score_utterance(tiny_db, audio)
-        assert [s.spectral for s in scores] == [s.spectral for s in expected]
-        assert all(s.residual is None for s in scores)
-        result = identify(tiny_db, audio)
-        assert result.fused_winner == result.spectral_winner and result.residual_winner is None
         monkeypatch.setattr(sid_pipeline, "fb_cepstra", raising(NoFeatures))
         with pytest.raises(InsufficientData, match="both feature streams failed"):
             score_utterance(tiny_db, audio)
@@ -612,6 +754,7 @@ class TestScoringAndIdentify:
         monkeypatch.setattr(sid_pipeline, "extract_acrlag", raising(LagTooLarge))
         with pytest.raises(LagTooLarge, match="^stub$"):
             score_utterance(tiny_db, audio)
+        assert threading.active_count() == baseline
 
     @pytest.mark.parametrize(
         "gain",
@@ -641,22 +784,9 @@ class TestScoringAndIdentify:
                 )
 
     def test_scores_do_not_depend_on_who_else_is_enrolled(self, tiny_corpus, tiny_db):
-        # Decoys as the benchmark builds them: trained models with shifted
-        # means.  40 of them put every enrolled speaker's models in a block
-        # with others, across three blocks of products.
-        rng = np.random.default_rng(7)
-        spectral, residual = dict(tiny_db.spectral_models), dict(tiny_db.residual_models)
-        ids = list(tiny_db.speaker_ids)
-        for i in range(40):
-            base = tiny_db.speaker_ids[i % tiny_db.n_speakers]
-            for store in (spectral, residual):
-                m = store[base]
-                shift = 0.5 * np.sqrt(m.variances) * rng.standard_normal(m.means.shape)
-                store[f"decoy{i:02d}"] = GmmModel(
-                    m.feature_kind, m.weights, m.means + shift, m.variances
-                )
-            ids.append(f"decoy{i:02d}")
-        wide = SpeakerDatabase(tiny_db.config, tuple(ids), spectral, residual)
+        # 40 decoys put every enrolled speaker's models in a block with
+        # others, across three blocks of products.
+        wide = with_decoys(tiny_db, 40)
         manifest, _ = tiny_corpus
         for entry in manifest.speakers:
             sid = entry.speaker_id
