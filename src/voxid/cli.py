@@ -6,15 +6,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import audio_io
-from .acrlag import extract_acrlag
 from .errors import BadFileFormat, VoxidError
-from .features import FeatureKind, FeatureMatrix, export_csv, save_features
+from .features import FeatureKind, export_csv, read_file, save_features
 from .sid_pipeline import (
+    EXTRACTORS,
     FusionConfig,
     PipelineConfig,
     evaluate,
@@ -26,74 +25,26 @@ from .sid_pipeline import (
     synth_corpus,
     train_database,
 )
-from .signal_prep import FrameSequence, preprocess
-from .spectral import (
-    FrequencyScale,
-    PlpConfig,
-    extract_lp_features,
-    fb_cepstra,
-    plpcc,
-)
+from .signal_prep import preprocess
 
 
-class Extractor(NamedTuple):
-    """``voxid extract`` for one kind: ``run(frames, config, settings)``,
-    the flags it reads as {argparse dest: setting name} (unset flags keep
-    its defaults), and the ``--config`` keys that set the values of flags
-    it does not read.  The pipeline's kinds read ``--config`` alone."""
-
-    run: Callable[[FrameSequence, PipelineConfig, dict], FeatureMatrix]
-    flags: dict[str, str]
-    config_keys: dict[str, str] = {}
-
-
-def _filterbank(scale: FrequencyScale) -> Extractor:
-    def run(frames, config, settings):
-        return fb_cepstra(frames, replace(config.filterbank, scale=scale))
-
-    return Extractor(run, {}, {"n_cep": "filterbank.n_cep", "fft_size": "filterbank.fft_size"})
-
-
-def _lp_transform(kind: FeatureKind) -> Extractor:
-    def run(frames, config, settings):
-        return extract_lp_features(frames, kind, **settings)
-
-    return Extractor(run, {"order": "order"})
-
-
-EXTRACTORS: dict[FeatureKind, Extractor] = {
-    FeatureKind.ACRLAG: Extractor(
-        lambda frames, config, settings: extract_acrlag(frames, config.acrlag), {}
-    ),
-    FeatureKind.MFCC: _filterbank(FrequencyScale.MEL),
-    FeatureKind.LFCC: _filterbank(FrequencyScale.HERTZ),
-    FeatureKind.PLPCC: Extractor(
-        lambda frames, config, settings: plpcc(frames, PlpConfig(**settings)),
-        {"order": "model_order", "n_cep": "n_cep", "fft_size": "fft_size"},
-    ),
-    FeatureKind.LPCC: _lp_transform(FeatureKind.LPCC),
-    FeatureKind.LSF: _lp_transform(FeatureKind.LSF),
-    FeatureKind.LAR: _lp_transform(FeatureKind.LAR),
-}
-
-# Settings flags of `voxid extract`: argparse dest -> help text.
-_EXTRACT_FLAGS = {"order": "model order", "n_cep": "cepstra kept", "fft_size": "FFT length"}
-
-
-def _load_config(path: str | None) -> PipelineConfig:
-    """Pipeline settings from the --config JSON file, or the defaults;
-    every error names the file."""
+def _load_config(path: str | None, section: str | None = None) -> PipelineConfig:
+    """Pipeline settings from the --config JSON file, or the defaults, with
+    ``section`` fitting the frames when given; every error names the file."""
     if path is None:
         return PipelineConfig()
     path = Path(path)
     try:
-        doc = json.loads(path.read_bytes())
+        doc = json.loads(read_file(path))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
     try:
-        return PipelineConfig.from_json_dict(doc)
-    except BadFileFormat as exc:
+        config = PipelineConfig.from_json_dict(doc)
+        if section is not None:
+            config.check_frames_fit(section)
+    except (BadFileFormat, ValueError) as exc:
         raise BadFileFormat(f"{path}: {exc}") from None
+    return config
 
 
 def _cmd_synth_corpus(args: argparse.Namespace) -> int:
@@ -115,19 +66,11 @@ def _cmd_synth_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    extractor = EXTRACTORS[FeatureKind.parse(args.kind)]
-    given = {d: getattr(args, d) for d in _EXTRACT_FLAGS if getattr(args, d) is not None}
-    unread = [dest for dest in given if dest not in extractor.flags]
-    if unread:
-        key = extractor.config_keys.get(unread[0])
-        hint = f"; set the --config key '{key}' instead" if key else ""
-        flag = "--" + unread[0].replace("_", "-")
-        raise VoxidError(f"{flag} is not read by --kind {args.kind}{hint}")
-    settings = {extractor.flags[dest]: value for dest, value in given.items()}
+    section, extract = EXTRACTORS[FeatureKind.parse(args.kind)]
+    config = _load_config(args.config, section)
     audio = audio_io.read_wav(args.audio)
     frames = preprocess(audio, config.frame)
-    matrix = extractor.run(frames, config, settings)
+    matrix = extract(frames, getattr(config, section))
     save_features(matrix, args.out)
     if args.csv:
         export_csv(matrix, args.csv)
@@ -230,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=[k.value.lower() for k in EXTRACTORS])
     p.add_argument("--out", required=True, help="output feature file")
     p.add_argument("--csv", help="also export CSV here")
-    for dest, text in _EXTRACT_FLAGS.items():
-        kinds = "/".join(k.value.lower() for k, e in EXTRACTORS.items() if dest in e.flags)
-        p.add_argument("--" + dest.replace("_", "-"), type=int, help=f"{text} ({kinds})")
     p.add_argument("--config", help="JSON file of pipeline settings")
     p.set_defaults(func=_cmd_extract)
 

@@ -149,8 +149,17 @@ def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
     Path(path).write_bytes(feature_matrix_to_bytes(matrix))
 
 
+def read_file(path: str | Path) -> bytes:
+    """The file's bytes; BadFileFormat naming the path when it cannot be
+    read (a missing file, a directory, a failed read)."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise BadFileFormat(f"{path}: cannot be read ({exc.strerror or exc})") from exc
+
+
 def load_features(path: str | Path) -> FeatureMatrix:
-    return feature_matrix_from_bytes(Path(path).read_bytes())
+    return feature_matrix_from_bytes(read_file(path))
 
 
 def export_csv(matrix: FeatureMatrix, path: str | Path) -> None:

@@ -25,12 +25,17 @@ from . import audio_io, corpus, gmm
 from .acrlag import AcrlagConfig, extract_acrlag
 from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
+from .features import read_file
 from .gmm import GmmModel, TrainConfig
 from .signal_prep import AudioSignal, FrameConfig, preprocess
-from .spectral import FilterbankConfig, fb_cepstra
+from .spectral import FilterbankConfig, FrequencyScale, LpTransformConfig, PlpConfig
+from .spectral import extract_lp_features, fb_cepstra, plpcc
 
 DB_MAGIC = b"VOXSDB"
 DB_VERSION = 1
+# The config sections that a database's streams and training read, and so
+# all that its header holds: no other setting moves a database's bytes.
+DB_HEADER_SECTIONS = ("acrlag", "filterbank", "frame", "train")
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
@@ -70,8 +75,8 @@ class CorpusManifest:
 
 def _manifest_entry(item: object, path: Path) -> SpeakerEntry:
     """One speaker of a manifest document; utterance paths resolve relative to it."""
-    if not isinstance(item, dict) or "speaker_id" not in item:
-        raise BadFileFormat(f"{path}: every speaker must be an object with a 'speaker_id'")
+    if not isinstance(item, dict) or not isinstance(item.get("speaker_id"), str):
+        raise BadFileFormat(f"{path}: every speaker must be an object with a 'speaker_id' string")
     train, test = (item.get(key, []) for key in ("train_utterances", "test_utterances"))
     for paths in (train, test):
         if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
@@ -79,7 +84,7 @@ def _manifest_entry(item: object, path: Path) -> SpeakerEntry:
                 f"{path}: speaker {item['speaker_id']!r}: utterance lists must hold path strings"
             )
     return SpeakerEntry(
-        speaker_id=str(item["speaker_id"]),
+        speaker_id=item["speaker_id"],
         train_utterances=tuple(str(path.parent / p) for p in train),
         test_utterances=tuple(str(path.parent / p) for p in test),
     )
@@ -89,7 +94,7 @@ def load_manifest(path: str | Path, check_paths: bool = True) -> CorpusManifest:
     """Read a manifest JSON; utterance paths resolve relative to the file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_bytes())
+        doc = json.loads(read_file(path))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("speakers"), list):
@@ -143,32 +148,22 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of the two-stream pipeline in one place."""
+    """Every setting in one place: the pipeline's, and those of the kinds
+    that only `voxid extract` computes (plp, lp_transform)."""
 
     frame: FrameConfig = field(default_factory=FrameConfig)
     acrlag: AcrlagConfig = field(default_factory=AcrlagConfig)
     filterbank: FilterbankConfig = field(default_factory=FilterbankConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+    plp: PlpConfig = field(default_factory=PlpConfig)
+    lp_transform: LpTransformConfig = field(default_factory=LpTransformConfig)
 
     def __post_init__(self) -> None:
-        """Frames fit the FFT and hold every LP and ACRLAG lag, so neither
-        extractor can refuse these settings; and each stream's features are
-        narrow enough for exact stacked scores."""
-        frame_len, fft_size = self.frame.frame_len_samples, self.filterbank.fft_size
-        if frame_len > fft_size:
-            raise ValueError(
-                f"config key 'frame.frame_len_samples': frames of {frame_len} samples "
-                f"do not fit a {fft_size}-point FFT (filterbank.fft_size)"
-            )
-        for key, lag in (
-            ("acrlag.lp_order", self.acrlag.lp_order),
-            ("acrlag.max_lag", self.acrlag.max_lag),
-        ):
-            if lag >= frame_len:
-                raise ValueError(
-                    f"config key '{key}': {lag} needs frames longer than "
-                    f"{frame_len} samples (frame.frame_len_samples)"
-                )
+        """Frames fit the pipeline's FFT and hold its LP and ACRLAG lags, so
+        neither stream's extractor can refuse these settings; and each
+        stream's features are narrow enough for exact stacked scores."""
+        for section in ("filterbank", "acrlag"):
+            self.check_frames_fit(section)
         for key, value, dim in (
             ("filterbank.n_cep", self.filterbank.n_cep, self.filterbank.n_cep),
             ("acrlag.max_lag", self.acrlag.max_lag, self.acrlag.dim),
@@ -177,6 +172,25 @@ class PipelineConfig:
                 raise ValueError(
                     f"config key '{key}': {value} gives features of dimension {dim}; "
                     f"scores are exact only below dimension {gmm.EXACT_STACK_DIM}"
+                )
+
+    def check_frames_fit(self, section: str) -> None:
+        """Refuse a section whose FFT is shorter than a frame, or whose LP
+        order or lag is not: construction checks the pipeline's two
+        sections, and `voxid extract` the section its kind reads."""
+        frame_len, settings = self.frame.frame_len_samples, getattr(self, section)
+        fft_size = getattr(settings, "fft_size", frame_len)
+        if frame_len > fft_size:
+            raise ValueError(
+                f"config key 'frame.frame_len_samples': frames of {frame_len} samples "
+                f"do not fit a {fft_size}-point FFT ({section}.fft_size)"
+            )
+        for name in ("lp_order", "max_lag", "order"):
+            lag = getattr(settings, name, 0)
+            if lag >= frame_len:
+                raise ValueError(
+                    f"config key '{section}.{name}': {lag} needs frames longer than "
+                    f"{frame_len} samples (frame.frame_len_samples)"
                 )
 
     @classmethod
@@ -230,6 +244,33 @@ class PipelineConfig:
             raise BadFileFormat(str(exc)) from None
 
 
+def _fb_cepstra_on(scale: FrequencyScale) -> Callable[..., FeatureMatrix]:
+    """fb_cepstra on ``scale``; settings already on it are passed as they
+    are, keeping the filterbank they built."""
+    return lambda frames, fb: fb_cepstra(
+        frames, fb if fb.scale is scale else replace(fb, scale=scale)
+    )
+
+
+def _lp_transform(kind: FeatureKind) -> Callable[..., FeatureMatrix]:
+    return lambda frames, lp_transform: extract_lp_features(frames, kind, lp_transform.order)
+
+
+# Each feature kind's PipelineConfig section and its extractor, called as
+# extract(frames, section): `voxid extract --kind` runs one, and `_streams`
+# takes the pipeline's two from here. Each entry looks its function up on
+# this module when it runs, so a wrapper set on the module sees every call.
+EXTRACTORS: dict[FeatureKind, tuple[str, Callable[..., FeatureMatrix]]] = {
+    FeatureKind.ACRLAG: ("acrlag", lambda frames, acrlag: extract_acrlag(frames, acrlag)),
+    FeatureKind.MFCC: ("filterbank", _fb_cepstra_on(FrequencyScale.MEL)),
+    FeatureKind.LFCC: ("filterbank", _fb_cepstra_on(FrequencyScale.HERTZ)),
+    FeatureKind.PLPCC: ("plp", lambda frames, plp: plpcc(frames, plp)),
+    FeatureKind.LPCC: ("lp_transform", _lp_transform(FeatureKind.LPCC)),
+    FeatureKind.LSF: ("lp_transform", _lp_transform(FeatureKind.LSF)),
+    FeatureKind.LAR: ("lp_transform", _lp_transform(FeatureKind.LAR)),
+}
+
+
 class _Stream(NamedTuple):
     """A feature stream: its extractor, the settings passed to it, and the
     kind and dimension of its features and models."""
@@ -243,12 +284,16 @@ class _Stream(NamedTuple):
 
 def _streams(config: PipelineConfig) -> tuple[_Stream, _Stream]:
     """(spectral, residual): the order of every per-stream tuple and of each
-    speaker's models in a database blob. The extractors are looked up here on
-    every call, so a wrapper set on this module's attribute sees each call."""
+    speaker's models in a database blob."""
+
+    def stream(name: str, kind: FeatureKind, dim: int) -> _Stream:
+        section, extract = EXTRACTORS[kind]
+        return _Stream(name, extract, getattr(config, section), kind, dim)
+
     fb, ac = config.filterbank, config.acrlag
     return (
-        _Stream("spectral", fb_cepstra, fb, fb.feature_kind, fb.n_cep),
-        _Stream("residual", extract_acrlag, ac, FeatureKind.ACRLAG, ac.dim),
+        stream("spectral", fb.feature_kind, fb.n_cep),
+        stream("residual", FeatureKind.ACRLAG, ac.dim),
     )
 
 
@@ -649,10 +694,11 @@ def fusion_sweep(
 
 
 def database_to_bytes(db: SpeakerDatabase) -> bytes:
+    header = {name: asdict(getattr(db.config, name)) for name in DB_HEADER_SECTIONS}
     out = [
         DB_MAGIC,
         struct.pack("<H", DB_VERSION),
-        pack_text(json.dumps(asdict(db.config), sort_keys=True)),
+        pack_text(json.dumps(header, sort_keys=True)),
         struct.pack("<I", db.n_speakers),
     ]
     for sid in db.speaker_ids:
@@ -673,6 +719,9 @@ def database_from_bytes(blob: bytes) -> SpeakerDatabase:
     except ValueError as exc:
         raise BadFileFormat(f"database header is not valid JSON ({exc})") from None
     config = PipelineConfig.from_json_dict(doc)
+    if (config.plp, config.lp_transform) != (PlpConfig(), LpTransformConfig()):
+        # A header written here never holds them: loading gives their defaults.
+        raise BadFileFormat("database header: 'plp' and 'lp_transform' may hold only defaults")
     (n_speakers,) = reader.unpack("<I")
     streams = _streams(config)
     speaker_ids = []
@@ -698,7 +747,7 @@ def save_database(db: SpeakerDatabase, path: str | Path) -> None:
 
 
 def load_database(path: str | Path) -> SpeakerDatabase:
-    return database_from_bytes(Path(path).read_bytes())
+    return database_from_bytes(read_file(path))
 
 
 def synth_corpus(

@@ -90,10 +90,20 @@ class FilterbankConfig:
                 f"band edges ({self.f_low_hz}, {high}) must satisfy "
                 f"0 <= low < high <= {NYQUIST_HZ}"
             )
-        too_narrow = np.flatnonzero(np.count_nonzero(self.filterbank, axis=1) < 2)
+        # Filter i is positive on the bins strictly between its outer points.
+        # Filters 0, 2, 4, ... have disjoint supports, so with more filters
+        # than bins one of the first bins + 1 covers fewer than 2: only those
+        # are counted, and no (n_filters, bins) array is built.
+        n_bins = self.fft_size // 2 + 1
+        points = _boundary_points(self, min(self.n_filters, n_bins + 1) + 2)
+        bin_hz = _bin_hz(self.fft_size)
+        covered = np.searchsorted(bin_hz, points[2:]) - np.searchsorted(
+            bin_hz, points[:-2], side="right"
+        )
+        too_narrow = np.flatnonzero(covered < 2)
         if too_narrow.size:
             raise ValueError(
-                f"filter {too_narrow[0]} covers fewer than 2 of the {self.fft_size // 2 + 1} "
+                f"filter {too_narrow[0]} covers fewer than 2 of the {n_bins} "
                 "FFT bins; increase fft_size or reduce n_filters"
             )
 
@@ -115,6 +125,28 @@ class FilterbankConfig:
         return _read_only(basis)
 
 
+def _bin_hz(fft_size: int) -> np.ndarray:
+    """The frequency of each of an FFT's fft_size // 2 + 1 bins."""
+    return np.arange(fft_size // 2 + 1) * (SAMPLE_RATE_HZ / fft_size)
+
+
+def _boundary_points(cfg: FilterbankConfig, count: int) -> np.ndarray:
+    """The first ``count`` of the n_filters + 2 filter boundary points, in
+    hertz, spaced equally on the configured scale.  np.linspace computes
+    every point but the last as ``start + k * step``; a shorter prefix is
+    computed the same way, so it costs only its own length."""
+    low = cfg.f_low_hz
+    high = NYQUIST_HZ if cfg.f_high_hz is None else cfg.f_high_hz
+    if cfg.scale is FrequencyScale.MEL:
+        low, high = mel_from_hertz(low), mel_from_hertz(high)
+    n_points = cfg.n_filters + 2
+    if count == n_points:
+        points = np.linspace(low, high, n_points)
+    else:
+        points = low + np.arange(count) * ((high - low) / (n_points - 1))
+    return hertz_from_mel(points) if cfg.scale is FrequencyScale.MEL else points
+
+
 def build_filterbank(cfg: FilterbankConfig) -> np.ndarray:
     """Triangular filter matrix of shape (n_filters, fft_size // 2 + 1).
 
@@ -122,16 +154,8 @@ def build_filterbank(cfg: FilterbankConfig) -> np.ndarray:
     rises linearly in hertz from point i to point i+1 (its center) and falls
     to point i+2, so adjacent filters overlap by construction.
     """
-    f_low = cfg.f_low_hz
-    f_high = NYQUIST_HZ if cfg.f_high_hz is None else cfg.f_high_hz
-    if cfg.scale is FrequencyScale.MEL:
-        points = hertz_from_mel(
-            np.linspace(mel_from_hertz(f_low), mel_from_hertz(f_high), cfg.n_filters + 2)
-        )
-    else:
-        points = np.linspace(f_low, f_high, cfg.n_filters + 2)
-    bin_hz = np.arange(cfg.fft_size // 2 + 1) * (SAMPLE_RATE_HZ / cfg.fft_size)
-
+    points = _boundary_points(cfg, cfg.n_filters + 2)
+    bin_hz = _bin_hz(cfg.fft_size)
     left, center, right = points[:-2, None], points[1:-1, None], points[2:, None]
     rising = (bin_hz - left) / (center - left)
     falling = (right - bin_hz) / (right - center)
@@ -140,8 +164,8 @@ def build_filterbank(cfg: FilterbankConfig) -> np.ndarray:
 
 def _power_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
     # rfft would silently cut a longer frame to its first fft_size samples.
-    # PipelineConfig refuses that pairing; `voxid extract --kind plpcc
-    # --fft-size` can still ask for it.
+    # PipelineConfig refuses that pairing; a FilterbankConfig or PlpConfig
+    # passed to an extractor directly can still ask for it.
     if frames.shape[1] > fft_size:
         raise ValueError(
             f"frames of {frames.shape[1]} samples do not fit a {fft_size}-point FFT"
@@ -188,7 +212,7 @@ class PlpConfig:
     def band_weights(self) -> np.ndarray:
         """Critical-band weights times the equal-loudness curve,
         (resolved_bands, fft_size // 2 + 1)."""
-        bin_hz = np.arange(self.fft_size // 2 + 1) * (SAMPLE_RATE_HZ / self.fft_size)
+        bin_hz = _bin_hz(self.fft_size)
         weights = bark_filterbank(self.resolved_bands, self.fft_size)
         return _read_only(weights * np.asarray(equal_loudness(bin_hz))[None, :])
 
@@ -214,8 +238,7 @@ def bark_filterbank(n_bands: int, fft_size: int) -> np.ndarray:
     Bark.  Each band is flat within +-0.5 Bark of its center and falls off
     exponentially outside: 10 dB per Bark below, 25 dB per Bark above.
     """
-    bin_hz = np.arange(fft_size // 2 + 1) * (SAMPLE_RATE_HZ / fft_size)
-    bin_bark = np.asarray(bark_from_hertz(bin_hz))
+    bin_bark = np.asarray(bark_from_hertz(_bin_hz(fft_size)))
     centers = np.linspace(0.0, float(bark_from_hertz(NYQUIST_HZ)), n_bands)
     lo = bin_bark[None, :] - centers[:, None] - 0.5
     hi = bin_bark[None, :] - centers[:, None] + 0.5
@@ -258,6 +281,17 @@ def _lsf_rows(coeffs: np.ndarray, reflection: np.ndarray) -> np.ndarray:
     if not np.any(valid):
         raise NoFeatures("no frame yielded line spectral frequencies")
     return freqs[valid]
+
+
+@dataclass(frozen=True)
+class LpTransformConfig:
+    """LPCC, LSF and LAR settings: the LP order, also the feature dimension."""
+
+    order: int = 19
+
+    def __post_init__(self) -> None:
+        if self.order < 1:
+            raise ValueError("order must be at least 1")
 
 
 def extract_lp_features(frames: FrameSequence, kind: FeatureKind, order: int = 19) -> FeatureMatrix:

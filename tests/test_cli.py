@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -12,9 +14,10 @@ import voxid
 from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance
 from voxid import audio_io
 from voxid.acrlag import AcrlagConfig, extract_acrlag
-from voxid.cli import build_parser, main
+from voxid.cli import _load_config, build_parser, main
+from voxid.errors import BadFileFormat
 from voxid.features import FeatureKind, feature_matrix_to_bytes, load_features
-from voxid.sid_pipeline import load_database
+from voxid.sid_pipeline import load_database, load_manifest
 from voxid.signal_prep import AudioSignal, FrameConfig, preprocess
 from voxid.spectral import (
     FilterbankConfig,
@@ -25,7 +28,7 @@ from voxid.spectral import (
     plpcc,
 )
 
-# What `voxid extract --kind K` computes with no settings flags.
+# What `voxid extract --kind K` computes with no --config.
 LIBRARY_EXTRACTORS = {
     "acrlag": extract_acrlag,
     "mfcc": lambda frames: fb_cepstra(frames, FilterbankConfig(scale=FrequencyScale.MEL)),
@@ -125,6 +128,19 @@ def test_package_root_provides_what_callers_take_from_it():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "load", [load_manifest, load_database, load_features, _load_config],
+    ids=["manifest", "database", "features", "config"],
+)
+@pytest.mark.parametrize(
+    "name, strerror", [("missing.bin", "No such file or directory"), (".", "Is a directory")]
+)
+def test_unreadable_path_is_bad_file_format(tmp_path, load, name, strerror):
+    path = tmp_path / name
+    with pytest.raises(BadFileFormat, match=f"^{re.escape(f'{path}: cannot be read ({strerror})')}$"):
+        load(str(path))
+
+
 class TestSynthCorpus:
     def test_layout(self, cli_corpus):
         assert (cli_corpus / "manifest.json").exists()
@@ -156,61 +172,91 @@ class TestExtract:
         (kind,) = [a for a in extract._actions if a.dest == "kind"]
         assert set(kind.choices) == {k.value.lower() for k in FeatureKind}
 
-    def test_settings_flags_reach_the_extractor(self, cli_corpus, tmp_path):
-        wav = cli_corpus / "spk00" / "train_00.wav"
-        frames = preprocess(audio_io.read_wav(wav), FrameConfig())
-        acrlag_config = write_config(
-            tmp_path / "acrlag.json", {"acrlag": {"lp_order": 10, "max_lag": 5}}
-        )
-        lfcc_config = write_config(
-            tmp_path / "lfcc.json", {"filterbank": {"n_filters": 24, "n_cep": 12}}
-        )
-        cases = (
+    @pytest.mark.parametrize(
+        "kind, doc, direct",
+        [
             (
-                ["--kind", "acrlag", "--config", acrlag_config],
-                extract_acrlag(frames, AcrlagConfig(lp_order=10, max_lag=5)),
+                "acrlag",
+                {"acrlag": {"lp_order": 10, "max_lag": 5}},
+                lambda frames: extract_acrlag(frames, AcrlagConfig(lp_order=10, max_lag=5)),
             ),
             (
-                ["--kind", "lsf", "--order", "12"],
-                extract_lp_features(frames, FeatureKind.LSF, 12),
-            ),
-            (
-                ["--kind", "plpcc", "--order", "12", "--n-cep", "8"],
-                plpcc(frames, PlpConfig(model_order=12, n_cep=8)),
-            ),
-            (
-                ["--kind", "lfcc", "--config", lfcc_config],
-                fb_cepstra(
+                "lfcc",
+                {"filterbank": {"n_filters": 24, "n_cep": 12}},
+                lambda frames: fb_cepstra(
                     frames, FilterbankConfig(n_filters=24, n_cep=12, scale=FrequencyScale.HERTZ)
                 ),
             ),
-        )
-        for flags, direct in cases:
-            out = tmp_path / "f.ftr"
-            assert main(["extract", str(wav), "--out", str(out), *flags]) == 0
-            assert out.read_bytes() == feature_matrix_to_bytes(direct)
-
-    @pytest.mark.parametrize(
-        "kind, flag, config_key",
-        [
-            ("lpcc", "--n-cep", None),
-            ("lar", "--fft-size", None),
-            ("acrlag", "--order", None),
-            ("mfcc", "--order", None),
-            ("mfcc", "--n-cep", "filterbank.n_cep"),
-            ("lfcc", "--fft-size", "filterbank.fft_size"),
+            # The keys that replaced the settings flags: plp.model_order,
+            # plp.n_cep and plp.fft_size (plpcc's --order, --n-cep and
+            # --fft-size), and lp_transform.order (--order of lpcc, lsf, lar).
+            (
+                "plpcc",
+                {"plp": {"model_order": 12}},
+                lambda frames: plpcc(frames, PlpConfig(model_order=12)),
+            ),
+            ("plpcc", {"plp": {"n_cep": 8}}, lambda frames: plpcc(frames, PlpConfig(n_cep=8))),
+            (
+                "plpcc",
+                {"plp": {"fft_size": 256}},
+                lambda frames: plpcc(frames, PlpConfig(fft_size=256)),
+            ),
+            (
+                "plpcc",
+                {"plp": {"model_order": 12, "n_cep": 8, "fft_size": 256}},
+                lambda frames: plpcc(frames, PlpConfig(model_order=12, n_cep=8, fft_size=256)),
+            ),
+            *(
+                (
+                    kind,
+                    {"lp_transform": {"order": 12}},
+                    lambda frames, kind=kind: extract_lp_features(
+                        frames, FeatureKind.parse(kind), 12
+                    ),
+                )
+                for kind in ("lpcc", "lsf", "lar")
+            ),
+        ],
+        ids=[
+            "acrlag", "lfcc", "plp-order", "plp-n-cep", "plp-fft-size", "plp-all",
+            "lpcc", "lsf", "lar",
         ],
     )
-    def test_unread_flag_is_an_error_line(
-        self, cli_corpus, tmp_path, capsys, kind, flag, config_key
-    ):
+    def test_config_settings_reach_the_extractor(self, cli_corpus, tmp_path, kind, doc, direct):
+        wav = cli_corpus / "spk00" / "train_00.wav"
+        frames = preprocess(audio_io.read_wav(wav), FrameConfig())
+        config = write_config(tmp_path / "cfg.json", doc)
+        out = tmp_path / "f.ftr"
+        code = main(["extract", str(wav), "--kind", kind, "--out", str(out), "--config", config])
+        assert code == 0
+        assert out.read_bytes() == feature_matrix_to_bytes(direct(frames))
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [
+            ("plpcc", "--order"),
+            ("plpcc", "--n-cep"),
+            ("plpcc", "--fft-size"),
+            ("lpcc", "--order"),
+            ("lsf", "--order"),
+            ("lar", "--order"),
+            ("lpcc", "--n-cep"),
+            ("mfcc", "--n-cep"),
+            ("lfcc", "--fft-size"),
+            ("acrlag", "--order"),
+        ],
+    )
+    def test_removed_settings_flag_is_a_usage_error(self, cli_corpus, tmp_path, capsys, kind, flag):
+        # Settings come from --config alone; the flags that once set them
+        # are unknown options.
         wav = cli_corpus / "spk00" / "train_00.wav"
         out = tmp_path / "f.ftr"
-        code = main(["extract", str(wav), "--kind", kind, "--out", str(out), flag, "5"])
-        assert code == 1
+        with pytest.raises(SystemExit) as caught:
+            main(["extract", str(wav), "--kind", kind, "--out", str(out), flag, "5"])
+        assert caught.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag} is not read by --kind {kind}")
-        assert (f"--config key '{config_key}'" in err) == (config_key is not None)
+        assert f"error: unrecognized arguments: {flag} 5" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_help_offers_only_these_options(self):
@@ -220,10 +266,7 @@ class TestExtract:
             for name, p in subparsers.items()
         }
         assert options["train"] == {"-h", "--manifest", "--out", "--config"}
-        assert options["extract"] == {
-            "-h", "audio", "--kind", "--out", "--csv", "--config", "--order", "--n-cep",
-            "--fft-size",
-        }
+        assert options["extract"] == {"-h", "audio", "--kind", "--out", "--csv", "--config"}
 
     def test_csv_export(self, cli_corpus, tmp_path):
         wav = cli_corpus / "spk01" / "train_00.wav"
@@ -236,24 +279,27 @@ class TestExtract:
         header = csv.read_text().splitlines()[0]
         assert header.startswith("mfcc_0,")
 
-    def test_frame_longer_than_the_fft_is_an_error_line(self, cli_corpus, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "fft_size, reason",
+        [
+            (
+                128,
+                "config key 'frame.frame_len_samples': frames of 160 samples "
+                "do not fit a 128-point FFT (plp.fft_size)",
+            ),
+            (2**30, f"config key 'plp': fft_size {2**30} is above the largest FFT size, 16384"),
+        ],
+        ids=["frame-longer-than-the-fft", "fft-above-the-cap"],
+    )
+    def test_bad_plp_fft_size_is_a_config_error_line(
+        self, cli_corpus, tmp_path, capsys, fft_size, reason
+    ):
         wav = str(cli_corpus / "spk00" / "test_00.wav")
+        cfg = write_config(tmp_path / "cfg.json", {"plp": {"fft_size": fft_size}})
         out = tmp_path / "p.ftr"
-        code = main(["extract", wav, "--kind", "plpcc", "--fft-size", "128", "--out", str(out)])
+        code = main(["extract", wav, "--kind", "plpcc", "--config", cfg, "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "error: frames of 160 samples do not fit a 128-point FFT\n"
-        )
-        assert not out.exists()
-
-    def test_fft_above_the_cap_is_an_error_line(self, cli_corpus, tmp_path, capsys):
-        wav = str(cli_corpus / "spk00" / "test_00.wav")
-        out = tmp_path / "p.ftr"
-        code = main(["extract", wav, "--kind", "plpcc", "--fft-size", str(2**30), "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: fft_size {2**30} is above the largest FFT size, 16384\n"
-        )
+        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
         assert not out.exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
@@ -320,6 +366,73 @@ class TestTrainIdentifyEvaluate:
         again = tmp_path / "again.db"
         assert train_m2(cli_corpus, again) == 0
         assert again.read_bytes() == cli_db.read_bytes()
+
+    def test_extract_settings_never_move_a_database(self, cli_corpus, cli_db, tmp_path):
+        # A header holds only the sections the streams and training read.
+        config = write_config(
+            tmp_path / "cfg.json",
+            {
+                "train": {"n_components": 2},
+                "plp": {"model_order": 12, "n_cep": 8, "fft_size": 256},
+                "lp_transform": {"order": 12},
+            },
+        )
+        db = tmp_path / "extract_settings.db"
+        manifest = str(cli_corpus / "manifest.json")
+        assert main(["train", "--manifest", manifest, "--out", str(db), "--config", config]) == 0
+        blob = db.read_bytes()
+        assert blob == cli_db.read_bytes()
+        (length,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + length])
+        assert sorted(header) == ["acrlag", "filterbank", "frame", "train"]
+
+    @pytest.mark.parametrize(
+        "doc, refused_kind, key",
+        [
+            (
+                {
+                    "frame": {"frame_len_samples": 1024, "hop_samples": 512},
+                    "filterbank": {"fft_size": 1024},
+                },
+                "plpcc",
+                "config key 'frame.frame_len_samples': frames of 1024 samples "
+                "do not fit a 512-point FFT (plp.fft_size)",
+            ),
+            (
+                {
+                    "frame": {"frame_len_samples": 16, "hop_samples": 8},
+                    "acrlag": {"lp_order": 10, "max_lag": 8},
+                },
+                "lpcc",
+                "config key 'lp_transform.order': 19 needs frames longer than 16 samples "
+                "(frame.frame_len_samples)",
+            ),
+        ],
+        ids=["frames-above-plp-fft", "frames-within-lp-transform-order"],
+    )
+    def test_extract_only_defaults_never_refuse_a_pipeline_config(
+        self, cli_corpus, tmp_path, capsys, doc, refused_kind, key
+    ):
+        # The plp and lp_transform defaults misfit these frames, yet the
+        # pipeline never reads them: train, load, identify and the pipeline's
+        # kinds run; only `voxid extract` of a kind that reads one refuses.
+        config = write_config(tmp_path / "cfg.json", {**doc, "train": {"n_components": 2}})
+        db = tmp_path / "speakers.db"
+        manifest = str(cli_corpus / "manifest.json")
+        assert main(["train", "--manifest", manifest, "--out", str(db), "--config", config]) == 0
+        frame_len = doc["frame"]["frame_len_samples"]
+        assert load_database(db).config.frame.frame_len_samples == frame_len
+        wav = str(cli_corpus / "spk02" / "test_00.wav")
+        assert main(["identify", wav, "--db", str(db)]) == 0
+        out = tmp_path / "f.ftr"
+        for kind in ("mfcc", "lfcc", "acrlag"):
+            assert main(["extract", wav, "--kind", kind, "--config", config, "--out", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        code = main(["extract", wav, "--kind", refused_kind, "--config", config, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: {key}\n"
+        assert not out.exists()
 
     def test_denormal_variance_is_an_error_line(self, cli_corpus, cli_db, tmp_path, capsys):
         # Loaded, the model would score spk02 NaN and drop it to last place.

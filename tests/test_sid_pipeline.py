@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance
-from voxid import audio_io, gmm, sid_pipeline
+from voxid import audio_io, gmm, sid_pipeline, spectral
 from voxid.acrlag import AcrlagConfig
 from voxid.errors import (
     AudioFormatError,
@@ -60,7 +60,7 @@ from voxid.sid_pipeline import (
     synth_corpus,
     train_database,
 )
-from voxid.spectral import FilterbankConfig, fb_cepstra
+from voxid.spectral import FilterbankConfig, LpTransformConfig, PlpConfig, fb_cepstra
 
 TINY_TRAIN = PipelineConfig(train=TrainConfig(n_components=2))
 
@@ -171,6 +171,9 @@ class TestManifest:
             (b'{"speakers": 3}', "'speakers' list"),
             (b'{"speakers": ["a"]}', "speaker_id"),
             (b'{"speakers": [{"train_utterances": []}]}', "speaker_id"),
+            (b'{"speakers": [{"speaker_id": null}]}', "'speaker_id' string"),
+            (b'{"speakers": [{"speaker_id": 5}]}', "'speaker_id' string"),
+            (b'{"speakers": [{"speaker_id": ["a"]}]}', "'speaker_id' string"),
             (b'{"speakers": [{"speaker_id": "a", "train_utterances": "x.wav"}]}', "path strings"),
             (b'{"speakers": [{"speaker_id": "a", "test_utterances": [7]}]}', "path strings"),
             (b'{"speakers": [{"speaker_id": "a"}, {"speaker_id": "a"}]}', "unique"),
@@ -1145,6 +1148,55 @@ class TestDatabasePersistence:
         with pytest.raises(BadFileFormat, match=f"^{reason}"):
             database_from_bytes(with_config_json(database_to_bytes(tiny_db), header))
 
+    @pytest.mark.parametrize(
+        "edits, frame_len",
+        [
+            (
+                [
+                    ('"frame_len_samples": 160, "hop_samples": 80',
+                     '"frame_len_samples": 1024, "hop_samples": 512'),
+                    ('"fft_size": 512', '"fft_size": 1024'),
+                ],
+                1024,
+            ),
+            (
+                [
+                    ('"frame_len_samples": 160, "hop_samples": 80',
+                     '"frame_len_samples": 16, "hop_samples": 8'),
+                    ('"lp_order": 13', '"lp_order": 10'),
+                ],
+                16,
+            ),
+        ],
+        ids=["frames-above-plp-fft", "frames-within-lp-transform-order"],
+    )
+    def test_header_whose_frames_misfit_an_extract_only_section_loads(
+        self, tiny_db, edits, frame_len
+    ):
+        # The plp.fft_size and lp_transform.order defaults (512, 19) fit
+        # neither header's frames, and neither section is a database setting.
+        header = V1_CONFIG_JSON
+        for old, new in edits:
+            header = header.replace(old, new)
+        db = database_from_bytes(with_config_json(database_to_bytes(tiny_db), header))
+        assert db.config.frame.frame_len_samples == frame_len
+        assert database_from_bytes(database_to_bytes(db)).config == db.config
+
+    @pytest.mark.parametrize("section", ['"plp": {"fft_size": 256}', '"lp_transform": {"order": 12}'])
+    def test_header_with_an_extract_only_section_rejected(self, tiny_db, section):
+        # No header written here holds one, and a database would lose it on
+        # save; at its defaults it is what loading gives anyway.
+        blob = database_to_bytes(tiny_db)
+        header = V1_CONFIG_JSON.replace('"score_average"', f'{section}, "score_average"')
+        with pytest.raises(
+            BadFileFormat,
+            match="^database header: 'plp' and 'lp_transform' may hold only defaults$",
+        ):
+            database_from_bytes(with_config_json(blob, header))
+        header = json.dumps(asdict(tiny_db.config), sort_keys=True)
+        assert '"plp"' in header and '"lp_transform"' in header
+        assert database_from_bytes(with_config_json(blob, header)).config == tiny_db.config
+
     @pytest.mark.parametrize("fft_size", [2**18, 2**30])
     def test_header_with_a_huge_fft_rejected_before_allocating(self, tiny_db, fft_size):
         header = V1_CONFIG_JSON.replace('"fft_size": 512', f'"fft_size": {fft_size}')
@@ -1153,6 +1205,29 @@ class TestDatabasePersistence:
         try:
             with pytest.raises(
                 BadFileFormat, match=f"^config key 'filterbank': fft_size {fft_size} is above"
+            ):
+                database_from_bytes(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_header_with_too_many_filters_rejected_without_building_them(
+        self, tiny_db, monkeypatch
+    ):
+        def build_filterbank(cfg):
+            raise AssertionError("the filterbank was built")
+
+        blob = with_config_json(
+            database_to_bytes(tiny_db),
+            V1_CONFIG_JSON.replace('"n_filters": 20', f'"n_filters": {10**9}'),
+        )
+        monkeypatch.setattr(spectral, "build_filterbank", build_filterbank)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                BadFileFormat,
+                match="^config key 'filterbank': filter 0 covers fewer than 2 of the 257 FFT bins",
             ):
                 database_from_bytes(blob)
             _, peak = tracemalloc.get_traced_memory()
@@ -1229,6 +1304,64 @@ class TestConfigJson:
     def test_not_an_object(self):
         with pytest.raises(BadFileFormat, match="object"):
             PipelineConfig.from_json_dict([])
+
+    def test_extract_only_sections_are_read(self):
+        doc = {"plp": {"model_order": 12, "n_cep": 8, "fft_size": 256}, "lp_transform": {"order": 12}}
+        assert PipelineConfig.from_json_dict(doc) == PipelineConfig(
+            plp=PlpConfig(model_order=12, n_cep=8, fft_size=256),
+            lp_transform=LpTransformConfig(order=12),
+        )
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ({"lp_transform": {"order": 0}}, "config key 'lp_transform': order must be at least 1"),
+            ({"plp": {"model_order": 0}}, "config key 'plp': model_order must be at least 1"),
+            ({"lp_transform": {"order": 12.0}}, "config key 'lp_transform.order' must be an integer"),
+            ({"plp": {"order": 12}}, "unknown config key 'plp.order'"),
+        ],
+    )
+    def test_extract_only_sections_refuse_what_their_extractors_would(self, doc, reason):
+        with pytest.raises(BadFileFormat, match=f"^{re.escape(reason)}"):
+            PipelineConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, section, reason",
+        [
+            (
+                {"plp": {"fft_size": 128}},
+                "plp",
+                "config key 'frame.frame_len_samples': frames of 160 samples "
+                "do not fit a 128-point FFT (plp.fft_size)",
+            ),
+            (
+                {"frame": {"frame_len_samples": 1024, "hop_samples": 512}, "filterbank": {"fft_size": 1024}},
+                "plp",
+                "config key 'frame.frame_len_samples': frames of 1024 samples "
+                "do not fit a 512-point FFT (plp.fft_size)",
+            ),
+            (
+                {"lp_transform": {"order": 160}},
+                "lp_transform",
+                "config key 'lp_transform.order': 160 needs frames longer than 160 samples "
+                "(frame.frame_len_samples)",
+            ),
+            (
+                {"frame": {"frame_len_samples": 16, "hop_samples": 8}, "acrlag": {"lp_order": 10, "max_lag": 8}},
+                "lp_transform",
+                "config key 'lp_transform.order': 19 needs frames longer than 16 samples "
+                "(frame.frame_len_samples)",
+            ),
+        ],
+    )
+    def test_extract_only_sections_never_refuse_a_pipeline_config(self, doc, section, reason):
+        # Only `voxid extract` checks them, for the kind it runs: the pipeline
+        # never reads them, so a config they misfit still trains and loads.
+        config = PipelineConfig.from_json_dict(doc)
+        for pipeline_section in ("filterbank", "acrlag"):
+            config.check_frames_fit(pipeline_section)
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            config.check_frames_fit(section)
 
     def test_old_seed_and_score_average_false_are_accepted(self):
         doc = {"score_average": False, "train": {"seed": 7, "n_components": 4}}

@@ -1,5 +1,7 @@
+import itertools
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +122,41 @@ class TestFilterbank:
         with pytest.raises(ValueError, match="^filter 0 covers fewer than 2 of the 65 FFT bins"):
             FilterbankConfig(n_filters=100, n_cep=19, fft_size=128)
 
+    @pytest.mark.parametrize("scale", list(FrequencyScale))
+    def test_too_many_filters_refused_without_building_them(self, scale, monkeypatch):
+        def build_filterbank(cfg):
+            raise AssertionError("the filterbank was built")
+
+        monkeypatch.setattr(spectral, "build_filterbank", build_filterbank)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^filter 0 covers fewer than 2 of the 257 FFT bins"):
+                FilterbankConfig(n_filters=10**9, scale=scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("scale", list(FrequencyScale))
+    @pytest.mark.parametrize("fft_size", [32, 64, 128])
+    def test_narrow_filters_found_as_in_the_built_matrix(self, scale, fft_size):
+        # The config counts each filter's bins from its edges, and past
+        # n_bins filters only the first n_bins + 1; the first filter with
+        # fewer than 2 nonzero weights in the built matrix is the one named.
+        n_bins = fft_size // 2 + 1
+        for n_filters, (low, high) in itertools.product(
+            range(2, 2 * n_bins + 2), [(0.0, None), (300.0, 3400.0)]
+        ):
+            settings = dict(n_filters=n_filters, f_low_hz=low, f_high_hz=high, fft_size=fft_size)
+            bank = build_filterbank(SimpleNamespace(scale=scale, **settings))
+            narrow = np.flatnonzero(np.count_nonzero(bank, axis=1) < 2)
+            if narrow.size:
+                reason = f"^filter {narrow[0]} covers fewer than 2 of the {n_bins} FFT bins"
+                with pytest.raises(ValueError, match=reason):
+                    FilterbankConfig(scale=scale, n_cep=1, **settings)
+            else:
+                FilterbankConfig(scale=scale, n_cep=1, **settings)
+
     def test_built_once_per_config_and_read_only(self):
         cfg = FilterbankConfig(scale=FrequencyScale.HERTZ, n_filters=24, n_cep=12)
         assert cfg.filterbank is cfg.filterbank and cfg.dct_basis is cfg.dct_basis
@@ -154,6 +191,21 @@ class TestFilterbank:
             FilterbankConfig(fft_size=500)
         with pytest.raises(ValueError):
             FilterbankConfig(f_low_hz=5000.0)
+
+
+@pytest.mark.parametrize(
+    "extract",
+    [
+        lambda frames: fb_cepstra(frames, FilterbankConfig(fft_size=128)),
+        lambda frames: plpcc(frames, PlpConfig(fft_size=128)),
+    ],
+    ids=["fb_cepstra", "plpcc"],
+)
+def test_frames_longer_than_the_fft_refused(rng, extract):
+    # PipelineConfig keeps this pairing from the pipeline; a config passed
+    # straight to an extractor meets this guard, not rfft's silent cut.
+    with pytest.raises(ValueError, match="^frames of 160 samples do not fit a 128-point FFT$"):
+        extract(make_frames(rng.standard_normal((3, 160))))
 
 
 class TestFbCepstra:
