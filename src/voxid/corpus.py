@@ -40,6 +40,8 @@ REFLECTION_CLIP = 0.85
 SPEECH_PEAK = 0.6
 PAD_SECONDS = 0.25
 GAP_SECONDS = 0.2
+# The longest utterance: 480,000 samples (3.8 MB), about 0.1 s to synthesize.
+MAX_UTTERANCE_SECONDS = 60.0
 
 
 @dataclass(frozen=True)
@@ -102,16 +104,31 @@ def synth_speech_burst(
     return speech
 
 
+def utterance_layout(seconds: float, name: str = "seconds") -> tuple[int, int, int]:
+    """(pad, gap, total) sample counts of an utterance of ``seconds``.
+
+    A length that is not finite, is above MAX_UTTERANCE_SECONDS, or leaves
+    no room for speech between the pads is refused with a ValueError that
+    names the argument ``name``.
+    """
+    if not (np.isfinite(seconds) and seconds <= MAX_UTTERANCE_SECONDS):
+        raise ValueError(
+            f"{name} must be finite and at most {MAX_UTTERANCE_SECONDS:g} s, got {seconds}"
+        )
+    pad = int(round(PAD_SECONDS * SAMPLE_RATE_HZ))
+    gap = int(round(GAP_SECONDS * SAMPLE_RATE_HZ))
+    total = int(round(seconds * SAMPLE_RATE_HZ))
+    if total - 2 * pad - gap < 2 * SAMPLE_RATE_HZ // 10:
+        raise ValueError(f"{name}: {seconds} s leaves no room for speech between pads")
+    return pad, gap, total
+
+
 def synth_utterance(rng: np.random.Generator, voice: SpeakerVoice, seconds: float) -> np.ndarray:
     """A padded utterance at SAMPLE_RATE_HZ: noise-only lead-in, two speech
     bursts separated by a noise-only gap, and a noise-only tail, all at the
     configured SNR."""
-    pad = int(round(PAD_SECONDS * SAMPLE_RATE_HZ))
-    gap = int(round(GAP_SECONDS * SAMPLE_RATE_HZ))
-    total = int(round(seconds * SAMPLE_RATE_HZ))
+    pad, gap, total = utterance_layout(seconds)
     speech_samples = total - 2 * pad - gap
-    if speech_samples < 2 * SAMPLE_RATE_HZ // 10:
-        raise ValueError(f"{seconds} s leaves no room for speech between pads")
     first = speech_samples // 2
     second = speech_samples - first
 

@@ -764,10 +764,21 @@ def synth_corpus(
     Speakers 0 and 1 share a vocal tract and differ only in pitch period, so
     envelope features confuse them while residual features can tell them
     apart.  Everything is deterministic in the seed, down to the WAV bytes.
+    A negative count or seed, or an utterance length that
+    ``corpus.utterance_layout`` refuses, is refused before anything is written.
     """
+    for name, value in (
+        ("train_utterances", train_utterances),
+        ("test_utterances", test_utterances),
+        ("seed", seed),
+    ):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
+    corpus.utterance_layout(train_seconds, "train_seconds")
+    corpus.utterance_layout(test_seconds, "test_seconds")
+    voices = corpus.make_voices(n_speakers, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    voices = corpus.make_voices(n_speakers, seed)
     entries = []
     for index, voice in enumerate(voices):
         speaker_dir = out_dir / voice.speaker_id

@@ -98,44 +98,26 @@ def preemphasize(signal: AudioSignal, alpha: float) -> AudioSignal:
     return AudioSignal(y, signal.sample_rate_hz)
 
 
-def block_energies(samples: np.ndarray, block_len: int) -> np.ndarray:
-    """Sum-of-squares energy of consecutive non-overlapping complete blocks."""
-    samples = np.asarray(samples, dtype=np.float64)
-    n_blocks = samples.size // block_len
-    if n_blocks == 0:
-        return np.zeros(0)
-    blocks = samples[: n_blocks * block_len].reshape(n_blocks, block_len)
-    return np.sum(blocks * blocks, axis=1)
-
-
-def retained_block_indices(
-    samples: np.ndarray, block_len: int, threshold_ratio: float
-) -> np.ndarray:
-    """Indices of blocks whose energy reaches threshold_ratio times the max block energy."""
-    energies = block_energies(samples, block_len)
-    if energies.size == 0 or energies.max() <= 0.0:
-        return np.zeros(0, dtype=np.intp)
-    return np.flatnonzero(energies >= threshold_ratio * energies.max())
-
-
 def remove_silence(signal: AudioSignal, cfg: FrameConfig) -> AudioSignal:
     """Drop frame-sized blocks below the utterance-relative energy threshold.
 
     The signal is first scaled by the power of two that puts its peak in
     [0.5, 1).  That scaling is exact, so audio at any gain 2**k gives the
     same samples, and no later stage sees subnormal or overflowing values.
-    The trailing partial block, if any, is always dropped.
+    The trailing partial block is dropped, and a block is kept when its
+    sum-of-squares energy reaches energy_threshold_ratio times the largest.
     """
     x = signal.samples
     if x.size == 0:
         raise EmptyInput("cannot run silence removal on an empty signal")
     x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     n = cfg.frame_len_samples
-    keep = retained_block_indices(x, n, cfg.energy_threshold_ratio)
-    if keep.size == 0:
+    blocks = x[: (x.size // n) * n].reshape(-1, n)
+    energies = np.sum(blocks * blocks, axis=1)
+    if energies.size == 0 or energies.max() <= 0.0:
         # Covers both a signal shorter than one block and pure digital silence.
         raise AllSilence("no block reached the energy threshold")
-    blocks = x[: (x.size // n) * n].reshape(-1, n)
+    keep = energies >= cfg.energy_threshold_ratio * energies.max()
     return AudioSignal(blocks[keep].reshape(-1), signal.sample_rate_hz)
 
 

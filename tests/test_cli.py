@@ -153,6 +153,26 @@ class TestSynthCorpus:
             "train_02.wav",
         ]
 
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--train-utterances", "-2", "train_utterances must not be negative, got -2"),
+            ("--test-utterances", "-1", "test_utterances must not be negative, got -1"),
+            ("--seed", "-1", "seed must not be negative, got -1"),
+            ("--train-seconds", "nan", "train_seconds must be finite and at most 60 s, got nan"),
+            ("--train-seconds", "inf", "train_seconds must be finite and at most 60 s, got inf"),
+            ("--test-seconds", "1e12", "test_seconds must be finite and at most 60 s"),
+            ("--test-seconds", "0.5", "test_seconds: 0.5 s leaves no room for speech"),
+        ],
+    )
+    def test_bad_arguments_refused_before_writing(self, tmp_path, capsys, flag, value, reason):
+        out = tmp_path / "corpus"
+        assert main(["synth-corpus", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reason}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestExtract:
     @pytest.mark.parametrize("kind", ["acrlag", "mfcc", "lfcc", "plpcc", "lpcc", "lsf", "lar"])
@@ -300,6 +320,36 @@ class TestExtract:
         code = main(["extract", wav, "--kind", "plpcc", "--config", cfg, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, doc, reason",
+        [
+            ("plpcc", {"plp": {"model_order": 5000}}, "config key 'plp': model_order 5000"),
+            ("plpcc", {"plp": {"n_cep": 10**8}}, f"config key 'plp': n_cep {10**8}"),
+            (
+                "lsf",
+                {
+                    "frame": {"frame_len_samples": 1024, "hop_samples": 512},
+                    "filterbank": {"fft_size": 1024},
+                    "lp_transform": {"order": 1000},
+                },
+                "config key 'lp_transform': order 1000",
+            ),
+        ],
+        ids=["plp-model-order", "plp-n-cep", "lp-transform-order"],
+    )
+    def test_orders_above_the_cap_are_a_config_error_line(
+        self, cli_corpus, tmp_path, capsys, kind, doc, reason
+    ):
+        wav = str(cli_corpus / "spk00" / "test_00.wav")
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        out = tmp_path / "x.ftr"
+        code = main(["extract", wav, "--kind", kind, "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: {reason} is above 64, the largest LP order or cepstrum length\n"
+        )
         assert not out.exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):

@@ -90,6 +90,13 @@ class TestUtterances:
         with pytest.raises(ValueError):
             corpus.synth_utterance(corpus.utterance_rng(5, 0, 0), voice, 0.5)
 
+    def test_length_above_the_cap_or_not_finite_rejected(self):
+        assert corpus.utterance_layout(corpus.MAX_UTTERANCE_SECONDS)[2] == 480_000
+        above = np.nextafter(corpus.MAX_UTTERANCE_SECONDS, np.inf)
+        for seconds in (above, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^length must be finite and at most 60 s"):
+                corpus.utterance_layout(seconds, "length")
+
     def test_silence_removal_engages(self):
         # The layout embeds noise-only pads and a gap, so the energy gate
         # must discard part of the signal.

@@ -1341,9 +1341,9 @@ class TestConfigJson:
                 "do not fit a 512-point FFT (plp.fft_size)",
             ),
             (
-                {"lp_transform": {"order": 160}},
+                {"frame": {"frame_len_samples": 64, "hop_samples": 32}, "lp_transform": {"order": 64}},
                 "lp_transform",
-                "config key 'lp_transform.order': 160 needs frames longer than 160 samples "
+                "config key 'lp_transform.order': 64 needs frames longer than 64 samples "
                 "(frame.frame_len_samples)",
             ),
             (

@@ -12,8 +12,10 @@ from voxid.features import FeatureKind
 from voxid.signal_prep import FrameSequence
 from voxid.spectral import (
     MAX_FFT_SIZE,
+    MAX_LP_ORDER,
     FilterbankConfig,
     FrequencyScale,
+    LpTransformConfig,
     PlpConfig,
     bark_filterbank,
     build_filterbank,
@@ -183,6 +185,39 @@ class TestFilterbank:
     def test_fft_size_at_the_cap_accepted(self):
         assert FilterbankConfig(fft_size=MAX_FFT_SIZE).filterbank.shape == (20, MAX_FFT_SIZE // 2 + 1)
         assert PlpConfig(fft_size=MAX_FFT_SIZE).fft_size == MAX_FFT_SIZE
+
+    @pytest.mark.parametrize("scale", list(FrequencyScale))
+    def test_boundary_points_are_linspace_and_prefixes_its_start(self, rng, scale):
+        # The full set is np.linspace on the scale bit for bit, and each
+        # prefix is the start of the full set.
+        nyquist = spectral.NYQUIST_HZ
+        for _ in range(50):
+            low, high = np.sort(rng.uniform(0.0, nyquist, 2))
+            high = None if rng.random() < 0.25 else float(high)
+            n_filters = int(rng.integers(1, 300))
+            cfg = SimpleNamespace(scale=scale, f_low_hz=float(low), f_high_hz=high, n_filters=n_filters)
+            edges = np.array([cfg.f_low_hz, nyquist if high is None else high])
+            if scale is FrequencyScale.MEL:
+                mel = spectral.mel_from_hertz(edges)
+                expected = spectral.hertz_from_mel(np.linspace(mel[0], mel[1], cfg.n_filters + 2))
+            else:
+                expected = np.linspace(edges[0], edges[1], cfg.n_filters + 2)
+            full = spectral._boundary_points(cfg, cfg.n_filters + 2)
+            assert full.tobytes() == expected.tobytes()
+            for count in range(cfg.n_filters + 2):
+                prefix = spectral._boundary_points(cfg, count)
+                assert prefix.tobytes() == full[:count].tobytes()
+
+    @pytest.mark.parametrize(
+        "config, name",
+        [(PlpConfig, "model_order"), (PlpConfig, "n_cep"), (LpTransformConfig, "order")],
+    )
+    def test_orders_above_the_cap_refused(self, config, name):
+        assert getattr(config(**{name: MAX_LP_ORDER}), name) == MAX_LP_ORDER
+        for value in (MAX_LP_ORDER + 1, 10**8):
+            reason = f"^{name} {value} is above {MAX_LP_ORDER}, the largest LP order"
+            with pytest.raises(ValueError, match=reason):
+                config(**{name: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
