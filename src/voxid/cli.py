@@ -47,6 +47,14 @@ def _load_config(path: str | None, section: str | None = None) -> PipelineConfig
     return config
 
 
+def _fusion(flag: str, value: str) -> FusionConfig:
+    """The fusion weight given to ``flag``; an error names both."""
+    try:
+        return FusionConfig(float(value))
+    except ValueError:
+        raise ValueError(f"{flag} {value!r}: a fusion weight is a number in [0, 1]") from None
+
+
 def _cmd_synth_corpus(args: argparse.Namespace) -> int:
     manifest, manifest_path = synth_corpus(
         args.out,
@@ -91,9 +99,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
+    fusion = _fusion("--eta", args.eta)
     db = load_database(args.db)
     audio = audio_io.read_wav(args.audio)
-    result = identify(db, audio, FusionConfig(args.eta))
+    result = identify(db, audio, fusion)
     fused = result.fused_scores()
     print(f"{'speaker':<12} {'fused':>14} {'spectral':>14} {'residual':>14}")
     for s in sorted(result.scores, key=lambda s: -fused.get(s.speaker_id, -float("inf"))):
@@ -121,9 +130,10 @@ def _print_report(report) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    fusion = _fusion("--eta", args.eta)
     db = load_database(args.db)
     manifest = load_manifest(args.manifest)
-    report = evaluate(db, manifest, FusionConfig(args.eta))
+    report = evaluate(db, manifest, fusion)
     _print_report(report)
     if args.report:
         Path(args.report).write_text(
@@ -134,9 +144,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse_sweep(args: argparse.Namespace) -> int:
+    etas = [_fusion("--etas", v).eta for v in args.etas.split(",")]
     db = load_database(args.db)
     manifest = load_manifest(args.manifest)
-    etas = [float(v) for v in args.etas.split(",")]
     reports = fusion_sweep(db, manifest, etas)
     print(f"{'eta':>6} {'PIA spectral':>14} {'PIA residual':>14} {'PIA fused':>12}")
     for report in reports:
@@ -185,14 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="rank enrolled speakers for one WAV")
     p.add_argument("audio", help="input WAV path")
     p.add_argument("--db", required=True)
-    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--eta", default="0.5")
     p.add_argument("--json", help="write the ranking as JSON here")
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("evaluate", help="run the manifest's test set and report PIA")
     p.add_argument("--db", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--eta", default="0.5")
     p.add_argument("--report", help="write the full report as JSON here")
     p.set_defaults(func=_cmd_evaluate)
 

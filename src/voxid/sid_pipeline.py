@@ -90,7 +90,7 @@ def _manifest_entry(item: object, path: Path) -> SpeakerEntry:
     )
 
 
-def load_manifest(path: str | Path, check_paths: bool = True) -> CorpusManifest:
+def load_manifest(path: str | Path) -> CorpusManifest:
     """Read a manifest JSON; utterance paths resolve relative to the file."""
     path = Path(path)
     try:
@@ -103,11 +103,10 @@ def load_manifest(path: str | Path, check_paths: bool = True) -> CorpusManifest:
         manifest = CorpusManifest(tuple(_manifest_entry(item, path) for item in doc["speakers"]))
     except ValueError as exc:  # overlapping train/test lists or repeated speaker ids
         raise BadFileFormat(f"{path}: {exc}") from None
-    if check_paths:
-        for entry in manifest.speakers:
-            for p in entry.train_utterances + entry.test_utterances:
-                if not Path(p).exists():
-                    raise BadFileFormat(f"manifest references a missing file: {p}")
+    for entry in manifest.speakers:
+        for p in entry.train_utterances + entry.test_utterances:
+            if not Path(p).exists():
+                raise BadFileFormat(f"manifest references a missing file: {p}")
     return manifest
 
 
@@ -253,7 +252,7 @@ def _fb_cepstra_on(scale: FrequencyScale) -> Callable[..., FeatureMatrix]:
 
 
 def _lp_transform(kind: FeatureKind) -> Callable[..., FeatureMatrix]:
-    return lambda frames, lp_transform: extract_lp_features(frames, kind, lp_transform.order)
+    return lambda frames, lp_transform: extract_lp_features(frames, kind, lp_transform)
 
 
 # Each feature kind's PipelineConfig section and its extractor, called as
@@ -372,30 +371,27 @@ def _fit_stream(stream: _Stream, reads: list, train: TrainConfig) -> list:
     return steps
 
 
-def _map_streams(task: Callable[[_T], _R], streams: Sequence[_T]) -> list[_R]:
-    """``[task(stream) for stream in streams]``, with the first stream's task
-    on the calling thread and each other one on a thread of its own, started
-    and joined here; enrollment and scoring both run their streams so. Each
-    thread runs in a copy of the caller's context, so a NumPy errstate set
-    by the caller holds in it (NumPy 2 keeps errstate in a context
-    variable). The threads are joined also when the calling thread's task
-    raises, so none outlives the call. ``task`` must not raise: it returns
-    what it met, and the caller decides which error to raise."""
-    results = [None] * len(streams)
+def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R]:
+    """``[task(spectral), task(residual)]``, as enrollment and scoring run
+    their streams. The residual stream's task runs on the calling thread:
+    ACRLAG is the longer stream, so the worker has mostly finished by the
+    join. The spectral stream's task runs on a worker thread started and
+    joined here, in a copy of the caller's context, so a NumPy errstate
+    set by the caller holds in it (NumPy 2 keeps errstate in a context
+    variable). The worker is joined also when the calling thread's task
+    raises, so it never outlives the call. ``task`` must not raise: it
+    returns what it met, and the caller decides which error to raise."""
+    results = [None, None]
 
-    def run(index: int) -> None:
-        results[index] = task(streams[index])
+    def run_spectral() -> None:
+        results[0] = task(streams[0])
 
-    started = []
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_spectral,))
+    worker.start()
     try:
-        for index in range(1, len(streams)):
-            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, index))
-            worker.start()
-            started.append(worker)
-        run(0)
+        results[1] = task(streams[1])
     finally:
-        for worker in started:
-            worker.join()
+        worker.join()
     return results
 
 
@@ -483,11 +479,8 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
         raise InsufficientData("speaker database is empty")
     frames = preprocess(audio, db.config.frame)
     missing = [None] * db.n_speakers
-    # The residual stream, the longer one, runs on the calling thread, so
-    # the spectral stream's thread has mostly finished by the time it is
-    # joined and the caller seldom sleeps waiting for it.
     pairs = tuple(zip(_streams(db.config), db.model_stacks))
-    columns = _map_streams(lambda pair: _score_stream(*pair, frames, missing), pairs[::-1])[::-1]
+    columns = _map_streams(lambda pair: _score_stream(*pair, frames, missing), pairs)
     for column in columns:
         if isinstance(column, Exception):
             raise column

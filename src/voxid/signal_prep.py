@@ -39,10 +39,6 @@ class AudioSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class FrameConfig:

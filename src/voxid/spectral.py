@@ -52,10 +52,6 @@ def bark_from_hertz(f: np.ndarray | float) -> np.ndarray | float:
     return 6.0 * np.arcsinh(np.asarray(f, dtype=np.float64) / 600.0)
 
 
-def hertz_from_bark(z: np.ndarray | float) -> np.ndarray | float:
-    return 600.0 * np.sinh(np.asarray(z, dtype=np.float64) / 6.0)
-
-
 def _check_fft_size(n: int) -> None:
     if not (n > 0 and (n & (n - 1)) == 0):
         raise ValueError("fft_size must be a power of two")
@@ -302,9 +298,11 @@ class LpTransformConfig:
         _check_order("order", self.order)
 
 
-def extract_lp_features(frames: FrameSequence, kind: FeatureKind, order: int = 19) -> FeatureMatrix:
-    """LP-transform features (LPCC, LSF, or LAR) at the given model order."""
-    kind = FeatureKind(kind)
+def extract_lp_features(
+    frames: FrameSequence, kind: FeatureKind, cfg: LpTransformConfig = LpTransformConfig()
+) -> FeatureMatrix:
+    """LP-transform features (LPCC, LSF, or LAR) at the model order ``cfg.order``."""
+    kind, order = FeatureKind(kind), cfg.order
     if kind is FeatureKind.LPCC:
         transform = lambda coeffs, reflection: lp._lpcc_batch(coeffs, order)
     elif kind is FeatureKind.LAR:

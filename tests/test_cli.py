@@ -22,6 +22,7 @@ from voxid.signal_prep import AudioSignal, FrameConfig, preprocess
 from voxid.spectral import (
     FilterbankConfig,
     FrequencyScale,
+    LpTransformConfig,
     PlpConfig,
     extract_lp_features,
     fb_cepstra,
@@ -34,9 +35,9 @@ LIBRARY_EXTRACTORS = {
     "mfcc": lambda frames: fb_cepstra(frames, FilterbankConfig(scale=FrequencyScale.MEL)),
     "lfcc": lambda frames: fb_cepstra(frames, FilterbankConfig(scale=FrequencyScale.HERTZ)),
     "plpcc": lambda frames: plpcc(frames, PlpConfig()),
-    "lpcc": lambda frames: extract_lp_features(frames, FeatureKind.LPCC, 19),
-    "lsf": lambda frames: extract_lp_features(frames, FeatureKind.LSF, 19),
-    "lar": lambda frames: extract_lp_features(frames, FeatureKind.LAR, 19),
+    "lpcc": lambda frames: extract_lp_features(frames, FeatureKind.LPCC, LpTransformConfig(19)),
+    "lsf": lambda frames: extract_lp_features(frames, FeatureKind.LSF, LpTransformConfig(19)),
+    "lar": lambda frames: extract_lp_features(frames, FeatureKind.LAR, LpTransformConfig(19)),
 }
 
 
@@ -231,7 +232,7 @@ class TestExtract:
                     kind,
                     {"lp_transform": {"order": 12}},
                     lambda frames, kind=kind: extract_lp_features(
-                        frames, FeatureKind.parse(kind), 12
+                        frames, FeatureKind.parse(kind), LpTransformConfig(12)
                     ),
                 )
                 for kind in ("lpcc", "lsf", "lar")
@@ -517,6 +518,33 @@ class TestTrainIdentifyEvaluate:
         wav = cli_corpus / "spk00" / "test_00.wav"
         code = main(["identify", str(wav), "--db", str(cli_db), "--eta", "1.5"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, value, bad",
+        [
+            ("fuse-sweep", "--etas", "abc", "abc"),
+            ("fuse-sweep", "--etas", "0.5,abc", "abc"),
+            ("fuse-sweep", "--etas", "0.5,2", "2"),
+            ("fuse-sweep", "--etas", "0.5,,1", ""),
+            ("identify", "--eta", "2", "2"),
+            ("identify", "--eta", "abc", "abc"),
+            ("evaluate", "--eta", "-0.1", "-0.1"),
+            ("evaluate", "--eta", "nan", "nan"),
+        ],
+    )
+    def test_bad_fusion_weight_is_an_error_line_naming_the_flag(
+        self, cli_corpus, cli_db, capsys, command, flag, value, bad
+    ):
+        where = {
+            "identify": [str(cli_corpus / "spk00" / "test_00.wav")],
+            "evaluate": ["--manifest", str(cli_corpus / "manifest.json")],
+            "fuse-sweep": ["--manifest", str(cli_corpus / "manifest.json")],
+        }[command]
+        code = main([command, *where, "--db", str(cli_db), flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} {bad!r}: a fusion weight is a number in [0, 1]\n"
+        assert captured.out == ""
 
     def test_config_json_override(self, cli_corpus, tmp_path):
         cfg = tmp_path / "cfg.json"

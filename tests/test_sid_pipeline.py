@@ -120,7 +120,7 @@ class TestManifest:
         manifest, _ = tiny_corpus
         path = tmp_path / "m.json"
         save_manifest(manifest, path)
-        back = load_manifest(path, check_paths=False)
+        back = load_manifest(path)
         assert back.speaker_ids == manifest.speaker_ids
         for a, b in zip(back.speakers, manifest.speakers):
             assert len(a.train_utterances) == len(b.train_utterances)
@@ -189,7 +189,7 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_bytes(raw)
         with pytest.raises(BadFileFormat, match=match):
-            load_manifest(path, check_paths=False)
+            load_manifest(path)
 
 
 class TestFusion:
@@ -563,13 +563,13 @@ class TestConcurrentEnrollment:
         assert_worker_joined_when_the_calling_thread_stops(
             monkeypatch,
             lambda: train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN),
-            caller="fb_cepstra",
-            worker="extract_acrlag",
+            caller="extract_acrlag",
+            worker="fb_cepstra",
         )
 
     @pytest.mark.parametrize("name", ["fb_cepstra", "extract_acrlag"])
     def test_callers_errstate_holds_in_both_streams(self, tiny_corpus, monkeypatch, name):
-        # The residual stream runs on the worker thread.
+        # The spectral stream runs on the worker thread.
         def overflow(frames, settings):
             np.array([1e308]) * 10.0
             raise AssertionError("the overflow did not raise")

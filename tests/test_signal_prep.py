@@ -262,6 +262,3 @@ class TestTypes:
     def test_frame_sequence_shape_validation(self):
         with pytest.raises(ValueError):
             FrameSequence(np.zeros(100))
-
-    def test_duration(self):
-        assert signal(np.zeros(4000)).duration_seconds == pytest.approx(0.5)

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from voxid import spectral
+from voxid import lp, spectral
 from voxid.errors import NoFeatures
-from voxid.features import FeatureKind
+from voxid.features import FeatureKind, FeatureMatrix, feature_matrix_to_bytes
 from voxid.signal_prep import FrameSequence
 from voxid.spectral import (
     MAX_FFT_SIZE,
@@ -80,10 +80,10 @@ class TestScaleConversions:
             spectral.hertz_from_mel(spectral.mel_from_hertz(f)), f, atol=1e-9
         )
 
-    def test_bark_round_trip(self):
-        f = np.linspace(0, 4000, 33)
+    def test_bark_of_known_frequencies(self):
+        z = np.linspace(0, 17, 35)
         np.testing.assert_allclose(
-            spectral.hertz_from_bark(spectral.bark_from_hertz(f)), f, atol=1e-9
+            spectral.bark_from_hertz(600.0 * np.sinh(z / 6.0)), z, atol=1e-12
         )
 
     def test_mel_monotone(self):
@@ -342,12 +342,12 @@ class TestLpFeatureKinds:
         assert got.dim == 19
 
     def test_lsf_rows_sorted(self, speech_frames):
-        got = extract_lp_features(speech_frames, FeatureKind.LSF, order=12)
+        got = extract_lp_features(speech_frames, FeatureKind.LSF, LpTransformConfig(12))
         assert got.dim == 12
         assert np.all(np.diff(got.values, axis=1) > 0)
 
     def test_lar_bounded_reflections(self, speech_frames):
-        got = extract_lp_features(speech_frames, FeatureKind.LAR, order=12)
+        got = extract_lp_features(speech_frames, FeatureKind.LAR, LpTransformConfig(12))
         assert got.dim == 12
         assert np.all(np.isfinite(got.values))
 
@@ -358,6 +358,26 @@ class TestLpFeatureKinds:
             extract_lp_features(make_frames(np.zeros((3, 160))), FeatureKind.LSF)
         with pytest.raises(NoFeatures, match="line spectral frequencies"):
             spectral._lsf_rows(np.array([[2.5], [-1.5]]), None)
+
+    @pytest.mark.parametrize("kind", [FeatureKind.LPCC, FeatureKind.LSF, FeatureKind.LAR])
+    def test_dimension_follows_the_config_order(self, speech_frames, kind):
+        for order in (1, 7, 19, 30):
+            got = extract_lp_features(speech_frames, kind, LpTransformConfig(order))
+            assert got.kind is kind and got.dim == order
+
+    @pytest.mark.parametrize("kind", [FeatureKind.LPCC, FeatureKind.LSF, FeatureKind.LAR])
+    def test_order_19_bytes_equal_the_one_frame_lp_path(self, speech_frames, kind):
+        # The order-19 rows that a bare order of 19 gave before the order
+        # came in a config: each frame's fit through lp's one-frame helpers.
+        one_row = {
+            FeatureKind.LPCC: lambda fit: lp._lpcc_batch(fit.coefficients[None, :], 19)[0],
+            FeatureKind.LSF: lambda fit: lp.lsf(fit.coefficients),
+            FeatureKind.LAR: lambda fit: lp.lar(fit.reflection),
+        }[kind]
+        fits = [lp.analyze_frame(frame, 19) for frame in speech_frames.frames]
+        expected = FeatureMatrix(kind, np.array([one_row(fit) for fit in fits]))
+        got = extract_lp_features(speech_frames, kind, LpTransformConfig(19))
+        assert feature_matrix_to_bytes(got) == feature_matrix_to_bytes(expected)
 
     def test_rejects_non_lp_kind(self, speech_frames):
         with pytest.raises(ValueError):
