@@ -18,6 +18,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateFrame, LagTooLarge, NumericalFailure, UnstableFilter
 
+# Samples per block of the all-pole filter in synthesize.
+SYNTH_BLOCK = 128
+
 
 def _finite(values: np.ndarray, caller: str) -> np.ndarray:
     """values as a float64 array; NumericalFailure naming the caller if any
@@ -136,14 +139,44 @@ def residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 
 def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """All-pole resynthesis 1/A(z); exact inverse of :func:`residual`."""
-    # Imported here so that importing voxid does not load SciPy.
-    from scipy.signal import lfilter
+    """All-pole resynthesis 1/A(z): y[n] = x[n] + sum_k a[k] y[n-k], zero
+    history; exact inverse of :func:`residual`.
 
-    excitation = np.asarray(excitation, dtype=np.float64)
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    fir = np.concatenate(([1.0], -coefficients))
-    return lfilter([1.0], fir, excitation)
+    The recursion runs in blocks of SYNTH_BLOCK samples.  A block's output
+    is its zero-state response, the product of its input with the
+    lower-triangular Toeplitz matrix of the impulse response, plus its
+    response to the p outputs before it.  One matrix product gives every
+    block's zero-state response; only the p-sample state is carried from
+    block to block.  A non-finite value is refused: the block products
+    would carry it to the samples before it.
+    """
+    excitation = _finite(excitation, "synthesize")
+    coefficients = _finite(coefficients, "synthesize")
+    if excitation.ndim != 1 or coefficients.ndim != 1:
+        raise ValueError("excitation and coefficients must be 1-D")
+    n, block = excitation.size, SYNTH_BLOCK
+    # Taps past the signal length only ever see the zero history.
+    p = min(coefficients.size, n)
+    oldest_first = coefficients[:p][::-1]
+    # The recursion over one block from an impulse, after p zeros of history.
+    impulse = np.zeros(p + block)
+    impulse[p] = 1.0
+    for i in range(1, block):
+        impulse[p + i] = oldest_first @ impulse[i : p + i]
+    # toeplitz[i, j] = h[i - j] for i >= j, else 0; feedback[i, j] is the tap
+    # through which y[start - p + j], the history of a block that begins at
+    # start, enters the recursion at its sample i.
+    lead = np.zeros(block - 1)
+    toeplitz = sliding_window_view(np.concatenate((lead, impulse[p:])), block)[:, ::-1]
+    feedback = sliding_window_view(np.concatenate((lead, oldest_first)), p)[::-1]
+    from_history = toeplitz @ feedback
+    n_blocks = -(-n // block)
+    inputs = np.pad(excitation, (0, n_blocks * block - n)).reshape(n_blocks, block)
+    out = np.zeros(p + n_blocks * block)
+    np.matmul(inputs, toeplitz.T, out=out[p:].reshape(n_blocks, block))
+    for start in range(block, n_blocks * block, block):
+        out[p + start : p + start + block] += from_history @ out[start : start + p]
+    return out[p : p + n]
 
 
 @dataclass(frozen=True)

@@ -87,9 +87,23 @@ def cli_db(cli_corpus, tmp_path_factory):
 
 
 def test_import_does_not_load_scipy():
-    # SciPy is most of voxid's import time, and only corpus synthesis needs it.
+    # SciPy is a test-only dependency: neither importing voxid nor running
+    # any of its stages, corpus synthesis included, may load it.
     code = (
-        "import sys, voxid, voxid.cli\n"
+        "import sys, tempfile, voxid, voxid.cli\n"
+        "from voxid import PipelineConfig, identify, read_wav, synth_corpus, train_database\n"
+        "from voxid.gmm import TrainConfig\n"
+        "from voxid.sid_pipeline import EXTRACTORS\n"
+        "from voxid.signal_prep import preprocess\n"
+        "with tempfile.TemporaryDirectory() as root:\n"
+        "    manifest, _ = synth_corpus(root, 2, 2, 1, 1.0, 1.0, seed=0)\n"
+        "    config = PipelineConfig(train=TrainConfig(n_components=2))\n"
+        "    db = train_database(manifest, config)\n"
+        "    audio = read_wav(manifest.speakers[0].test_utterances[0])\n"
+        "    identify(db, audio)\n"
+        "    frames = preprocess(audio, config.frame)\n"
+        "    for section, extract in EXTRACTORS.values():\n"
+        "        extract(frames, getattr(config, section))\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(voxid.__file__).parents[1])}

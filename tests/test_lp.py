@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.signal import lfilter
 
 from tests.conftest import random_ar_frame
 from voxid import corpus, lp
@@ -16,6 +17,16 @@ def toeplitz_solve(r: np.ndarray, order: int) -> np.ndarray:
     """Oracle: solve the normal equations directly as a dense linear system."""
     phi = scipy.linalg.toeplitz(r[:order])
     return scipy.linalg.solve(phi, r[1 : order + 1])
+
+
+def recursion_loop(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Oracle: y[n] = x[n] + sum_k a[k] y[n-k] from zero history, one sample
+    at a time."""
+    p = coefficients.size
+    y = np.zeros(p + excitation.size)
+    for n, x in enumerate(excitation):
+        y[p + n] = x + coefficients[::-1] @ y[n : p + n]
+    return y[p:]
 
 
 def series_log_cepstrum(coeffs: np.ndarray, n_cep: int) -> np.ndarray:
@@ -199,6 +210,69 @@ class TestResidual:
             wins += np.sum(np.abs(r_res[1:]) < np.abs(r_frame[1:]))
             total += 10
         assert wins / total > 0.95
+
+
+BLOCK = lp.SYNTH_BLOCK
+# Below, at and just above one block, then lengths off the block grid.
+SYNTH_LENGTHS = [0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, 1000, 4321, 20_000]
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("length", SYNTH_LENGTHS)
+    @pytest.mark.parametrize("excitation", ["pulses", "noise"])
+    def test_matches_lfilter_and_recursion_loop(self, length, excitation):
+        rng = np.random.default_rng(length)
+        for order in rng.integers(1, 25, 3):
+            a = corpus.reflection_to_coefficients(rng.uniform(-0.85, 0.85, order))
+            if excitation == "noise":
+                x = rng.standard_normal(length)
+            else:
+                x = np.zeros(length)
+                pulses = np.arange(rng.integers(0, 80), length, rng.integers(40, 121))
+                x[pulses] = rng.uniform(0.85, 1.15, pulses.size)
+            y = lp.synthesize(x, a)
+            assert y.shape == (length,) and y.dtype == np.float64
+            scale = np.max(np.abs(y), initial=0.0)
+            for reference in (lfilter([1.0], np.r_[1.0, -a], x), recursion_loop(x, a)):
+                assert np.max(np.abs(y - reference), initial=0.0) <= 1e-8 * scale
+
+    def test_more_taps_than_a_block(self, rng):
+        # The state carried between blocks reaches back past the block before.
+        a = corpus.reflection_to_coefficients(rng.uniform(-0.3, 0.3, BLOCK + 40))
+        x = rng.standard_normal(3 * BLOCK + 17)
+        y = lp.synthesize(x, a)
+        np.testing.assert_allclose(y, recursion_loop(x, a), rtol=0, atol=1e-8 * np.max(np.abs(y)))
+
+    def test_empty_excitation(self):
+        y = lp.synthesize(np.zeros(0), np.array([0.5, -0.2]))
+        assert y.shape == (0,) and y.dtype == np.float64
+
+    def test_zero_taps_return_the_excitation(self, rng):
+        x = rng.standard_normal(3 * BLOCK + 1)
+        np.testing.assert_array_equal(lp.synthesize(x, np.zeros(0)), x)
+
+    def test_more_taps_than_samples(self, rng):
+        # Taps past the signal length only ever meet the zero history.
+        a = rng.uniform(-0.5, 0.5, 12)
+        x = rng.standard_normal(5)
+        y = lp.synthesize(x, a)
+        np.testing.assert_allclose(y, lfilter([1.0], np.r_[1.0, -a], x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, recursion_loop(x, a), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", ["excitation", "coefficients"])
+    def test_non_finite_rejected(self, bad, where):
+        x, a = np.zeros(3 * BLOCK), np.array([0.5, -0.2])
+        (x if where == "excitation" else a)[1] = bad
+        with pytest.raises(NumericalFailure, match="^synthesize: input is not finite$"):
+            lp.synthesize(x, a)
+
+    @pytest.mark.parametrize(
+        "x_shape, a_shape", [((2, 50), (3,)), ((50,), (1, 3)), ((), (3,)), ((50,), ())]
+    )
+    def test_input_that_is_not_one_dimensional_is_refused(self, x_shape, a_shape):
+        with pytest.raises(ValueError, match="^excitation and coefficients must be 1-D$"):
+            lp.synthesize(np.ones(x_shape), np.full(a_shape, 0.1))
 
 
 class TestLpcc:
