@@ -34,6 +34,8 @@ def read_wav(path: str | Path) -> AudioSignal:
             raw = wav.readframes(n_frames)
     except EOFError:
         raise AudioFormatError(f"{path}: file ends inside the WAV header") from None
+    except RuntimeError:  # wave seeking past the RIFF chunk's end to skip a chunk
+        raise AudioFormatError(f"{path}: a chunk runs past the end of the RIFF chunk") from None
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
     except OSError as exc:  # a directory, a missing file, a failed read

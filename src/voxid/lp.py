@@ -140,7 +140,14 @@ def residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """All-pole resynthesis 1/A(z): y[n] = x[n] + sum_k a[k] y[n-k], zero
-    history; exact inverse of :func:`residual`.
+    history; the filter that :func:`residual` inverts.
+
+    The tests hold the output within 1e-8 of the peak of the per-sample
+    recursion for stable tracts of order 1 to 24 with reflection
+    coefficients |k| <= 0.85, and for 168 taps from |k| <= 0.3. High
+    orders with large taps drift further: at order 200 with |k| <= 0.85
+    (taps up to about 2e4), on 130 samples of noise, 20 random tracts drifted
+    by 5e-12 to 2.8e-5 of the peak (median 1.6e-8).
 
     The recursion runs in blocks of SYNTH_BLOCK samples.  A block's output
     is its zero-state response, the product of its input with the

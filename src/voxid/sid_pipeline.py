@@ -9,15 +9,15 @@ argmax of utterance log-likelihoods, optionally after linear score fusion.
 from __future__ import annotations
 
 import contextvars
-import itertools
 import json
 import struct
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -346,97 +346,87 @@ class SpeakerDatabase:
         )
 
 
-def _named(exc: Exception, prefix: str) -> Exception:
-    """A VoxidError as its type with ``prefix: `` before its message; any
-    other error as it is."""
-    return type(exc)(f"{prefix}: {exc}") if isinstance(exc, VoxidError) else exc
-
-
-def _fit_stream(stream: _Stream, reads: list, train: TrainConfig) -> list:
-    """One stream of one speaker, step by step: each read utterance's
-    features, then, if every utterance was read, the stacked features and
-    the model. The first Exception ends the list in the place of the step
-    that raised it; an Exception in ``reads`` ends it there. Never raises
-    an Exception."""
-    steps = []
+@contextmanager
+def _named(prefix: str, kind: type[VoxidError] = VoxidError) -> Iterator[None]:
+    """Re-raise a ``kind`` error from the block as its type with ``prefix: ``
+    before its message; any other error passes as it is."""
     try:
-        for frames in reads:
-            if isinstance(frames, Exception):
-                return steps
-            steps.append(stream.extract(frames, stream.settings))
-        steps.append(concatenate_features(steps))
-        steps.append(gmm.train_gmm(steps[-1], train))
-    except Exception as exc:
-        steps.append(exc)
-    return steps
+        yield
+    except kind as exc:
+        raise type(exc)(f"{prefix}: {exc}") from None
 
 
-def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R]:
+def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | Exception]:
     """``[task(spectral), task(residual)]``, as enrollment and scoring run
-    their streams. The residual stream's task runs on the calling thread:
-    ACRLAG is the longer stream, so the worker has mostly finished by the
-    join. The spectral stream's task runs on a worker thread started and
-    joined here, in a copy of the caller's context, so a NumPy errstate
-    set by the caller holds in it (NumPy 2 keeps errstate in a context
-    variable). The worker is joined also when the calling thread's task
-    raises, so it never outlives the call. ``task`` must not raise: it
-    returns what it met, and the caller decides which error to raise."""
-    results = [None, None]
+    their streams, with the Exception a task raised in its stream's place:
+    the caller decides which error to raise. The residual stream's task
+    runs on the calling thread: ACRLAG is the longer stream, so the worker
+    has mostly finished by the join. The spectral stream's task runs on a
+    worker thread started and joined here, in a copy of the caller's
+    context, so a NumPy errstate set by the caller holds in it (NumPy 2
+    keeps errstate in a context variable). The worker is joined also when
+    the calling thread's task raises a BaseException, which then
+    propagates, so the worker never outlives the call."""
+    results: list = [None, None]
 
-    def run_spectral() -> None:
-        results[0] = task(streams[0])
+    def run(index: int) -> None:
+        try:
+            results[index] = task(streams[index])
+        except Exception as exc:
+            results[index] = exc
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_spectral,))
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 0))
     worker.start()
     try:
-        results[1] = task(streams[1])
+        run(1)
     finally:
         worker.join()
     return results
 
 
+def _value(result: _R | Exception) -> _R:
+    """A stream's result from ``_map_streams``; the Exception in its place is raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerDatabase:
     """Fit one model per stream per speaker from the manifest's train lists.
 
-    Each speaker's utterances are read and preprocessed in order on the
-    calling thread; then its streams extract, stack and train at the same
-    time (see ``_map_streams``). Reading and each stream return their
-    steps' results in order. The error raised is the first one met when
-    the steps are walked in the serial order: each utterance's reading,
-    spectral and residual features in turn, then both streams' stacking,
-    then both streams' training.
+    Each utterance in turn is read and preprocessed on the calling thread,
+    and then its two streams extract at the same time (see
+    ``_map_streams``); after a speaker's last utterance, each stream's
+    features are stacked on the calling thread and both streams train at
+    the same time. Each step's first error is raised at once, the spectral
+    stream's before the residual stream's, so it is the error that one
+    step after another would meet first; and one utterance's frames are
+    held at a time.
     """
     if not manifest.speakers:
         raise InsufficientData("manifest lists no speakers")
     streams = _streams(config)
     stream_models: tuple[dict[str, GmmModel], ...] = tuple({} for _ in streams)
     for entry in manifest.speakers:
-        sid, paths = entry.speaker_id, entry.train_utterances
-        if not paths:
+        sid = entry.speaker_id
+        if not entry.train_utterances:
             raise InsufficientData(f"speaker {sid} has no train utterances")
-        reads = []
-        for path in paths:
-            where = sid  # read_wav's errors name the path
-            try:
+        stream_parts: tuple[list[FeatureMatrix], ...] = tuple([] for _ in streams)
+        for path in entry.train_utterances:
+            with _named(sid):  # read_wav's errors name the path
                 audio = audio_io.read_wav(path)
-                where = f"{sid}: {path}"
-                reads.append(preprocess(audio, config.frame))
-            except Exception as exc:
-                reads.append(_named(exc, where))
-                break
-        outcomes = _map_streams(lambda stream: _fit_stream(stream, reads, config.train), streams)
-        for step, results in enumerate(itertools.zip_longest(reads, *outcomes)):
-            for stream, exc in zip((None, *streams), results):
-                if not isinstance(exc, Exception):
-                    continue
-                if stream is not None and step < len(paths):
-                    exc = _named(exc, f"{sid}: {paths[step]}")
-                elif step == len(paths) + 1 and isinstance(exc, InsufficientData):
-                    exc = _named(exc, f"speaker {sid}, {stream.name} stream")
-                raise exc
-        for models, steps in zip(stream_models, outcomes):
-            models[sid] = steps[-1]
-        del reads, outcomes  # the frames and features, before the next speaker's
+            with _named(f"{sid}: {path}"):
+                frames = preprocess(audio, config.frame)
+                features = _map_streams(
+                    lambda stream: stream.extract(frames, stream.settings), streams
+                )
+                for parts, part in zip(stream_parts, features):
+                    parts.append(_value(part))
+        stacked = tuple(concatenate_features(parts) for parts in stream_parts)
+        fitted = _map_streams(lambda features: gmm.train_gmm(features, config.train), stacked)
+        for stream, models, model in zip(streams, stream_models, fitted):
+            with _named(f"speaker {sid}, {stream.name} stream", InsufficientData):
+                models[sid] = _value(model)
     return SpeakerDatabase(config, manifest.speaker_ids, *stream_models)
 
 
@@ -447,21 +437,12 @@ class SpeakerScores:
     residual: float | None
 
 
-def _score_stream(
-    stream: _Stream, stack: gmm.ModelStack, frames, missing: list
-) -> list | Exception:
-    """One stream's scores of the frames against its stack, as a list in
-    speaker order; ``missing`` when the stream keeps no frame (NoFeatures);
-    otherwise the Exception met. Never raises an Exception."""
-    try:
-        features = stream.extract(frames, stream.settings)
-        if not np.isfinite(features.values).all():
-            raise NumericalFailure(f"{stream.name} stream: features are not finite")
-        return gmm.stack_scores(stack, features).tolist()
-    except NoFeatures:
-        return missing
-    except Exception as exc:
-        return exc
+def _score_stream(stream: _Stream, stack: gmm.ModelStack, frames) -> list:
+    """One stream's scores of the frames against its stack, in speaker order."""
+    features = stream.extract(frames, stream.settings)
+    if not np.isfinite(features.values).all():
+        raise NumericalFailure(f"{stream.name} stream: features are not finite")
+    return gmm.stack_scores(stack, features).tolist()
 
 
 def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
@@ -480,10 +461,10 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     frames = preprocess(audio, db.config.frame)
     missing = [None] * db.n_speakers
     pairs = tuple(zip(_streams(db.config), db.model_stacks))
-    columns = _map_streams(lambda pair: _score_stream(*pair, frames, missing), pairs)
-    for column in columns:
-        if isinstance(column, Exception):
-            raise column
+    columns = [
+        missing if isinstance(column, NoFeatures) else _value(column)
+        for column in _map_streams(lambda pair: _score_stream(*pair, frames), pairs)
+    ]
     if all(column is missing for column in columns):
         raise InsufficientData("both feature streams failed for this utterance")
     return tuple(map(SpeakerScores, db.speaker_ids, *columns))

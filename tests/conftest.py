@@ -44,6 +44,13 @@ def with_denormal_variance(blob: bytes, variance: float) -> bytes:
     return blob.replace(old, struct.pack("<d", DENORMAL_VARIANCE))
 
 
+def with_oversized_chunk(wav: bytes) -> bytes:
+    """The WAV bytes with the chunk after the RIFF header renamed ``junk``
+    and its size set past the RIFF chunk's end, so that skipping it seeks
+    out of the file's RIFF chunk."""
+    return wav[:12] + b"junk" + struct.pack("<I", 1_000_000) + wav[20:]
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 

@@ -1,3 +1,4 @@
+import re
 import struct
 import wave
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import with_oversized_chunk
 from voxid.audio_io import read_wav, write_wav
 from voxid.errors import (
     AudioFormatError,
@@ -272,7 +274,13 @@ class TestWavIo:
             read_wav(path)
 
     def test_not_a_wav(self, tmp_path):
-        path = tmp_path / "noise.wav"
-        path.write_bytes(b"this is not RIFF data at all")
-        with pytest.raises(AudioFormatError):
-            read_wav(path)
+        sound = tmp_path / "sound.wav"
+        write_wav(sound, AudioSignal(np.full(100, 0.25), 8000))
+        for name, blob in (
+            ("noise.wav", b"this is not RIFF data at all"),
+            ("oversized_chunk.wav", with_oversized_chunk(sound.read_bytes())),
+        ):
+            path = tmp_path / name
+            path.write_bytes(blob)
+            with pytest.raises(AudioFormatError, match=f"^{re.escape(str(path))}: "):
+                read_wav(path)

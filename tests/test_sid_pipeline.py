@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance
+from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance, with_oversized_chunk
 from voxid import audio_io, gmm, sid_pipeline, spectral
 from voxid.acrlag import AcrlagConfig
 from voxid.errors import (
@@ -301,6 +302,26 @@ class TestTrainDatabase:
             train_database(manifest, TINY_TRAIN)
         assert str(caught.value).count(str(folder)) == 1
 
+    def test_one_utterances_frames_are_held_at_a_time(self, tiny_corpus, monkeypatch):
+        # A FrameSequence is unhashable (it compares by its array), so it
+        # is tracked by weak references rather than in a WeakSet.
+        refs, held = [], []
+        layer, extract = sid_pipeline.preprocess, sid_pipeline.extract_acrlag
+
+        def tracked(audio, frame):
+            frames = layer(audio, frame)
+            refs.append(weakref.ref(frames))
+            return frames
+
+        def counted(frames, settings):
+            held.append(sum(ref() is not None for ref in refs))
+            return extract(frames, settings)
+
+        monkeypatch.setattr(sid_pipeline, "preprocess", tracked)
+        monkeypatch.setattr(sid_pipeline, "extract_acrlag", counted)
+        train_database(one_speaker(tiny_corpus[0], 5), TINY_TRAIN)
+        assert held == [1] * 5
+
     def test_layers_are_called_through_the_module(self, tiny_corpus, monkeypatch):
         # The benchmark's tracer times these layers by wrapping the module
         # attributes; a call that bypasses them would read as zero.
@@ -520,7 +541,7 @@ class TestConcurrentEnrollment:
     @settings(max_examples=30, deadline=None)
     @given(
         n_utterances=st.integers(1, 5),
-        bad_file=st.none() | st.integers(0, 4),
+        bad_file=st.none() | st.tuples(st.integers(0, 4), st.sampled_from(["corrupt", "silent"])),
         faults=st.tuples(LAYER_FAULTS, LAYER_FAULTS),
         short=st.sets(st.sampled_from(["fb_cepstra", "extract_acrlag"])),
     )
@@ -530,10 +551,15 @@ class TestConcurrentEnrollment:
         # One row per utterance is too few for 8 components.
         config = PipelineConfig(train=TrainConfig(n_components=8))
         paths = list(one_speaker(tiny_corpus[0], n_utterances).speakers[0].train_utterances)
-        if bad_file is not None and bad_file < n_utterances:
-            bad = tmp_path_factory.mktemp("corrupt") / "bad.wav"
-            bad.write_bytes(b"junk" * 64)
-            paths[bad_file] = str(bad)
+        # A corrupt file fails in read_wav, a silent one in preprocess.
+        if bad_file is not None and bad_file[0] < n_utterances:
+            index, kind = bad_file
+            bad = tmp_path_factory.mktemp(kind) / "bad.wav"
+            if kind == "corrupt":
+                bad.write_bytes(b"junk" * 64)
+            else:
+                audio_io.write_wav(bad, AudioSignal(np.zeros(8000), 8000))
+            paths[index] = str(bad)
         entry = SpeakerEntry("solo", tuple(paths), ())
 
         def enroll(how):
@@ -900,12 +926,15 @@ class TestReports:
     def test_unreadable_wav_is_a_failed_trial(self, tiny_corpus, tiny_db, tmp_path):
         manifest, _ = tiny_corpus
         entry = manifest.speakers[0]
-        cut = tmp_path / "cut.wav"
-        cut.write_bytes(Path(entry.test_utterances[0]).read_bytes()[:-1])
-        manifest = CorpusManifest((replace(entry, test_utterances=(str(cut),)),))
-        (trial,) = score_manifest(tiny_db, manifest)
-        assert trial.failed
-        assert "cut.wav: data chunk truncated" in trial.error
+        wav = Path(entry.test_utterances[0]).read_bytes()
+        cut, oversized = tmp_path / "cut.wav", tmp_path / "oversized_chunk.wav"
+        cut.write_bytes(wav[:-1])
+        oversized.write_bytes(with_oversized_chunk(wav))
+        manifest = CorpusManifest((replace(entry, test_utterances=(str(cut), str(oversized))),))
+        trials = score_manifest(tiny_db, manifest)
+        assert [trial.failed for trial in trials] == [True, True]
+        assert "cut.wav: data chunk truncated" in trials[0].error
+        assert trials[1].error == f"{oversized}: a chunk runs past the end of the RIFF chunk"
 
     def test_directory_is_a_failed_trial(self, tiny_corpus, tiny_db, tmp_path):
         manifest, _ = tiny_corpus
