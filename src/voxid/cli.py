@@ -4,14 +4,13 @@ training, identification, and evaluation."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import audio_io
-from .errors import BadFileFormat, VoxidError
-from .features import FeatureKind, export_csv, read_file, save_features
+from .errors import BadFileFormat, VoxidError, named
+from .features import FeatureKind, export_csv, read_json, save_features, write_json
 from .sid_pipeline import (
     EXTRACTORS,
     FusionConfig,
@@ -34,16 +33,11 @@ def _load_config(path: str | None, section: str | None = None) -> PipelineConfig
     if path is None:
         return PipelineConfig()
     path = Path(path)
-    try:
-        doc = json.loads(read_file(path))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
-    try:
+    doc = read_json(path)
+    with named(str(path), (BadFileFormat, ValueError), BadFileFormat):
         config = PipelineConfig.from_json_dict(doc)
         if section is not None:
             config.check_frames_fit(section)
-    except (BadFileFormat, ValueError) as exc:
-        raise BadFileFormat(f"{path}: {exc}") from None
     return config
 
 
@@ -112,7 +106,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         print(f"{s.speaker_id:<12} {fused_str:>14} {spectral:>14} {residual:>14}")
     print(f"identified: {result.fused_winner}")
     if args.json:
-        Path(args.json).write_text(json.dumps(asdict(result), indent=2, sort_keys=True) + "\n")
+        write_json(args.json, asdict(result))
     return 0
 
 
@@ -136,9 +130,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(db, manifest, fusion)
     _print_report(report)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(args.report, report.to_json_dict())
         print(f"report: {args.report}")
     return 0
 
@@ -155,8 +147,7 @@ def _cmd_fuse_sweep(args: argparse.Namespace) -> int:
             f"{report.pia_residual:>14.2f} {report.pia_fused:>12.2f}"
         )
     if args.report:
-        doc = [r.to_json_dict() for r in reports]
-        Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(args.report, [r.to_json_dict() for r in reports])
         print(f"report: {args.report}")
     return 0
 

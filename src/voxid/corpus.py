@@ -46,7 +46,7 @@ GAP_SECONDS = 0.2
 MAX_UTTERANCE_SECONDS = 60.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeakerVoice:
     """Fixed per-speaker generator parameters."""
 

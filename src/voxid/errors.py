@@ -1,5 +1,8 @@
 """Exception hierarchy for the toolkit."""
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class VoxidError(Exception):
     """Base class for all errors raised by this package."""
@@ -59,3 +62,15 @@ class BadFileFormat(VoxidError):
 
 class AudioFormatError(VoxidError):
     """Unsupported or malformed WAV input."""
+
+
+@contextmanager
+def named(prefix: str | None, catch=VoxidError, raise_as: type | None = None) -> Iterator[None]:
+    """Re-raise a ``catch`` error from the block as ``raise_as`` (by default
+    its own type), with ``prefix: `` before its message when ``prefix`` is
+    given, and without its chain; any other error passes as it is."""
+    try:
+        yield
+    except catch as exc:
+        message = str(exc) if prefix is None else f"{prefix}: {exc}"
+        raise (raise_as or type(exc))(message) from None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -10,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadFileFormat, DimError, FeatureKindMismatch
+from .errors import BadFileFormat, DimError, FeatureKindMismatch, named
 
 
 class FeatureKind(str, Enum):
@@ -32,7 +33,7 @@ class FeatureKind(str, Enum):
             raise BadFileFormat(f"unknown feature kind {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Feature vectors of one kind, one row per retained frame."""
 
@@ -139,10 +140,8 @@ def feature_matrix_from_bytes(blob: bytes) -> FeatureMatrix:
     reader.end()
     if not np.all(np.isfinite(values)):
         raise BadFileFormat("feature file holds non-finite values")
-    try:
+    with named("feature file", ValueError, BadFileFormat):  # zero columns, or no such shape
         return FeatureMatrix(kind, values.reshape(rows, cols))
-    except ValueError as exc:  # zero columns, or a shape numpy cannot hold
-        raise BadFileFormat(f"feature file: {exc}") from None
 
 
 def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
@@ -158,8 +157,25 @@ def read_file(path: str | Path) -> bytes:
         raise BadFileFormat(f"{path}: cannot be read ({exc.strerror or exc})") from exc
 
 
+def read_json(path: str | Path) -> object:
+    """The file's JSON document; BadFileFormat naming the path when it
+    cannot be read, is not UTF-8 or is not JSON."""
+    blob = read_file(path)
+    try:
+        return json.loads(blob)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_json(path: str | Path, doc: object) -> None:
+    """Every JSON file voxid writes: two-space indents, sorted keys, a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def load_features(path: str | Path) -> FeatureMatrix:
-    return feature_matrix_from_bytes(read_file(path))
+    blob = read_file(path)
+    with named(str(path), BadFileFormat):
+        return feature_matrix_from_bytes(blob)
 
 
 def export_csv(matrix: FeatureMatrix, path: str | Path) -> None:

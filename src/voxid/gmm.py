@@ -20,6 +20,7 @@ from .errors import (
     FeatureKindMismatch,
     InsufficientData,
     NumericalFailure,
+    named,
 )
 from .features import BlobReader, FeatureKind, FeatureMatrix, pack_text
 
@@ -58,7 +59,7 @@ EXP_CLAMP = -700.0
 EXACT_STACK_DIM = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmModel:
     """Mixture weights, means, and diagonal variances for one feature stream."""
 
@@ -264,7 +265,7 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelStack:
     """Models of one kind, dimension and component count, row-stacked as
     the per-component terms of their weighted log-densities:
@@ -406,10 +407,8 @@ def em_fit(features: FeatureMatrix, init: GmmModel, cfg: TrainConfig) -> GmmMode
     floor = variance_floor(features, cfg.variance_floor_ratio)
     model = init
     for iteration in range(cfg.em_iterations):
-        try:
+        with named(f"EM iteration {iteration}", NumericalFailure):
             model, _ = em_step(features, model, floor)
-        except NumericalFailure as exc:
-            raise NumericalFailure(f"EM iteration {iteration}: {exc}") from None
     return model
 
 
@@ -456,7 +455,5 @@ def model_from_bytes(blob: bytes) -> GmmModel:
     means = reader.floats(m * d).reshape(m, d)
     variances = reader.floats(m * d).reshape(m, d)
     reader.end()
-    try:
+    with named(None, ValueError, BadFileFormat):  # values GmmModel rejects
         return GmmModel(kind, weights, means, variances)
-    except ValueError as exc:  # values GmmModel rejects
-        raise BadFileFormat(str(exc)) from None

@@ -52,7 +52,7 @@ def autocorr(frame: np.ndarray, max_lag: int) -> np.ndarray:
     return _autocorr_batch(frame[None, :], max_lag)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevinsonResult:
     """Solution of the order-p normal equations."""
 
@@ -186,7 +186,7 @@ def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return out[p : p + n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpAnalysis:
     """Everything the order-p autocorrelation method yields for one frame."""
 

@@ -13,19 +13,18 @@ import json
 import struct
 import threading
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from . import audio_io, corpus, gmm
 from .acrlag import AcrlagConfig, extract_acrlag
-from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError
+from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError, named
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
-from .features import read_file
+from .features import read_file, read_json, write_json
 from .gmm import GmmModel, TrainConfig
 from .signal_prep import AudioSignal, FrameConfig, preprocess
 from .spectral import FilterbankConfig, FrequencyScale, LpTransformConfig, PlpConfig
@@ -93,16 +92,11 @@ def _manifest_entry(item: object, path: Path) -> SpeakerEntry:
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Read a manifest JSON; utterance paths resolve relative to the file."""
     path = Path(path)
-    try:
-        doc = json.loads(read_file(path))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise BadFileFormat(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("speakers"), list):
         raise BadFileFormat(f"{path}: manifest must be an object with a 'speakers' list")
-    try:
+    with named(str(path), ValueError, BadFileFormat):  # overlapping lists or repeated ids
         manifest = CorpusManifest(tuple(_manifest_entry(item, path) for item in doc["speakers"]))
-    except ValueError as exc:  # overlapping train/test lists or repeated speaker ids
-        raise BadFileFormat(f"{path}: {exc}") from None
     for entry in manifest.speakers:
         for p in entry.train_utterances + entry.test_utterances:
             if not Path(p).exists():
@@ -131,7 +125,7 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
             for s in manifest.speakers
         ]
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 @dataclass(frozen=True)
@@ -233,14 +227,10 @@ class PipelineConfig:
                     raise BadFileFormat(
                         f"config key '{name}.{key}' must not be a boolean, got {value!r}"
                     )
-            try:
+            with named(f"config key {name!r}", (TypeError, ValueError), BadFileFormat):
                 sections[name] = replace(section, **values)
-            except (TypeError, ValueError) as exc:
-                raise BadFileFormat(f"config key {name!r}: {exc}") from None
-        try:
+        with named(None, ValueError, BadFileFormat):  # settings that disagree across sections
             return replace(defaults, **sections)
-        except ValueError as exc:  # settings that disagree across sections
-            raise BadFileFormat(str(exc)) from None
 
 
 def _fb_cepstra_on(scale: FrequencyScale) -> Callable[..., FeatureMatrix]:
@@ -346,16 +336,6 @@ class SpeakerDatabase:
         )
 
 
-@contextmanager
-def _named(prefix: str, kind: type[VoxidError] = VoxidError) -> Iterator[None]:
-    """Re-raise a ``kind`` error from the block as its type with ``prefix: ``
-    before its message; any other error passes as it is."""
-    try:
-        yield
-    except kind as exc:
-        raise type(exc)(f"{prefix}: {exc}") from None
-
-
 def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | Exception]:
     """``[task(spectral), task(residual)]``, as enrollment and scoring run
     their streams, with the Exception a task raised in its stream's place:
@@ -413,9 +393,9 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
             raise InsufficientData(f"speaker {sid} has no train utterances")
         stream_parts: tuple[list[FeatureMatrix], ...] = tuple([] for _ in streams)
         for path in entry.train_utterances:
-            with _named(sid):  # read_wav's errors name the path
+            with named(sid):  # read_wav's errors name the path
                 audio = audio_io.read_wav(path)
-            with _named(f"{sid}: {path}"):
+            with named(f"{sid}: {path}"):
                 frames = preprocess(audio, config.frame)
                 features = _map_streams(
                     lambda stream: stream.extract(frames, stream.settings), streams
@@ -425,7 +405,7 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
         stacked = tuple(concatenate_features(parts) for parts in stream_parts)
         fitted = _map_streams(lambda features: gmm.train_gmm(features, config.train), stacked)
         for stream, models, model in zip(streams, stream_models, fitted):
-            with _named(f"speaker {sid}, {stream.name} stream", InsufficientData):
+            with named(f"speaker {sid}, {stream.name} stream", InsufficientData):
                 models[sid] = _value(model)
     return SpeakerDatabase(config, manifest.speaker_ids, *stream_models)
 
@@ -704,16 +684,12 @@ def database_from_bytes(blob: bytes) -> SpeakerDatabase:
         sid = reader.text()
         speaker_ids.append(sid)
         for stream, models in zip(streams, stream_models):
-            try:
+            with named(f"speaker {sid}, {stream.name} model", BadFileFormat):
                 (size,) = reader.unpack("<Q")
                 models[sid] = gmm.model_from_bytes(reader.take(size))
-            except BadFileFormat as exc:
-                raise BadFileFormat(f"speaker {sid}, {stream.name} model: {exc}") from None
     reader.end()
-    try:
+    with named("database", ValueError, BadFileFormat):  # repeated ids; models unlike the config
         return SpeakerDatabase(config, tuple(speaker_ids), *stream_models)
-    except ValueError as exc:  # repeated ids, models that disagree with the config
-        raise BadFileFormat(f"database: {exc}") from None
 
 
 def save_database(db: SpeakerDatabase, path: str | Path) -> None:
@@ -721,7 +697,9 @@ def save_database(db: SpeakerDatabase, path: str | Path) -> None:
 
 
 def load_database(path: str | Path) -> SpeakerDatabase:
-    return database_from_bytes(read_file(path))
+    blob = read_file(path)
+    with named(str(path), BadFileFormat):
+        return database_from_bytes(blob)
 
 
 def synth_corpus(

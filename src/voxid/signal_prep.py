@@ -14,7 +14,7 @@ from .errors import AllSilence, AudioFormatError, EmptyInput, TooShort
 SAMPLE_RATE_HZ = 8000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioSignal:
     """Mono waveform with its sampling rate."""
 
@@ -64,7 +64,7 @@ class FrameConfig:
             raise ValueError("energy_threshold_ratio must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameSequence:
     """Windowed analysis frames, one per row."""
 

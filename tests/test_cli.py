@@ -156,6 +156,24 @@ def test_unreadable_path_is_bad_file_format(tmp_path, load, name, strerror):
         load(str(path))
 
 
+@pytest.mark.parametrize(
+    "load, what", [(load_database, "database"), (load_features, "feature file")]
+)
+def test_truncated_file_error_starts_with_its_path(cli_corpus, cli_db, tmp_path, load, what):
+    # A database is loaded beside a manifest, and a feature file beside
+    # others: the error says which file failed.
+    whole = cli_db
+    if load is load_features:
+        whole = tmp_path / "mfcc.ftr"
+        wav = str(cli_corpus / "spk02" / "test_00.wav")
+        assert main(["extract", wav, "--kind", "mfcc", "--out", str(whole)]) == 0
+    path = tmp_path / f"truncated{whole.suffix}"
+    path.write_bytes(whole.read_bytes()[:300])
+    message = f"{path}: {what} truncated: "
+    with pytest.raises(BadFileFormat, match=f"^{re.escape(message)}"):
+        load(path)
+
+
 class TestSynthCorpus:
     def test_layout(self, cli_corpus):
         assert (cli_corpus / "manifest.json").exists()
@@ -507,7 +525,7 @@ class TestTrainIdentifyEvaluate:
         wav = str(cli_corpus / "spk02" / "test_00.wav")
         assert main(["identify", wav, "--db", str(db)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: speaker spk02, residual model: -0.5 / var")
+        assert captured.err.startswith(f"error: {db}: speaker spk02, residual model: -0.5 / var")
         assert "identified" not in captured.out
 
     @pytest.mark.parametrize("amplitude", [1e154, 1e300])

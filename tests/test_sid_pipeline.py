@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance, with_oversized_chunk
 from voxid import audio_io, gmm, sid_pipeline, spectral
 from voxid.acrlag import AcrlagConfig
+from voxid.cli import _load_config
 from voxid.errors import (
     AudioFormatError,
     BadFileFormat,
@@ -303,18 +304,16 @@ class TestTrainDatabase:
         assert str(caught.value).count(str(folder)) == 1
 
     def test_one_utterances_frames_are_held_at_a_time(self, tiny_corpus, monkeypatch):
-        # A FrameSequence is unhashable (it compares by its array), so it
-        # is tracked by weak references rather than in a WeakSet.
-        refs, held = [], []
+        live, held = weakref.WeakSet(), []
         layer, extract = sid_pipeline.preprocess, sid_pipeline.extract_acrlag
 
         def tracked(audio, frame):
             frames = layer(audio, frame)
-            refs.append(weakref.ref(frames))
+            live.add(frames)
             return frames
 
         def counted(frames, settings):
-            held.append(sum(ref() is not None for ref in refs))
+            held.append(len(live))
             return extract(frames, settings)
 
         monkeypatch.setattr(sid_pipeline, "preprocess", tracked)
@@ -1397,6 +1396,178 @@ class TestConfigJson:
         assert PipelineConfig.from_json_dict(doc) == PipelineConfig(
             train=TrainConfig(n_components=4)
         )
+
+
+# Values that a --config document may give each frame, filterbank, acrlag
+# and train key.  They fit the defaults and each other; an edge of
+# CONFIG_EDGES then takes the document past one limit that --config was
+# once found not to check.
+CONFIG_SPACE = {
+    "frame": {
+        "frame_len_samples": st.integers(80, 512),
+        "hop_samples": st.integers(16, 80),
+        "preemphasis": st.floats(0, 0.999),
+        "energy_threshold_ratio": st.floats(1e-6, 0.99),
+    },
+    "filterbank": {
+        "n_filters": st.integers(20, 40),
+        "scale": st.sampled_from(["mel", "hertz"]),
+        "f_low_hz": st.floats(0, 300),
+        "f_high_hz": st.none() | st.floats(3000, 4000),
+        "n_cep": st.integers(1, 19),
+        "fft_size": st.sampled_from([512, 1024, 2048]),
+    },
+    "acrlag": {"lp_order": st.integers(1, 40), "max_lag": st.integers(0, 30)},
+    "train": {
+        "n_components": st.sampled_from(gmm.ALLOWED_COMPONENT_COUNTS),
+        "em_iterations": st.integers(1, 3),
+        "variance_floor_ratio": st.floats(1e-6, 0.5),
+    },
+}
+CONFIG_KEYS = [(section, key) for section, keys in CONFIG_SPACE.items() for key in keys]
+DEFAULT_CONFIG = PipelineConfig()
+
+
+def given_or_default(doc: dict, section: str, key: str):
+    return doc.get(section, {}).get(key, getattr(getattr(DEFAULT_CONFIG, section), key))
+
+
+INTEGER_KEYS = [(s, k) for s, k in CONFIG_KEYS if type(given_or_default({}, s, k)) is int]
+
+
+def wide_stream(draw, doc: dict) -> None:
+    """Features of dimension 32 or more, where stacked scores are not exact."""
+    if draw(st.booleans()):
+        doc.setdefault("acrlag", {})["max_lag"] = draw(st.integers(31, 40))
+    else:
+        n_cep = draw(st.integers(32, 40))
+        n_filters = n_cep + draw(st.integers(1, 8))
+        doc.setdefault("filterbank", {}).update(n_cep=n_cep, n_filters=n_filters)
+
+
+def huge_fft(draw, doc: dict) -> None:
+    """Its (20, 2**29 + 1) filterbank would take 86 GB."""
+    doc.setdefault("filterbank", {})["fft_size"] = 2**30
+
+
+def frames_longer_than_the_fft(draw, doc: dict) -> None:
+    """A 256-point FFT, which every filterbank of CONFIG_SPACE fits."""
+    doc.setdefault("filterbank", {})["fft_size"] = 256
+    doc.setdefault("frame", {})["frame_len_samples"] = draw(st.integers(257, 512))
+
+
+def filterbank_too_dense(draw, doc: dict) -> None:
+    """At least as many filters as FFT bins: some filter covers fewer than 2."""
+    bins = given_or_default(doc, "filterbank", "fft_size") // 2 + 1
+    doc.setdefault("filterbank", {})["n_filters"] = draw(st.integers(bins, 2 * bins))
+
+
+def lp_order_not_shorter_than_a_frame(draw, doc: dict) -> None:
+    frame_len = given_or_default(doc, "frame", "frame_len_samples")
+    doc.setdefault("acrlag", {})["lp_order"] = draw(st.integers(frame_len, frame_len + 64))
+
+
+def integers_as_floats(draw, doc: dict) -> None:
+    """JSON 80.0 equals 80, but is no integer: one integer setting, and any
+    other that the document gives, as floats."""
+    section, key = draw(st.sampled_from(INTEGER_KEYS))
+    doc.setdefault(section, {})[key] = given_or_default(doc, section, key)
+    for section, key in INTEGER_KEYS:
+        if key in doc.get(section, {}):
+            doc[section][key] = float(doc[section][key])
+
+
+def boolean_as_number(draw, doc: dict) -> None:
+    """JSON false equals 0.0 and true 1.0, and these settings take those
+    values, but no setting takes a boolean."""
+    section, key, value = draw(
+        st.sampled_from(
+            [("frame", "preemphasis", False), ("filterbank", "f_low_hz", False),
+             ("filterbank", "f_low_hz", True)]
+        )
+    )
+    doc.setdefault(section, {})[key] = value
+
+
+CONFIG_EDGES = [
+    None,
+    wide_stream,
+    huge_fft,
+    frames_longer_than_the_fft,
+    filterbank_too_dense,
+    lp_order_not_shorter_than_a_frame,
+    integers_as_floats,
+    boolean_as_number,
+]
+
+
+@st.composite
+def config_documents(draw) -> dict:
+    """A --config document: up to three keys of CONFIG_SPACE, then at most
+    one edge of CONFIG_EDGES."""
+    doc = {}
+    for section, key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3, unique=True)):
+        doc.setdefault(section, {})[key] = draw(CONFIG_SPACE[section][key])
+    edge = draw(st.sampled_from(CONFIG_EDGES))
+    if edge is not None:
+        edge(draw, doc)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def short_corpus(tmp_path_factory):
+    """Three speakers with one train and one test utterance of 1.5 s each."""
+    root = tmp_path_factory.mktemp("short_corpus")
+    manifest, _ = synth_corpus(
+        root, n_speakers=3, train_utterances=1, test_utterances=1,
+        train_seconds=1.5, test_seconds=1.5, seed=5,
+    )
+    return manifest, root
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=config_documents())
+def test_a_config_is_refused_by_key_or_runs_end_to_end(short_corpus, doc):
+    # Read as --config is read: a refused document gets an error that names
+    # the file and a config key.  An accepted one holds no boolean and no
+    # float for an integer, has every filter cover two FFT bins, trains,
+    # loads bit-exact and identifies, each speaker scoring as its models
+    # alone; its only error may be that 1.5 s of audio holds too few frames
+    # for its mixtures.
+    manifest, root = short_corpus
+    path = root / "config.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = _load_config(str(path))
+        except BadFileFormat as exc:
+            keyed = re.match(rf"{re.escape(str(path))}: config key '(\w+)\.?(\w*)'", str(exc))
+            assert keyed, exc
+            section, key = keyed.groups()
+            assert key in ("", *CONFIG_SPACE[section]), exc
+            return
+        for section, values in doc.items():
+            for key in values:
+                held = getattr(getattr(config, section), key)
+                assert not isinstance(held, bool)
+                assert (section, key) not in INTEGER_KEYS or type(held) is int
+        assert (np.count_nonzero(config.filterbank.filterbank, axis=1) >= 2).all()
+        try:
+            db = train_database(manifest, config)
+        except InsufficientData:
+            return
+        save_database(db, root / "config.db")
+        loaded = load_database(root / "config.db")
+        assert database_to_bytes(loaded) == database_to_bytes(db)
+        for entry in manifest.speakers:
+            for wav in entry.train_utterances + entry.test_utterances:
+                audio = audio_io.read_wav(wav)
+                result = identify(loaded, audio)
+                for sid, scores in zip(loaded.speaker_ids, result.scores):
+                    models = (loaded.spectral_models[sid], loaded.residual_models[sid])
+                    alone = SpeakerDatabase(config, (sid,), *({sid: model} for model in models))
+                    assert score_utterance(alone, audio) == (scores,)
 
 
 class TestSynthCorpus:

@@ -1,9 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxid import corpus, gmm, lp
 from voxid.errors import AllSilence, EmptyInput, TooShort
+from voxid.features import FeatureKind, FeatureMatrix
 from voxid.signal_prep import (
     AudioSignal,
     FrameConfig,
@@ -262,3 +266,30 @@ class TestTypes:
     def test_frame_sequence_shape_validation(self):
         with pytest.raises(ValueError):
             FrameSequence(np.zeros(100))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AudioSignal(np.ones(8), 8000),
+            lambda: FrameSequence(np.ones((2, 4))),
+            lambda: FeatureMatrix(FeatureKind.MFCC, np.ones((2, 3))),
+            lambda: gmm.GmmModel(FeatureKind.MFCC, [0.5, 0.5], np.zeros((2, 3)), np.ones((2, 3))),
+            lambda: gmm.stack_models([gmm.GmmModel(FeatureKind.MFCC, [1.0], [[0.0]], [[1.0]])]),
+            lambda: lp.levinson_durbin(np.array([1.0, 0.5, 0.1]), 2),
+            lambda: lp.analyze_frame(np.hamming(64) * np.cos(0.3 * np.arange(64)), 4),
+            lambda: corpus.make_voices(2, seed=0)[0],
+        ],
+        ids=[
+            "AudioSignal", "FrameSequence", "FeatureMatrix", "GmmModel", "ModelStack",
+            "LevinsonResult", "LpAnalysis", "SpeakerVoice",
+        ],
+    )
+    def test_records_holding_arrays_compare_by_identity(self, make):
+        # A generated __eq__ over an array field would raise on ==, and
+        # leave the record unhashable.
+        record = make()
+        twin = copy.copy(record)
+        assert record == record
+        assert record != twin
+        assert hash(record) == hash(record)
+        assert len({record, twin}) == 2
