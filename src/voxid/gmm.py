@@ -85,10 +85,11 @@ class GmmModel:
         if np.any(variances <= 0) or not np.all(np.isfinite(variances)):
             raise ValueError("variances must be finite and strictly positive")
         # A denormal variance passes the test above but overflows the terms
-        # that stack_models scores with.
+        # that stack_models scores with; among them each component's row sum
+        # of mean^2 / var, which overflows whenever one of its terms does.
         with np.errstate(over="ignore"):
             scaled_means = means / variances
-            terms = (0.5 / variances, scaled_means, means * scaled_means)
+            terms = (0.5 / variances, scaled_means, (means * scaled_means).sum(axis=1))
         if not all(np.all(np.isfinite(t)) for t in terms):
             raise ValueError("-0.5 / var, mean / var and mean^2 / var must be finite")
         object.__setattr__(self, "feature_kind", FeatureKind(self.feature_kind))

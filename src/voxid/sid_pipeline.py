@@ -139,6 +139,17 @@ class FusionConfig:
             raise ValueError("eta must lie in [0, 1]")
 
 
+def _check_setting(key: str, default: object, value: object) -> None:
+    """Refuse a setting whose type its default's does not allow, whether it
+    came from JSON or Python: true is an int, and 80.0 equals 80, but
+    neither is an integer; and false equals 0.0, but no setting takes a
+    boolean."""
+    if type(default) is int and type(value) is not int:
+        raise ValueError(f"config key '{key}' must be an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"config key '{key}' must not be a boolean, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every setting in one place: the pipeline's, and those of the kinds
@@ -152,9 +163,15 @@ class PipelineConfig:
     lp_transform: LpTransformConfig = field(default_factory=LpTransformConfig)
 
     def __post_init__(self) -> None:
-        """Frames fit the pipeline's FFT and hold its LP and ACRLAG lags, so
-        neither stream's extractor can refuse these settings; and each
-        stream's features are narrow enough for exact stacked scores."""
+        """Every setting has its type (see ``_check_setting``); frames fit
+        the pipeline's FFT and hold its LP and ACRLAG lags, so neither
+        stream's extractor can refuse these settings; and each stream's
+        features are narrow enough for exact stacked scores."""
+        for section in fields(self):
+            settings = getattr(self, section.name)
+            for setting in fields(settings):
+                key, value = f"{section.name}.{setting.name}", getattr(settings, setting.name)
+                _check_setting(key, setting.default, value)
         for section in ("filterbank", "acrlag"):
             self.check_frames_fit(section)
         for key, value, dim in (
@@ -217,16 +234,8 @@ class PipelineConfig:
             if unknown:
                 raise BadFileFormat(f"unknown config key '{name}.{unknown[0]}'")
             for key, value in values.items():
-                # JSON true is a Python int, and 80.0 equals 80, but neither is an
-                # integer; and false equals 0.0, but no setting takes a boolean.
-                if type(getattr(section, key)) is int and type(value) is not int:
-                    raise BadFileFormat(
-                        f"config key '{name}.{key}' must be an integer, got {value!r}"
-                    )
-                if isinstance(value, bool):
-                    raise BadFileFormat(
-                        f"config key '{name}.{key}' must not be a boolean, got {value!r}"
-                    )
+                with named(None, ValueError, BadFileFormat):
+                    _check_setting(f"{name}.{key}", getattr(section, key), value)
             with named(f"config key {name!r}", (TypeError, ValueError), BadFileFormat):
                 sections[name] = replace(section, **values)
         with named(None, ValueError, BadFileFormat):  # settings that disagree across sections
@@ -269,6 +278,13 @@ class _Stream(NamedTuple):
     settings: object
     kind: FeatureKind
     dim: int
+
+    def features(self, frames) -> FeatureMatrix:
+        """The stream's features of the frames, for training and scoring alike."""
+        features = self.extract(frames, self.settings)
+        if not np.isfinite(features.values).all():
+            raise NumericalFailure(f"{self.name} stream: features are not finite")
+        return features
 
 
 def _streams(config: PipelineConfig) -> tuple[_Stream, _Stream]:
@@ -397,9 +413,7 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
                 audio = audio_io.read_wav(path)
             with named(f"{sid}: {path}"):
                 frames = preprocess(audio, config.frame)
-                features = _map_streams(
-                    lambda stream: stream.extract(frames, stream.settings), streams
-                )
+                features = _map_streams(lambda stream: stream.features(frames), streams)
                 for parts, part in zip(stream_parts, features):
                     parts.append(_value(part))
         stacked = tuple(concatenate_features(parts) for parts in stream_parts)
@@ -415,14 +429,6 @@ class SpeakerScores:
     speaker_id: str
     spectral: float | None
     residual: float | None
-
-
-def _score_stream(stream: _Stream, stack: gmm.ModelStack, frames) -> list:
-    """One stream's scores of the frames against its stack, in speaker order."""
-    features = stream.extract(frames, stream.settings)
-    if not np.isfinite(features.values).all():
-        raise NumericalFailure(f"{stream.name} stream: features are not finite")
-    return gmm.stack_scores(stack, features).tolist()
 
 
 def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
@@ -441,9 +447,9 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     frames = preprocess(audio, db.config.frame)
     missing = [None] * db.n_speakers
     pairs = tuple(zip(_streams(db.config), db.model_stacks))
+    scored = _map_streams(lambda pair: gmm.stack_scores(pair[1], pair[0].features(frames)), pairs)
     columns = [
-        missing if isinstance(column, NoFeatures) else _value(column)
-        for column in _map_streams(lambda pair: _score_stream(*pair, frames), pairs)
+        missing if isinstance(column, NoFeatures) else _value(column).tolist() for column in scored
     ]
     if all(column is missing for column in columns):
         raise InsufficientData("both feature streams failed for this utterance")

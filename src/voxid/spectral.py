@@ -86,6 +86,11 @@ class FilterbankConfig:
     fft_size: int = 512
 
     def __post_init__(self) -> None:
+        # A float setting given as an int is stored as a float, so that
+        # equal configs write one database header.
+        for name in ("f_low_hz", "f_high_hz"):
+            if type(getattr(self, name)) is int:
+                object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "scale", FrequencyScale(self.scale))
         if self.n_filters < 1:
             raise ValueError("need at least one filter")

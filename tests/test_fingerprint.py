@@ -1,0 +1,50 @@
+"""tools/fingerprint.py: repeatable hashes, and a one-ulp model change named."""
+
+import importlib.util
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from voxid.gmm import GmmModel
+from voxid.sid_pipeline import load_database, save_database
+
+SMALL = dict(speakers=3, train_utterances=2, test_utterances=1, seconds=(1.5, 1.5), orders=(2,))
+
+
+@pytest.fixture(scope="module")
+def fingerprint():
+    path = Path(__file__).parents[1] / "tools" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_runs_write_equal_json(fingerprint, tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        fingerprint.write(out, **SMALL)
+    assert outs[0].read_text() == outs[1].read_text()
+    names = json.loads(outs[0].read_text())["hashes"]
+    assert {"outputs/db_m2.db", "outputs/evaluate_m2.json", "corpus/manifest.json"} <= set(names)
+    assert fingerprint.compare(*[json.loads(out.read_text())] * 2) == ([], False)
+
+
+def test_one_ulp_in_a_saved_database_is_named(fingerprint, tmp_path):
+    fingerprint.produce(tmp_path, **SMALL)
+    base = fingerprint.fingerprint(tmp_path)
+    path = tmp_path / "outputs" / "db_m2.db"
+    db = load_database(path)
+    model = db.spectral_models["spk01"]
+    means = model.means.copy()
+    means[1, 3] = np.nextafter(means[1, 3], np.inf)
+    moved = GmmModel(model.feature_kind, model.weights, means, model.variances)
+    db = replace(db, spectral_models={**db.spectral_models, "spk01": moved})
+    save_database(db, path)
+    assert fingerprint.compare(base, fingerprint.fingerprint(tmp_path)) == (
+        ["moved: outputs/db_m2.db"],
+        True,
+    )

@@ -371,6 +371,19 @@ class TestModelValidation:
             with pytest.raises(ValueError, match="mean / var"):
                 GmmModel(KIND, np.array([1.0]), np.ones((1, 2)), np.array([[1.0, 1e-320]]))
 
+    def test_overflowing_row_sum_rejected_built_and_loaded(self):
+        # Each mean^2 / var is finite, but component 0's sum, the offset
+        # that stack_models scores with, overflows.
+        weights, variances = np.array([0.5, 0.5]), np.ones((2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"mean\^2 / var must be finite"):
+                GmmModel(KIND, weights, np.array([[1e154, 1e154], [0.0, 0.0]]), variances)
+            blob = model_to_bytes(GmmModel(KIND, weights, [[2.0, 2.0], [0.0, 0.0]], variances))
+            huge = blob.replace(struct.pack("<d", 2.0), struct.pack("<d", 1e154))
+            with pytest.raises(BadFileFormat, match=r"mean\^2 / var must be finite"):
+                model_from_bytes(huge)
+
 
 class TestTrainConfig:
     def test_rejects_non_power_of_two(self):

@@ -34,7 +34,7 @@ from voxid.errors import (
 )
 from voxid.features import FeatureMatrix, concatenate_features
 from voxid.gmm import GmmModel, TrainConfig
-from voxid.signal_prep import AudioSignal
+from voxid.signal_prep import AudioSignal, FrameConfig
 from voxid.sid_pipeline import (
     CorpusManifest,
     FusionConfig,
@@ -82,6 +82,17 @@ def with_config_json(blob: bytes, config_json: str) -> bytes:
     (length,) = struct.unpack_from("<I", blob, 8)
     raw = config_json.encode("utf-8")
     return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + length :]
+
+
+def with_overflowing_row_sum(blob: bytes, model: GmmModel) -> bytes:
+    """The database blob with the model's first mean row moved so that each
+    of its mean^2 / var terms is finite but their sum overflows."""
+    means = model.means.copy()
+    means[0] = np.sqrt(1.5e307 * model.variances[0])
+    old = gmm.model_to_bytes(model)  # ... means, variances: each (M, d) float64
+    new = old[: -2 * means.nbytes] + means.tobytes() + old[-means.nbytes :]
+    assert blob.count(old) == 1
+    return blob.replace(old, new)
 
 
 def with_decoys(db: SpeakerDatabase, n: int) -> SpeakerDatabase:
@@ -521,6 +532,30 @@ class TestConcurrentEnrollment:
         with pytest.raises(AudioFormatError, match=f"^solo: {re.escape(str(bad))}: "):
             train_database(manifest, TINY_TRAIN)
         assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize(
+        "name, stream", [("fb_cepstra", "spectral"), ("extract_acrlag", "residual")]
+    )
+    def test_non_finite_train_features_name_speaker_path_and_stream(
+        self, tiny_corpus, monkeypatch, name, stream
+    ):
+        # Training refuses what scoring refuses, before LBG meets the NaN.
+        manifest = one_speaker(tiny_corpus[0], 3)
+        path = manifest.speakers[0].train_utterances[1]
+        layer, calls = getattr(sid_pipeline, name), itertools.count()
+
+        def nan_in_second_utterance(frames, settings):
+            features = layer(frames, settings)
+            if next(calls) == 1:
+                features.values[0, 0] = np.nan
+            return features
+
+        monkeypatch.setattr(sid_pipeline, name, nan_in_second_utterance)
+        message = f"^solo: {re.escape(path)}: {stream} stream: features are not finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=message):
+                train_database(manifest, TINY_TRAIN)
 
     @pytest.mark.parametrize("short", [("extract_acrlag",), ("fb_cepstra", "extract_acrlag")])
     def test_training_errors_name_the_first_stream_that_fails(
@@ -1119,8 +1154,12 @@ class TestDatabasePersistence:
                 ),
                 "speaker spk01, residual model: bad model magic",
             ),
+            (
+                lambda blob, db: with_overflowing_row_sum(blob, db.spectral_models["spk01"]),
+                "speaker spk01, spectral model: -0.5 / var",
+            ),
         ],
-        ids=["variance", "truncated", "magic"],
+        ids=["variance", "truncated", "magic", "row sum"],
     )
     def test_bad_model_names_speaker_and_stream(self, tiny_db, corrupt, message):
         blob = corrupt(database_to_bytes(tiny_db), tiny_db)
@@ -1396,6 +1435,38 @@ class TestConfigJson:
         assert PipelineConfig.from_json_dict(doc) == PipelineConfig(
             train=TrainConfig(n_components=4)
         )
+
+    @pytest.mark.parametrize(
+        "doc, build",
+        [
+            ({"filterbank": {"n_filters": 20.0}}, lambda: FilterbankConfig(n_filters=20.0)),
+            ({"filterbank": {"n_cep": 12.0}}, lambda: FilterbankConfig(n_cep=12.0)),
+            ({"train": {"em_iterations": True}}, lambda: TrainConfig(em_iterations=True)),
+            ({"frame": {"hop_samples": 80.0}}, lambda: FrameConfig(hop_samples=80.0)),
+            ({"acrlag": {"lp_order": 13.0}}, lambda: AcrlagConfig(lp_order=13.0)),
+        ],
+    )
+    def test_a_config_built_in_python_obeys_the_json_type_rule(self, doc, build):
+        # Else it would train a database that load_database refuses.
+        with pytest.raises(BadFileFormat) as from_json:
+            PipelineConfig.from_json_dict(doc)
+        (name,) = doc
+        with pytest.raises(ValueError, match=f"^{re.escape(str(from_json.value))}$"):
+            PipelineConfig(**{name: build()})
+
+    @pytest.mark.parametrize(
+        "section, key, as_int", [("filterbank", "f_high_hz", 4000), ("frame", "preemphasis", 0)]
+    )
+    def test_an_int_for_a_float_setting_writes_the_floats_header(
+        self, tiny_corpus, section, key, as_int
+    ):
+        manifest = one_speaker(tiny_corpus[0], 2)
+
+        def blob(value):
+            doc = {section: {key: value}, "train": {"n_components": 2}}
+            return database_to_bytes(train_database(manifest, PipelineConfig.from_json_dict(doc)))
+
+        assert blob(as_int) == blob(float(as_int))
 
 
 # Values that a --config document may give each frame, filterbank, acrlag
