@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import DegenerateResidual, NoFeatures
+from .errors import DegenerateResidual, NoFeatures, check_types
 from .features import FeatureKind, FeatureMatrix
 from .signal_prep import FrameSequence
 
@@ -31,6 +31,7 @@ class AcrlagConfig:
     max_lag: int = DEFAULT_MAX_LAG
 
     def __post_init__(self) -> None:
+        check_types(self, "acrlag")
         if self.lp_order < 1:
             raise ValueError("lp_order must be at least 1")
         if self.max_lag < 0:

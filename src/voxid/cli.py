@@ -99,11 +99,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     result = identify(db, audio, fusion)
     fused = result.fused_scores()
     print(f"{'speaker':<12} {'fused':>14} {'spectral':>14} {'residual':>14}")
-    for s in sorted(result.scores, key=lambda s: -fused.get(s.speaker_id, -float("inf"))):
+    for s in sorted(result.scores, key=lambda s: -fused[s.speaker_id]):
         spectral = f"{s.spectral:.2f}" if s.spectral is not None else "-"
         residual = f"{s.residual:.2f}" if s.residual is not None else "-"
-        fused_str = f"{fused[s.speaker_id]:.2f}" if s.speaker_id in fused else "-"
-        print(f"{s.speaker_id:<12} {fused_str:>14} {spectral:>14} {residual:>14}")
+        print(f"{s.speaker_id:<12} {fused[s.speaker_id]:>14.2f} {spectral:>14} {residual:>14}")
     print(f"identified: {result.fused_winner}")
     if args.json:
         write_json(args.json, asdict(result))

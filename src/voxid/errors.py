@@ -1,6 +1,8 @@
-"""Exception hierarchy for the toolkit."""
+"""Exception hierarchy for the toolkit, and its helpers at boundaries."""
 
 from contextlib import contextmanager
+from dataclasses import fields
+from numbers import Real
 from typing import Iterator
 
 
@@ -74,3 +76,21 @@ def named(prefix: str | None, catch=VoxidError, raise_as: type | None = None) ->
     except catch as exc:
         message = str(exc) if prefix is None else f"{prefix}: {exc}"
         raise (raise_as or type(exc))(message) from None
+
+
+def check_types(settings, section: str | None = None) -> None:
+    """Refuse a setting its declared type does not admit: an int setting an
+    int alone (not True, 80.0 or np.int64), a float one a real number (kept
+    as a float: equal settings write one header) or None if `float | None`,
+    and none a boolean. Errors name the key `section.name`, else the field."""
+    for setting in fields(settings):
+        name, kind, value = setting.name, setting.type, getattr(settings, setting.name)
+        key = f"config key '{section}.{name}'" if section else name
+        if kind == "int" and type(value) is not int:
+            raise TypeError(f"{key} must be an integer, got {value!r}")
+        if isinstance(value, bool):
+            raise TypeError(f"{key} must not be a boolean, got {value!r}")
+        if kind == "float" or (kind == "float | None" and value is not None):
+            if not isinstance(value, Real):
+                raise TypeError(f"{key} must be a number, got {value!r}")
+            object.__setattr__(settings, name, float(value))

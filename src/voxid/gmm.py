@@ -20,6 +20,7 @@ from .errors import (
     FeatureKindMismatch,
     InsufficientData,
     NumericalFailure,
+    check_types,
     named,
 )
 from .features import BlobReader, FeatureKind, FeatureMatrix, pack_text
@@ -115,6 +116,7 @@ class TrainConfig:
     variance_floor_ratio: float = DEFAULT_VARIANCE_FLOOR_RATIO
 
     def __post_init__(self) -> None:
+        check_types(self, "train")
         if self.n_components not in ALLOWED_COMPONENT_COUNTS:
             raise ValueError(
                 f"n_components must be one of {ALLOWED_COMPONENT_COUNTS}"

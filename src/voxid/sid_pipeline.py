@@ -22,7 +22,8 @@ import numpy as np
 
 from . import audio_io, corpus, gmm
 from .acrlag import AcrlagConfig, extract_acrlag
-from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError, named
+from .errors import BadFileFormat, InsufficientData, NoFeatures, NumericalFailure, VoxidError
+from .errors import check_types, named
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
 from .features import read_file, read_json, write_json
 from .gmm import GmmModel, TrainConfig
@@ -135,19 +136,9 @@ class FusionConfig:
     eta: float = 0.5
 
     def __post_init__(self) -> None:
+        check_types(self)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-
-
-def _check_setting(key: str, default: object, value: object) -> None:
-    """Refuse a setting whose type its default's does not allow, whether it
-    came from JSON or Python: true is an int, and 80.0 equals 80, but
-    neither is an integer; and false equals 0.0, but no setting takes a
-    boolean."""
-    if type(default) is int and type(value) is not int:
-        raise ValueError(f"config key '{key}' must be an integer, got {value!r}")
-    if isinstance(value, bool):
-        raise ValueError(f"config key '{key}' must not be a boolean, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -163,15 +154,10 @@ class PipelineConfig:
     lp_transform: LpTransformConfig = field(default_factory=LpTransformConfig)
 
     def __post_init__(self) -> None:
-        """Every setting has its type (see ``_check_setting``); frames fit
-        the pipeline's FFT and hold its LP and ACRLAG lags, so neither
+        """Rules across sections, each section having checked its own: frames
+        fit the pipeline's FFT and hold its LP and ACRLAG lags, so neither
         stream's extractor can refuse these settings; and each stream's
         features are narrow enough for exact stacked scores."""
-        for section in fields(self):
-            settings = getattr(self, section.name)
-            for setting in fields(settings):
-                key, value = f"{section.name}.{setting.name}", getattr(settings, setting.name)
-                _check_setting(key, setting.default, value)
         for section in ("filterbank", "acrlag"):
             self.check_frames_fit(section)
         for key, value, dim in (
@@ -219,8 +205,7 @@ class PipelineConfig:
             raise BadFileFormat(
                 "config key 'score_average': only false (summed frame scores) is supported"
             )
-        defaults = cls()
-        sections = {}
+        defaults, sections = cls(), {}
         for name, values in doc.items():
             if name not in {f.name for f in fields(cls)}:
                 raise BadFileFormat(f"unknown config key {name!r}")
@@ -233,11 +218,9 @@ class PipelineConfig:
             unknown = sorted(set(values) - {f.name for f in fields(section)})
             if unknown:
                 raise BadFileFormat(f"unknown config key '{name}.{unknown[0]}'")
-            for key, value in values.items():
-                with named(None, ValueError, BadFileFormat):
-                    _check_setting(f"{name}.{key}", getattr(section, key), value)
-            with named(f"config key {name!r}", (TypeError, ValueError), BadFileFormat):
-                sections[name] = replace(section, **values)
+            with named(None, TypeError, BadFileFormat):  # a type error names its key
+                with named(f"config key {name!r}", ValueError, BadFileFormat):
+                    sections[name] = replace(section, **values)
         with named(None, ValueError, BadFileFormat):  # settings that disagree across sections
             return replace(defaults, **sections)
 

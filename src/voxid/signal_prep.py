@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllSilence, AudioFormatError, EmptyInput, TooShort
+from .errors import AllSilence, AudioFormatError, EmptyInput, TooShort, check_types
 
 # Every frame length, hop and lag is counted in samples at this rate, so the
 # pipeline analyses audio at this rate only.
@@ -54,10 +54,7 @@ class FrameConfig:
     energy_threshold_ratio: float = 0.06
 
     def __post_init__(self) -> None:
-        # Given as an int (0), it is stored as a float, so that equal
-        # configs write one database header.
-        if type(self.preemphasis) is int:
-            object.__setattr__(self, "preemphasis", float(self.preemphasis))
+        check_types(self, "frame")
         if self.frame_len_samples <= 0 or self.hop_samples <= 0:
             raise ValueError("frame length and hop must be positive")
         if self.hop_samples > self.frame_len_samples:

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp
-from .errors import NoFeatures
+from .errors import NoFeatures, check_types
 from .features import FeatureKind, FeatureMatrix
 from .signal_prep import SAMPLE_RATE_HZ, FrameSequence
 
@@ -86,11 +86,7 @@ class FilterbankConfig:
     fft_size: int = 512
 
     def __post_init__(self) -> None:
-        # A float setting given as an int is stored as a float, so that
-        # equal configs write one database header.
-        for name in ("f_low_hz", "f_high_hz"):
-            if type(getattr(self, name)) is int:
-                object.__setattr__(self, name, float(getattr(self, name)))
+        check_types(self, "filterbank")
         object.__setattr__(self, "scale", FrequencyScale(self.scale))
         if self.n_filters < 1:
             raise ValueError("need at least one filter")
@@ -209,6 +205,7 @@ class PlpConfig:
     fft_size: int = 512
 
     def __post_init__(self) -> None:
+        check_types(self, "plp")
         if self.model_order < 1:
             raise ValueError("model_order must be at least 1")
         if self.n_cep < 1:
@@ -298,6 +295,7 @@ class LpTransformConfig:
     order: int = 19
 
     def __post_init__(self) -> None:
+        check_types(self, "lp_transform")
         if self.order < 1:
             raise ValueError("order must be at least 1")
         _check_order("order", self.order)

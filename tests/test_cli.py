@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from voxid.acrlag import AcrlagConfig, extract_acrlag
 from voxid.cli import _load_config, build_parser, main
 from voxid.errors import BadFileFormat
 from voxid.features import FeatureKind, feature_matrix_to_bytes, load_features
-from voxid.sid_pipeline import load_database, load_manifest
+from voxid.sid_pipeline import PipelineConfig, load_database, load_manifest
 from voxid.signal_prep import AudioSignal, FrameConfig, preprocess
 from voxid.spectral import (
     FilterbankConfig,
@@ -65,6 +66,17 @@ def cli_corpus(tmp_path_factory):
     )
     assert code == 0
     return root
+
+
+# Every --config key whose default is a float, or None (the Nyquist
+# frequency, for f_high_hz): each takes a JSON number.
+DEFAULT_CONFIG = PipelineConfig()
+FLOAT_KEYS = [
+    (section.name, setting.name)
+    for section in fields(DEFAULT_CONFIG)
+    for setting in fields(getattr(DEFAULT_CONFIG, section.name))
+    if type(getattr(getattr(DEFAULT_CONFIG, section.name), setting.name)) in (float, type(None))
+]
 
 
 def write_config(path: Path, doc: dict) -> str:
@@ -688,6 +700,30 @@ class TestTrainIdentifyEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: config key '{key}' must be an integer")
         assert "TypeError" not in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (section, key, value)
+            for section, key in FLOAT_KEYS
+            for value in ("0.5", None, [0.5])
+            if not (key == "f_high_hz" and value is None)
+        ],
+    )
+    def test_non_number_for_a_float_config_key_is_an_error_line(
+        self, cli_corpus, tmp_path, capsys, section, key, value
+    ):
+        # A string, even one that float() reads, null and a list are no
+        # number: the error line names the key, not a comparison Python failed.
+        cfg = write_config(tmp_path / "cfg.json", {section: {key: value}})
+        manifest = str(cli_corpus / "manifest.json")
+        out = tmp_path / "cfg.db"
+        code = main(["train", "--manifest", manifest, "--out", str(out), "--config", cfg])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key '{section}.{key}' must be a number, got {value!r}\n"
+        )
+        assert not out.exists()
 
     def test_too_few_distinct_frames_fails_cleanly(self, tmp_path, capsys):
         # A 100 Hz square wave at 8 kHz repeats every 80 samples, so its

@@ -12,6 +12,7 @@ import warnings
 import weakref
 from collections import Counter
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,29 @@ class TestFusion:
         for eta in (-0.1, 1.1):
             with pytest.raises(ValueError):
                 FusionConfig(eta)
+
+    @pytest.mark.parametrize(
+        "eta, reason",
+        [
+            (True, "eta must not be a boolean, got True"),
+            ("0.5", "eta must be a number, got '0.5'"),
+            (None, "eta must be a number, got None"),
+        ],
+    )
+    def test_eta_of_the_wrong_type_is_refused(self, eta, reason):
+        with pytest.raises(TypeError, match=f"^{re.escape(reason)}$"):
+            FusionConfig(eta)
+
+    @pytest.mark.parametrize("eta", [0, 1, np.float64(0.5), np.int64(1)])
+    def test_eta_is_stored_and_written_as_a_float(self, eta):
+        # Else an int eta writes "eta": 1 to a report, where 1.0 writes 1.0.
+        assert type(FusionConfig(eta).eta) is float
+        trials = [ScoredTrial("A", "a.wav", (SpeakerScores("A", -1.0, -2.0),))]
+        written = [
+            json.dumps(report_from_scores(trials, FusionConfig(e)).to_json_dict())
+            for e in (eta, float(eta))
+        ]
+        assert written[0] == written[1]
 
     def test_fusion_can_flip_the_winner(self):
         # Spectral alone prefers B; the residual stream is confident enough
@@ -1451,8 +1475,67 @@ class TestConfigJson:
         with pytest.raises(BadFileFormat) as from_json:
             PipelineConfig.from_json_dict(doc)
         (name,) = doc
-        with pytest.raises(ValueError, match=f"^{re.escape(str(from_json.value))}$"):
+        with pytest.raises(TypeError, match=f"^{re.escape(str(from_json.value))}$"):
             PipelineConfig(**{name: build()})
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("frame", "hop_samples", 80.0),
+            ("frame", "preemphasis", False),
+            ("acrlag", "lp_order", 13.0),
+            ("acrlag", "max_lag", True),
+            ("filterbank", "n_filters", 20.0),
+            ("filterbank", "scale", True),
+            ("filterbank", "f_high_hz", "4000"),
+            ("plp", "model_order", 19.0),
+            ("plp", "fft_size", True),
+            ("lp_transform", "order", 19.0),
+            ("train", "n_components", 8.0),
+            ("train", "variance_floor_ratio", None),
+        ],
+    )
+    def test_a_section_built_alone_obeys_the_json_type_rule(self, section, key, value):
+        # Refused when built, before any extractor or training reads it.
+        with pytest.raises(BadFileFormat) as from_json:
+            PipelineConfig.from_json_dict({section: {key: value}})
+        with pytest.raises(TypeError, match=f"^{re.escape(str(from_json.value))}$"):
+            type(getattr(PipelineConfig(), section))(**{key: value})
+
+    @pytest.mark.parametrize(
+        "build, section, key",
+        [
+            (lambda: TrainConfig(n_components=np.int64(8)), "train", "n_components"),
+            (lambda: AcrlagConfig(max_lag=np.int32(12)), "acrlag", "max_lag"),
+        ],
+    )
+    def test_a_numpy_integer_is_no_integer_setting(self, build, section, key):
+        with pytest.raises(TypeError, match=f"^config key '{section}.{key}' must be an integer"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, section, key",
+        [
+            (lambda: FrameConfig(preemphasis=0), "frame", "preemphasis"),
+            (
+                lambda: FrameConfig(energy_threshold_ratio=np.float32(0.25)),
+                "frame",
+                "energy_threshold_ratio",
+            ),
+            (lambda: FilterbankConfig(f_low_hz=np.int64(100)), "filterbank", "f_low_hz"),
+            (
+                lambda: TrainConfig(variance_floor_ratio=Fraction(1, 1000)),
+                "train",
+                "variance_floor_ratio",
+            ),
+        ],
+    )
+    def test_a_real_number_for_a_float_setting_is_stored_as_a_float(self, build, section, key):
+        built = build()
+        assert type(getattr(built, key)) is float
+        assert PipelineConfig(**{section: built}) == PipelineConfig.from_json_dict(
+            {section: {key: getattr(built, key)}}
+        )
 
     @pytest.mark.parametrize(
         "section, key, as_int", [("filterbank", "f_high_hz", 4000), ("frame", "preemphasis", 0)]
@@ -1504,6 +1587,28 @@ def given_or_default(doc: dict, section: str, key: str):
 
 
 INTEGER_KEYS = [(s, k) for s, k in CONFIG_KEYS if type(given_or_default({}, s, k)) is int]
+# f_high_hz's default, None, means the Nyquist frequency.
+FLOAT_KEYS = [
+    (s, k) for s, k in CONFIG_KEYS if type(given_or_default({}, s, k)) in (float, type(None))
+]
+
+
+def wrongly_typed(doc: dict) -> set[tuple[str, str]]:
+    """The keys of a document whose JSON value is not of their setting's
+    type: a boolean anywhere, a non-integer for an integer, or a non-number
+    for a float (null only for f_high_hz)."""
+    return {
+        (section, key)
+        for section, values in doc.items()
+        for key, value in values.items()
+        if isinstance(value, bool)
+        or ((section, key) in INTEGER_KEYS and type(value) is not int)
+        or (
+            (section, key) in FLOAT_KEYS
+            and not isinstance(value, (int, float))
+            and not (value is None and key == "f_high_hz")
+        )
+    }
 
 
 def wide_stream(draw, doc: dict) -> None:
@@ -1560,6 +1665,15 @@ def boolean_as_number(draw, doc: dict) -> None:
     doc.setdefault(section, {})[key] = value
 
 
+def non_number_for_a_float(draw, doc: dict) -> None:
+    """A string, even one that float() reads, null or a list for a float
+    setting: none is a number, and null means the Nyquist frequency for
+    f_high_hz alone."""
+    section, key = draw(st.sampled_from(FLOAT_KEYS))
+    values = ["0.5", "x", [0.5]] + ([] if key == "f_high_hz" else [None])
+    doc.setdefault(section, {})[key] = draw(st.sampled_from(values))
+
+
 CONFIG_EDGES = [
     None,
     wide_stream,
@@ -1569,6 +1683,7 @@ CONFIG_EDGES = [
     lp_order_not_shorter_than_a_frame,
     integers_as_floats,
     boolean_as_number,
+    non_number_for_a_float,
 ]
 
 
@@ -1600,14 +1715,16 @@ def short_corpus(tmp_path_factory):
 @given(doc=config_documents())
 def test_a_config_is_refused_by_key_or_runs_end_to_end(short_corpus, doc):
     # Read as --config is read: a refused document gets an error that names
-    # the file and a config key.  An accepted one holds no boolean and no
-    # float for an integer, has every filter cover two FFT bins, trains,
+    # the file and a config key, and a key of the wrong type when it holds
+    # one.  An accepted one holds no key of the wrong type, keeps each float
+    # setting as a float, has every filter cover two FFT bins, trains,
     # loads bit-exact and identifies, each speaker scoring as its models
     # alone; its only error may be that 1.5 s of audio holds too few frames
     # for its mixtures.
     manifest, root = short_corpus
     path = root / "config.json"
     path.write_text(json.dumps(doc))
+    wrong = wrongly_typed(doc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -1617,12 +1734,15 @@ def test_a_config_is_refused_by_key_or_runs_end_to_end(short_corpus, doc):
             assert keyed, exc
             section, key = keyed.groups()
             assert key in ("", *CONFIG_SPACE[section]), exc
+            assert not wrong or (section, key) in wrong, exc
             return
+        assert not wrong, doc
         for section, values in doc.items():
             for key in values:
                 held = getattr(getattr(config, section), key)
                 assert not isinstance(held, bool)
                 assert (section, key) not in INTEGER_KEYS or type(held) is int
+                assert (section, key) not in FLOAT_KEYS or held is None or type(held) is float
         assert (np.count_nonzero(config.filterbank.filterbank, axis=1) >= 2).all()
         try:
             db = train_database(manifest, config)
