@@ -4,8 +4,11 @@ The LP residual carries what the all-pole vocal-tract model leaves behind:
 periodicity from the glottal excitation, or noise-like structure for
 unvoiced speech.  Correlating the normalized residual against itself over a
 short range of lags summarizes that excitation in a fixed-length vector,
-lag 0 included so overall residual energy survives normalization of scale
-elsewhere in the pipeline.
+lag 0 included.  Each residual is scaled to a peak magnitude of one before
+it is correlated, so lag 0 does not carry the residual's energy: it is the
+sum of squares of samples at most one in size, and measures how peaky the
+residual is, low for a few sharp glottal pulses and high for noise-like
+excitation.
 """
 
 from __future__ import annotations
@@ -55,7 +58,11 @@ def _normalize_rows(e: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.nd
     # feature vector.
     floors = np.max(np.abs(e), axis=1) * 1e-12
     valid = valid & (peaks > floors) & np.isfinite(peaks)
-    return centered[valid] / peaks[valid, None], valid
+    # centered is this function's own array: with every row kept, it is
+    # divided in place rather than copied.
+    rows = centered if valid.all() else centered[valid]
+    rows /= peaks[valid, None]
+    return rows, valid
 
 
 def normalize_residual(e: np.ndarray) -> np.ndarray:

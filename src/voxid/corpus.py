@@ -14,6 +14,7 @@ can.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -95,11 +96,15 @@ def impulse_train(rng: np.random.Generator, n_samples: int, period: float) -> np
 
 
 def synth_speech_burst(
-    rng: np.random.Generator, n_samples: int, tract: np.ndarray, period: float
+    rng: np.random.Generator,
+    n_samples: int,
+    tract: Callable[[np.ndarray], np.ndarray],
+    period: float,
 ) -> np.ndarray:
-    """One voiced burst through an utterance-specific tract realization."""
+    """One voiced burst through an utterance-specific tract realization,
+    the all-pole filter that ``lp.all_pole_filter`` built for it."""
     excitation = impulse_train(rng, n_samples, period)
-    speech = lp.synthesize(excitation, tract)
+    speech = tract(excitation)
     peak = np.max(np.abs(speech))
     if peak > 0:
         speech = speech * (SPEECH_PEAK / peak)
@@ -134,7 +139,7 @@ def synth_utterance(rng: np.random.Generator, voice: SpeakerVoice, seconds: floa
     first = speech_samples // 2
     second = speech_samples - first
 
-    tract = wobbled_tract(rng, voice)
+    tract = lp.all_pole_filter(wobbled_tract(rng, voice))
     period = voice.pitch_period * (1.0 + PITCH_DRIFT * rng.uniform(-1.0, 1.0))
     samples = np.zeros(total, dtype=np.float64)
     samples[pad : pad + first] = synth_speech_burst(rng, first, tract, period)

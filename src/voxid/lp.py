@@ -12,6 +12,7 @@ predictor coefficients hold [a1 .. ap] without the leading 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,7 +126,9 @@ def _residual_batch(frames: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     # Window j of the padded row is s[j - p .. j]; the taps are reversed to
     # match.  One spare zero on the right keeps the view valid when n == 0.
     taps = np.concatenate((-coefficients[:, :p][:, ::-1], np.ones((m, 1))), axis=1)
-    windows = sliding_window_view(np.pad(frames, ((0, 0), (p, 1))), p + 1, axis=1)
+    padded = np.zeros((m, p + n + 1))
+    padded[:, p : p + n] = frames
+    windows = sliding_window_view(padded, p + 1, axis=1)
     return np.einsum("mnk,mk->mn", windows[:, :n], taps)
 
 
@@ -148,6 +151,18 @@ def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     orders with large taps drift further: at order 200 with |k| <= 0.85
     (taps up to about 2e4), on 130 samples of noise, 20 random tracts drifted
     by 5e-12 to 2.8e-5 of the peak (median 1.6e-8).
+    """
+    excitation = _finite(excitation, "synthesize")
+    coefficients = _finite(coefficients, "synthesize")
+    if excitation.ndim != 1 or coefficients.ndim != 1:
+        raise ValueError("excitation and coefficients must be 1-D")
+    # Taps past the signal length only ever see the zero history.
+    return all_pole_filter(coefficients[: excitation.size])(excitation)
+
+
+def all_pole_filter(coefficients: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`synthesize` with these coefficients, its matrices built once:
+    a function that filters each excitation it is given from zero history.
 
     The recursion runs in blocks of SYNTH_BLOCK samples.  A block's output
     is its zero-state response, the product of its input with the
@@ -157,14 +172,11 @@ def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     block to block.  A non-finite value is refused: the block products
     would carry it to the samples before it.
     """
-    excitation = _finite(excitation, "synthesize")
     coefficients = _finite(coefficients, "synthesize")
-    if excitation.ndim != 1 or coefficients.ndim != 1:
-        raise ValueError("excitation and coefficients must be 1-D")
-    n, block = excitation.size, SYNTH_BLOCK
-    # Taps past the signal length only ever see the zero history.
-    p = min(coefficients.size, n)
-    oldest_first = coefficients[:p][::-1]
+    if coefficients.ndim != 1:
+        raise ValueError("coefficients must be 1-D")
+    p, block = coefficients.size, SYNTH_BLOCK
+    oldest_first = coefficients[::-1]
     # The recursion over one block from an impulse, after p zeros of history.
     impulse = np.zeros(p + block)
     impulse[p] = 1.0
@@ -177,13 +189,23 @@ def synthesize(excitation: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     toeplitz = sliding_window_view(np.concatenate((lead, impulse[p:])), block)[:, ::-1]
     feedback = sliding_window_view(np.concatenate((lead, oldest_first)), p)[::-1]
     from_history = toeplitz @ feedback
-    n_blocks = -(-n // block)
-    inputs = np.pad(excitation, (0, n_blocks * block - n)).reshape(n_blocks, block)
-    out = np.zeros(p + n_blocks * block)
-    np.matmul(inputs, toeplitz.T, out=out[p:].reshape(n_blocks, block))
-    for start in range(block, n_blocks * block, block):
-        out[p + start : p + start + block] += from_history @ out[start : start + p]
-    return out[p : p + n]
+
+    def run(excitation: np.ndarray) -> np.ndarray:
+        excitation = _finite(excitation, "synthesize")
+        if excitation.ndim != 1:
+            raise ValueError("excitation must be 1-D")
+        n = excitation.size
+        if n < p:
+            return synthesize(excitation, coefficients)
+        n_blocks = -(-n // block)
+        inputs = np.pad(excitation, (0, n_blocks * block - n)).reshape(n_blocks, block)
+        out = np.zeros(p + n_blocks * block)
+        np.matmul(inputs, toeplitz.T, out=out[p:].reshape(n_blocks, block))
+        for start in range(block, n_blocks * block, block):
+            out[p + start : p + start + block] += from_history @ out[start : start + p]
+        return out[p : p + n]
+
+    return run
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import contextvars
 import json
+import os
 import struct
 import threading
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -335,31 +336,99 @@ class SpeakerDatabase:
         )
 
 
+class _StreamWorker:
+    """The one thread that runs the spectral task of every two-stream call
+    in this process, each task in the order it was handed over."""
+
+    def __init__(self) -> None:
+        self._tasks: deque[tuple[contextvars.Context, Callable[[], None], threading.Lock]] = deque()
+        self._pending = threading.Semaphore(0)
+        # A daemon: it waits for work forever, and it must neither hold up
+        # the interpreter's exit nor stop before the atexit handlers run.
+        self.thread = threading.Thread(target=self._serve, name="voxid-streams", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._pending.acquire()
+            context, task, done = self._tasks.popleft()
+            try:
+                context.run(task)
+            finally:
+                done.release()
+
+    def submit(self, task: Callable[[], None]) -> threading.Lock:
+        """Queue task() to run in a copy of the caller's context; the lock
+        returned is released once it has run."""
+        done = threading.Lock()
+        done.acquire()
+        self._tasks.append((contextvars.copy_context(), task, done))
+        self._pending.release()
+        return done
+
+
+_worker: _StreamWorker | None = None
+_worker_lock = threading.Lock()
+
+
+def _stream_worker() -> _StreamWorker | None:
+    """This process's stream worker, started on the first call; None when
+    no thread can start, as during interpreter shutdown from Python 3.12."""
+    global _worker
+    if _worker is None:
+        with _worker_lock:
+            if _worker is None:
+                try:
+                    _worker = _StreamWorker()
+                except RuntimeError:
+                    return None
+    return _worker
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread does not run here, so
+    the next call starts the child's own."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | Exception]:
     """``[task(spectral), task(residual)]``, as enrollment and scoring run
     their streams, with the Exception a task raised in its stream's place:
     the caller decides which error to raise. The residual stream's task
     runs on the calling thread: ACRLAG is the longer stream, so the worker
-    has mostly finished by the join. The spectral stream's task runs on a
-    worker thread started and joined here, in a copy of the caller's
-    context, so a NumPy errstate set by the caller holds in it (NumPy 2
-    keeps errstate in a context variable). The worker is joined also when
-    the calling thread's task raises a BaseException, which then
-    propagates, so the worker never outlives the call."""
+    has mostly finished by the time it is waited for. The spectral stream's
+    task runs on the process's one stream worker (``_stream_worker``), in a
+    copy of the caller's context, so a NumPy errstate set by the caller
+    holds in it (NumPy 2 keeps errstate in a context variable); concurrent
+    callers queue their spectral tasks on it. Where no thread can start,
+    both tasks run on the calling thread. A call returns only after both
+    tasks have finished, and a BaseException that is no Exception, from
+    either task, is then raised, the spectral stream's first."""
     results: list = [None, None]
 
     def run(index: int) -> None:
         try:
             results[index] = task(streams[index])
-        except Exception as exc:
+        except BaseException as exc:
             results[index] = exc
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 0))
-    worker.start()
-    try:
+    worker = _stream_worker()
+    if worker is None:
+        run(0)
         run(1)
-    finally:
-        worker.join()
+    else:
+        done = worker.submit(lambda: run(0))
+        try:
+            run(1)
+        finally:
+            done.acquire()
+    for result in results:
+        if isinstance(result, BaseException) and not isinstance(result, Exception):
+            raise result
     return results
 
 

@@ -181,7 +181,9 @@ def _power_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
             f"frames of {frames.shape[1]} samples do not fit a {fft_size}-point FFT"
         )
     spectra = np.fft.rfft(frames, n=fft_size, axis=1)
-    return spectra.real**2 + spectra.imag**2
+    power = np.square(spectra.real)
+    power += np.square(spectra.imag)
+    return power
 
 
 def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()) -> FeatureMatrix:

@@ -95,3 +95,16 @@ def tiny_corpus(tmp_path_factory):
         seed=11,
     )
     return manifest, manifest_path
+
+
+@pytest.fixture(scope="session")
+def tiny_corpus_frames(tiny_corpus):
+    """Every preprocessed frame of the tiny corpus, one per row, then a zero
+    row and two constant rows."""
+    from voxid import audio_io
+
+    manifest, _ = tiny_corpus
+    paths = [p for e in manifest.speakers for p in e.train_utterances + e.test_utterances]
+    frames = np.concatenate([preprocess(audio_io.read_wav(p), FrameConfig()).frames for p in paths])
+    n = frames.shape[1]
+    return np.concatenate((frames, np.zeros((1, n)), np.full((1, n), 0.1), np.full((1, n), -3.0)))

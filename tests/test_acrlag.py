@@ -5,6 +5,7 @@ from tests.conftest import random_ar_frame
 from voxid import lp
 from voxid.acrlag import (
     AcrlagConfig,
+    _normalize_rows,
     acrlag_feature,
     extract_acrlag,
     normalize_residual,
@@ -39,6 +40,52 @@ class TestNormalizeResidual:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateResidual):
             normalize_residual(np.array([]))
+
+
+def normalize_rows_oracle(e: np.ndarray, valid: np.ndarray):
+    """_normalize_rows as first written, with a temporary for each step."""
+    centered = e - e.mean(axis=1, keepdims=True)
+    peaks = np.max(np.abs(centered), axis=1)
+    floors = np.max(np.abs(e), axis=1) * 1e-12
+    valid = valid & (peaks > floors) & np.isfinite(peaks)
+    return centered[valid] / peaks[valid, None], valid
+
+
+class TestNormalizeRowsOracle:
+    """The row normalization of the residual stream has the oracle's bits,
+    on the tiny corpus's frames and residuals."""
+
+    def residuals(self, frames: np.ndarray):
+        coeffs, _, _, valid = lp._levinson_batch(lp._autocorr_batch(frames, 13))
+        return lp._residual_batch(frames, coeffs), valid
+
+    def test_bits_equal_the_oracle(self, tiny_corpus_frames):
+        e, lp_valid = self.residuals(tiny_corpus_frames)
+        frames = tiny_corpus_frames
+        every = np.ones(len(frames), dtype=bool)
+        # LP analysis drops the zero row. Normalized as they are, the frames'
+        # last three rows, zero and constant, are dropped, and the others
+        # all kept, which the normalization divides in place.
+        assert not lp_valid[-3] and lp_valid[-2:].all()
+        assert not _normalize_rows(frames, every)[1][-3:].any()
+        assert _normalize_rows(frames[:-3], every[:-3])[1].all()
+        for rows, valid in ((e, lp_valid), (frames, every), (frames[:-3], every[:-3])):
+            got, got_valid = _normalize_rows(rows, valid)
+            expected, expected_valid = normalize_rows_oracle(rows, valid)
+            np.testing.assert_array_equal(got_valid, expected_valid)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_the_callers_rows_are_left_alone(self, tiny_corpus_frames):
+        e, _ = self.residuals(tiny_corpus_frames[:-3])
+        before = e.copy()
+        _normalize_rows(e, np.ones(len(e), dtype=bool))
+        assert e.tobytes() == before.tobytes()
+        for row in e[::50]:
+            normalize_residual(row)
+        assert e.tobytes() == before.tobytes()
+        x = np.array([2.0, 4.0, -1.0])
+        normalize_residual(x)
+        assert x.tolist() == [2.0, 4.0, -1.0]
 
 
 class TestAcrlagFeature:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxid import corpus
+from voxid import corpus, lp
 from voxid.signal_prep import AudioSignal, FrameConfig, preprocess, remove_silence
 
 
@@ -71,6 +71,25 @@ class TestUtterances:
         a = corpus.synth_utterance(corpus.utterance_rng(2, 2, 0), voice, 2.0)
         b = corpus.synth_utterance(corpus.utterance_rng(2, 2, 0), voice, 2.0)
         np.testing.assert_array_equal(a, b)
+
+    def test_each_burst_is_synthesized_from_zero_history(self):
+        # The utterance as first written: each burst through lp.synthesize,
+        # with the same draws in the same order.
+        voice = corpus.make_voices(4, seed=2)[1]
+        got = corpus.synth_utterance(corpus.utterance_rng(2, 1, 0), voice, 2.0)
+        rng = corpus.utterance_rng(2, 1, 0)
+        pad, gap, total = corpus.utterance_layout(2.0)
+        first = (total - 2 * pad - gap) // 2
+        starts_and_lengths = ((pad, first), (pad + first + gap, total - 2 * pad - gap - first))
+        tract = corpus.wobbled_tract(rng, voice)
+        period = voice.pitch_period * (1.0 + corpus.PITCH_DRIFT * rng.uniform(-1.0, 1.0))
+        expected = np.zeros(total)
+        for start, n in starts_and_lengths:
+            speech = lp.synthesize(corpus.impulse_train(rng, n, period), tract)
+            expected[start : start + n] = speech * (corpus.SPEECH_PEAK / np.max(np.abs(speech)))
+        speech_rms = np.sqrt(np.mean(expected[pad : pad + first] ** 2))
+        expected += speech_rms / (10.0 ** (corpus.SNR_DB / 20.0)) * rng.standard_normal(total)
+        assert got.tobytes() == expected.tobytes()
 
     def test_different_indices_differ(self):
         voice = corpus.make_voices(4, seed=2)[2]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from tests.conftest import random_ar_frame
@@ -167,7 +168,25 @@ class TestLevinsonDurbin:
         )
 
 
+def residual_batch_oracle(frames: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """lp._residual_batch as first written, its windows over np.pad's rows."""
+    m, n = frames.shape
+    p = min(coefficients.shape[1], n)
+    taps = np.concatenate((-coefficients[:, :p][:, ::-1], np.ones((m, 1))), axis=1)
+    windows = sliding_window_view(np.pad(frames, ((0, 0), (p, 1))), p + 1, axis=1)
+    return np.einsum("mnk,mk->mn", windows[:, :n], taps)
+
+
 class TestResidual:
+    def test_batch_bits_equal_the_padded_window_oracle(self, tiny_corpus_frames):
+        coeffs = lp._levinson_batch(lp._autocorr_batch(tiny_corpus_frames, 13))[0]
+        # Whole frames, then frames shorter than the 13 taps, then none.
+        for n in (tiny_corpus_frames.shape[1], 5, 0):
+            frames = tiny_corpus_frames[:, :n]
+            got = lp._residual_batch(frames, coeffs)
+            expected = residual_batch_oracle(frames, coeffs)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_zero_coeffs_identity(self, rng):
         frame = rng.standard_normal(32)
         np.testing.assert_array_equal(lp.residual(frame, np.zeros(4)), frame)
@@ -273,6 +292,32 @@ class TestSynthesize:
     def test_input_that_is_not_one_dimensional_is_refused(self, x_shape, a_shape):
         with pytest.raises(ValueError, match="^excitation and coefficients must be 1-D$"):
             lp.synthesize(np.ones(x_shape), np.full(a_shape, 0.1))
+
+
+class TestAllPoleFilter:
+    def test_each_excitation_is_filtered_as_synthesize_filters_it(self, rng):
+        # One filter, built once, starts every excitation from zero history:
+        # the excitation before it leaves no state behind.
+        a = corpus.reflection_to_coefficients(rng.uniform(-0.85, 0.85, 10))
+        tract = lp.all_pole_filter(a)
+        for length in (3000, 0, 5, BLOCK, 2 * BLOCK + 5, 3000):
+            x = rng.standard_normal(length)
+            assert tract(x).tobytes() == lp.synthesize(x, a).tobytes()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        a, x = np.array([0.5, -0.2]), np.zeros(3 * BLOCK)
+        x[1] = bad
+        with pytest.raises(NumericalFailure, match="^synthesize: input is not finite$"):
+            lp.all_pole_filter(a)(x)
+        with pytest.raises(NumericalFailure, match="^synthesize: input is not finite$"):
+            lp.all_pole_filter(np.array([0.5, bad]))
+
+    def test_input_that_is_not_one_dimensional_is_refused(self):
+        with pytest.raises(ValueError, match="^coefficients must be 1-D$"):
+            lp.all_pole_filter(np.full((1, 3), 0.1))
+        with pytest.raises(ValueError, match="^excitation must be 1-D$"):
+            lp.all_pole_filter(np.full(3, 0.1))(np.ones((2, 50)))
 
 
 class TestLpcc:

@@ -11,9 +11,11 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +115,25 @@ def with_decoys(db: SpeakerDatabase, n: int) -> SpeakerDatabase:
             )
         ids.append(f"decoy{i:02d}")
     return SpeakerDatabase(db.config, tuple(ids), *stores)
+
+
+@contextmanager
+def on_the_one_worker():
+    """The calls inside start no thread, and leave no thread but the
+    process's one stream worker, the same thread as before them."""
+    worker = sid_pipeline._stream_worker()
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    with mock.patch.object(threading.Thread, "start", recording_start):
+        yield
+    assert started == []
+    assert sid_pipeline._stream_worker() is worker
+    assert set(threading.enumerate()) == {threading.main_thread(), worker.thread}
 
 
 def identify_or_error(db: SpeakerDatabase, audio: AudioSignal):
@@ -431,19 +452,17 @@ def stub_layer(monkeypatch, name: str, failures: dict[int, BaseException], rows=
     monkeypatch.setattr(sid_pipeline, name, stub)
 
 
-def assert_worker_joined_when_the_calling_thread_stops(
-    monkeypatch, call, caller: str, worker: str
-) -> None:
-    """call() raises the BaseException that the layer named caller raises
-    on the calling thread while the layer named worker runs on the worker
-    thread, and returns only after the worker has finished; no thread
-    outlives it."""
+def assert_stop_waits_for_the_other_stream(call, stops: str, runs: str):
+    """call() raises the BaseException that the layer named stops raises
+    while the layer named runs is running in the other stream, and only
+    after that layer has finished; no call starts a thread. Returns what
+    call() returns next, with both layers restored."""
 
     class Stop(BaseException):
         pass
 
     started, finished = threading.Event(), threading.Event()
-    layer = getattr(sid_pipeline, worker)
+    layer = getattr(sid_pipeline, runs)
 
     def slow(frames, settings):
         started.set()
@@ -455,13 +474,14 @@ def assert_worker_joined_when_the_calling_thread_stops(
         assert started.wait(timeout=10.0)
         raise Stop
 
-    baseline = threading.active_count()
-    monkeypatch.setattr(sid_pipeline, worker, slow)
-    monkeypatch.setattr(sid_pipeline, caller, stop)
-    with pytest.raises(Stop):
-        call()
-    assert finished.is_set()
-    assert threading.active_count() == baseline
+    with on_the_one_worker(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sid_pipeline, runs, slow)
+        patch.setattr(sid_pipeline, stops, stop)
+        with pytest.raises(Stop):
+            call()
+        assert finished.is_set()
+    with on_the_one_worker():
+        return call()
 
 
 # The calls of a stubbed layer that raise, and the error each raises.
@@ -526,36 +546,36 @@ class TestConcurrentEnrollment:
     def test_lowest_utterance_error_wins_across_streams(self, tiny_corpus, monkeypatch):
         manifest = one_speaker(tiny_corpus[0], 5)
         paths = manifest.speakers[0].train_utterances
-        baseline = threading.active_count()
-        stub_layer(monkeypatch, "fb_cepstra", {3: NoFeatures("spectral gave out")})
-        stub_layer(monkeypatch, "extract_acrlag", {1: NoFeatures("residual gave out")})
-        with pytest.raises(NoFeatures, match=f"^solo: {re.escape(paths[1])}: residual gave out$"):
-            train_database(manifest, TINY_TRAIN)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            stub_layer(monkeypatch, "fb_cepstra", {3: NoFeatures("spectral gave out")})
+            stub_layer(monkeypatch, "extract_acrlag", {1: NoFeatures("residual gave out")})
+            message = f"^solo: {re.escape(paths[1])}: residual gave out$"
+            with pytest.raises(NoFeatures, match=message):
+                train_database(manifest, TINY_TRAIN)
 
     def test_spectral_error_wins_at_the_same_utterance(self, tiny_corpus, monkeypatch):
         manifest = one_speaker(tiny_corpus[0], 4)
         paths = manifest.speakers[0].train_utterances
-        baseline = threading.active_count()
-        stub_layer(monkeypatch, "fb_cepstra", {2: LagTooLarge("spectral gave out")})
-        stub_layer(monkeypatch, "extract_acrlag", {2: NoFeatures("residual gave out")})
-        with pytest.raises(LagTooLarge, match=f"^solo: {re.escape(paths[2])}: spectral gave out$"):
-            train_database(manifest, TINY_TRAIN)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            stub_layer(monkeypatch, "fb_cepstra", {2: LagTooLarge("spectral gave out")})
+            stub_layer(monkeypatch, "extract_acrlag", {2: NoFeatures("residual gave out")})
+            message = f"^solo: {re.escape(paths[2])}: spectral gave out$"
+            with pytest.raises(LagTooLarge, match=message):
+                train_database(manifest, TINY_TRAIN)
 
     def test_extraction_error_before_a_bad_file_wins(self, tiny_corpus, monkeypatch, tmp_path):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"junk" * 64)
         good = one_speaker(tiny_corpus[0], 3).speakers[0].train_utterances
         manifest = CorpusManifest((SpeakerEntry("solo", good + (str(bad),), ()),))
-        baseline = threading.active_count()
-        stub_layer(monkeypatch, "extract_acrlag", {2: NoFeatures("residual gave out")})
-        with pytest.raises(NoFeatures, match=f"^solo: {re.escape(good[2])}: residual gave out$"):
-            train_database(manifest, TINY_TRAIN)
-        monkeypatch.undo()
-        with pytest.raises(AudioFormatError, match=f"^solo: {re.escape(str(bad))}: "):
-            train_database(manifest, TINY_TRAIN)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            stub_layer(monkeypatch, "extract_acrlag", {2: NoFeatures("residual gave out")})
+            message = f"^solo: {re.escape(good[2])}: residual gave out$"
+            with pytest.raises(NoFeatures, match=message):
+                train_database(manifest, TINY_TRAIN)
+            monkeypatch.undo()
+            with pytest.raises(AudioFormatError, match=f"^solo: {re.escape(str(bad))}: "):
+                train_database(manifest, TINY_TRAIN)
 
     @pytest.mark.parametrize(
         "name, stream", [("fb_cepstra", "spectral"), ("extract_acrlag", "residual")]
@@ -588,13 +608,12 @@ class TestConcurrentEnrollment:
         # One row per utterance is too few for 8 components.
         manifest = one_speaker(tiny_corpus[0], 3)
         config = PipelineConfig(train=TrainConfig(n_components=8))
-        baseline = threading.active_count()
-        for name in short:
-            stub_layer(monkeypatch, name, {}, rows=1)
-        stream = "spectral" if "fb_cepstra" in short else "residual"
-        with pytest.raises(InsufficientData, match=f"^speaker solo, {stream} stream: "):
-            train_database(manifest, config)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            for name in short:
+                stub_layer(monkeypatch, name, {}, rows=1)
+            stream = "spectral" if "fb_cepstra" in short else "residual"
+            with pytest.raises(InsufficientData, match=f"^speaker solo, {stream} stream: "):
+                train_database(manifest, config)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -630,26 +649,32 @@ class TestConcurrentEnrollment:
                 except Exception as exc:
                     return type(exc), str(exc)
 
-        baseline = threading.active_count()
-        expected = enroll(lambda: serial_enrollment(entry, config))
-        got = enroll(lambda: train_database(CorpusManifest((entry,)), config))
-        if isinstance(got, SpeakerDatabase):
-            got = tuple(gmm.model_to_bytes(models["solo"]) for models in got.stream_models)
-        assert got == expected
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            expected = enroll(lambda: serial_enrollment(entry, config))
+            got = enroll(lambda: train_database(CorpusManifest((entry,)), config))
+            if isinstance(got, SpeakerDatabase):
+                got = tuple(gmm.model_to_bytes(models["solo"]) for models in got.stream_models)
+            assert got == expected
 
-    def test_no_thread_outlives_a_call(self, tiny_corpus):
-        baseline = threading.active_count()
-        train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
-        assert threading.active_count() == baseline
+    def test_a_call_starts_no_thread(self, tiny_corpus):
+        with on_the_one_worker():
+            train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
 
-    def test_worker_is_joined_when_the_calling_thread_stops(self, tiny_corpus, monkeypatch):
-        assert_worker_joined_when_the_calling_thread_stops(
-            monkeypatch,
-            lambda: train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN),
-            caller="extract_acrlag",
-            worker="fb_cepstra",
+    @pytest.mark.parametrize(
+        "stops, runs",
+        [("extract_acrlag", "fb_cepstra"), ("fb_cepstra", "extract_acrlag")],
+        ids=["calling-thread", "worker"],
+    )
+    def test_a_base_exception_is_raised_once_both_streams_finish(self, tiny_corpus, stops, runs):
+        # The residual stream extracts on the calling thread, the spectral
+        # stream on the worker: a BaseException on either is raised once
+        # both have finished, and the worker serves the next call.
+        manifest = one_speaker(tiny_corpus[0], 1)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        after = assert_stop_waits_for_the_other_stream(
+            lambda: train_database(manifest, TINY_TRAIN), stops, runs
         )
+        assert database_to_bytes(after) == expected
 
     @pytest.mark.parametrize("name", ["fb_cepstra", "extract_acrlag"])
     def test_callers_errstate_holds_in_both_streams(self, tiny_corpus, monkeypatch, name):
@@ -658,11 +683,10 @@ class TestConcurrentEnrollment:
             np.array([1e308]) * 10.0
             raise AssertionError("the overflow did not raise")
 
-        baseline = threading.active_count()
-        monkeypatch.setattr(sid_pipeline, name, overflow)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            monkeypatch.setattr(sid_pipeline, name, overflow)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
 
 
 def serial_scores(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
@@ -688,30 +712,28 @@ class TestConcurrentScoring:
     def test_scores_and_reports_equal_a_serial_loop(self, tiny_corpus, tiny_db, n_decoys):
         manifest, _ = tiny_corpus
         db = with_decoys(tiny_db, n_decoys)
-        baseline = threading.active_count()
-        trials = []
-        for entry in manifest.speakers:
-            for path in entry.test_utterances:
-                audio = audio_io.read_wav(path)
-                expected = serial_scores(db, audio)
-                assert score_utterance(db, audio) == expected
-                assert identify(db, audio).scores == expected
-                trials.append(ScoredTrial(entry.speaker_id, path, expected))
-        assert evaluate(db, manifest) == report_from_scores(trials)
-        etas = (0.0, 0.3, 1.0)
-        assert fusion_sweep(db, manifest, etas) == [
-            report_from_scores(trials, FusionConfig(eta)) for eta in etas
-        ]
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            trials = []
+            for entry in manifest.speakers:
+                for path in entry.test_utterances:
+                    audio = audio_io.read_wav(path)
+                    expected = serial_scores(db, audio)
+                    assert score_utterance(db, audio) == expected
+                    assert identify(db, audio).scores == expected
+                    trials.append(ScoredTrial(entry.speaker_id, path, expected))
+            assert evaluate(db, manifest) == report_from_scores(trials)
+            etas = (0.0, 0.3, 1.0)
+            assert fusion_sweep(db, manifest, etas) == [
+                report_from_scores(trials, FusionConfig(eta)) for eta in etas
+            ]
 
     def test_spectral_error_wins_over_a_residual_error(self, tiny_corpus, tiny_db, monkeypatch):
         audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
-        baseline = threading.active_count()
-        stub_layer(monkeypatch, "fb_cepstra", {0: LagTooLarge("spectral gave out")})
-        stub_layer(monkeypatch, "extract_acrlag", {0: NumericalFailure("residual gave out")})
-        with pytest.raises(LagTooLarge, match="^spectral gave out$"):
-            score_utterance(tiny_db, audio)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            stub_layer(monkeypatch, "fb_cepstra", {0: LagTooLarge("spectral gave out")})
+            stub_layer(monkeypatch, "extract_acrlag", {0: NumericalFailure("residual gave out")})
+            with pytest.raises(LagTooLarge, match="^spectral gave out$"):
+                score_utterance(tiny_db, audio)
 
     def test_non_finite_residual_features_name_the_stream(
         self, tiny_corpus, tiny_db, monkeypatch
@@ -724,24 +746,27 @@ class TestConcurrentScoring:
             return features
 
         audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
-        baseline = threading.active_count()
-        monkeypatch.setattr(sid_pipeline, "extract_acrlag", one_nan_row)
-        with pytest.raises(NumericalFailure, match="^residual stream: features are not finite$"):
-            score_utterance(tiny_db, audio)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            monkeypatch.setattr(sid_pipeline, "extract_acrlag", one_nan_row)
+            message = "^residual stream: features are not finite$"
+            with pytest.raises(NumericalFailure, match=message):
+                score_utterance(tiny_db, audio)
 
-    def test_worker_is_joined_when_the_calling_thread_stops(
-        self, tiny_corpus, tiny_db, monkeypatch
+    @pytest.mark.parametrize(
+        "stops, runs",
+        [("extract_acrlag", "fb_cepstra"), ("fb_cepstra", "extract_acrlag")],
+        ids=["calling-thread", "worker"],
+    )
+    def test_a_base_exception_is_raised_once_both_streams_finish(
+        self, tiny_corpus, tiny_db, stops, runs
     ):
-        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
         # The residual stream scores on the calling thread, the spectral
         # stream on the worker.
-        assert_worker_joined_when_the_calling_thread_stops(
-            monkeypatch,
-            lambda: score_utterance(tiny_db, audio),
-            caller="extract_acrlag",
-            worker="fb_cepstra",
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
+        after = assert_stop_waits_for_the_other_stream(
+            lambda: score_utterance(tiny_db, audio), stops, runs
         )
+        assert after == serial_scores(tiny_db, audio)
 
     @pytest.mark.parametrize("name", ["fb_cepstra", "extract_acrlag"])
     def test_callers_errstate_holds_in_both_streams_scoring(
@@ -756,11 +781,184 @@ class TestConcurrentScoring:
             return FeatureMatrix(features.kind, features.values * 1e200)
 
         audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
-        baseline = threading.active_count()
-        monkeypatch.setattr(sid_pipeline, name, huge)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            score_utterance(tiny_db, audio)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            monkeypatch.setattr(sid_pipeline, name, huge)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                score_utterance(tiny_db, audio)
+
+
+# Runs in a fresh interpreter: two identifies, then one enrollment. Prints
+# a JSON record of the threads alive after the import and after each call,
+# the threads that extracted spectral features and that trained a model,
+# and the modules the import of voxid loaded that a thread pool would bring.
+LIFECYCLE = """
+import json, sys, threading
+import voxid
+from voxid import sid_pipeline
+
+modules = sorted(m for m in ("concurrent.futures", "logging", "queue") if m in sys.modules)
+record = {"modules": modules, "spectral": [], "train": [], "after": []}
+layer, train_gmm = sid_pipeline.fb_cepstra, sid_pipeline.gmm.train_gmm
+
+def spectral(frames, settings):
+    record["spectral"].append(threading.get_ident())
+    return layer(frames, settings)
+
+def train(features, config):
+    record["train"].append(threading.get_ident())
+    return train_gmm(features, config)
+
+def others():
+    return [t.ident for t in threading.enumerate() if t is not threading.main_thread()]
+
+sid_pipeline.fb_cepstra = spectral
+sid_pipeline.gmm.train_gmm = train
+record["after"].append(others())
+db = voxid.load_database(sys.argv[1])
+for path in sys.argv[2:4]:
+    voxid.identify(db, voxid.read_wav(path))
+    record["after"].append(others())
+manifest = sid_pipeline.CorpusManifest(
+    (sid_pipeline.SpeakerEntry("solo", tuple(sys.argv[2:4]), ()),)
+)
+voxid.train_database(manifest, db.config)
+record["after"].append(others())
+record["main"] = threading.get_ident()
+print(json.dumps(record))
+"""
+
+# Identifies in a fresh interpreter, forks, and scores the same utterance
+# in the child; prints whether the child's scores are the parent's. A child
+# that does not finish in 60 s is killed and reported.
+FORKED = """
+import os, pickle, signal, sys, tempfile, time
+from voxid import load_database, read_wav
+from voxid.sid_pipeline import identify, score_utterance
+
+db, audio = load_database(sys.argv[1]), read_wav(sys.argv[2])
+parent = identify(db, audio).scores
+out = os.path.join(tempfile.mkdtemp(), "child.pickle")
+pid = os.fork()
+if pid == 0:
+    with open(out, "wb") as f:
+        pickle.dump(score_utterance(db, audio), f)
+    os._exit(0)
+deadline = time.monotonic() + 60.0
+while os.waitpid(pid, os.WNOHANG) == (0, 0):
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the child hung")
+    time.sleep(0.01)
+with open(out, "rb") as f:
+    print(pickle.load(f) == parent)
+"""
+
+# Identifies from an atexit handler, with or without a call before it, and
+# prints the scores.
+AT_EXIT = """
+import atexit, json, sys
+from voxid import load_database, read_wav
+from voxid.sid_pipeline import identify
+
+db, audio = load_database(sys.argv[1]), read_wav(sys.argv[2])
+if sys.argv[3] == "after a call":
+    identify(db, audio)
+
+@atexit.register
+def at_exit():
+    scores = identify(db, audio).scores
+    print(json.dumps([[s.speaker_id, s.spectral, s.residual] for s in scores]))
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_db_path(tiny_db, tmp_path_factory):
+    path = tmp_path_factory.mktemp("worker") / "tiny.db"
+    save_database(tiny_db, path)
+    return path
+
+
+def run_script(script: str, *args) -> str:
+    """The standard output of script run in a fresh interpreter on voxid."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sid_pipeline.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestStreamWorker:
+    """Every two-stream call in a process hands its spectral stream to one
+    worker thread, started on the first call."""
+
+    def test_a_fresh_interpreter_keeps_one_worker(self, tiny_corpus, tiny_db_path):
+        paths = tiny_corpus[0].speakers[0].test_utterances[:2]
+        record = json.loads(run_script(LIFECYCLE, tiny_db_path, *paths))
+        # The import starts no thread and loads no thread pool.
+        assert record["modules"] == []
+        assert record["after"][0] == []
+        (worker,) = record["after"][1]
+        assert worker != record["main"]
+        assert record["after"] == [[], [worker], [worker], [worker]]
+        # Two identifies and two enrolled utterances; then the spectral
+        # model trains on the worker and the residual one on the caller.
+        assert record["spectral"] == [worker] * 4
+        assert sorted(record["train"]) == sorted([worker, record["main"]])
+
+    def test_a_forked_child_scores_as_its_parent(self, tiny_corpus, tiny_db_path):
+        path = tiny_corpus[0].speakers[1].test_utterances[0]
+        assert run_script(FORKED, tiny_db_path, path) == "True\n"
+
+    @pytest.mark.parametrize("when", ["first call", "after a call"])
+    def test_a_call_at_interpreter_exit_completes(self, tiny_corpus, tiny_db, tiny_db_path, when):
+        path = tiny_corpus[0].speakers[2].test_utterances[0]
+        expected = serial_scores(tiny_db, audio_io.read_wav(path))
+        scores = json.loads(run_script(AT_EXIT, tiny_db_path, path, when))
+        assert tuple(SpeakerScores(*s) for s in scores) == expected
+
+    def test_without_a_thread_both_streams_run_on_the_calling_thread(
+        self, tiny_corpus, tiny_db, monkeypatch
+    ):
+        # As at interpreter shutdown from Python 3.12, where no thread starts.
+        def refuse(thread):
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[1])
+        monkeypatch.setattr(sid_pipeline, "_worker", None)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert score_utterance(tiny_db, audio) == serial_scores(tiny_db, audio)
+        assert sid_pipeline._worker is None
+
+    def test_concurrent_callers_get_the_serial_scores(self, tiny_corpus, tiny_db):
+        paths = [p for entry in tiny_corpus[0].speakers for p in entry.test_utterances][:4]
+        audios = [audio_io.read_wav(path) for path in paths]
+        expected = [serial_scores(tiny_db, audio) for audio in audios]
+        worker = sid_pipeline._stream_worker()
+        start = threading.Barrier(len(audios))
+        got: list = [None] * len(audios)
+
+        def caller(i):
+            start.wait()
+            got[i] = [identify(tiny_db, audios[i]).scores for _ in range(3)]
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(audios))]
+        # More callers than cores, switching as often as they can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert got == [[scores] * 3 for scores in expected]
+        assert sid_pipeline._stream_worker() is worker
+        assert set(threading.enumerate()) == {threading.main_thread(), worker.thread}
 
 
 class TestScoringAndIdentify:
@@ -819,29 +1017,28 @@ class TestScoringAndIdentify:
 
             return extract
 
-        baseline = threading.active_count()
-        # Either stream's NoFeatures leaves the decision to the other one.
-        for name, off, on in (
-            ("extract_acrlag", "residual", "spectral"),
-            ("fb_cepstra", "spectral", "residual"),
-        ):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sid_pipeline, name, raising(NoFeatures))
-                scores = score_utterance(tiny_db, audio)
-                assert [getattr(s, on) for s in scores] == [getattr(s, on) for s in expected]
-                assert all(getattr(s, off) is None for s in scores)
-                result = identify(tiny_db, audio)
-                assert result.fused_winner == getattr(result, f"{on}_winner")
-                assert getattr(result, f"{off}_winner") is None
-        monkeypatch.setattr(sid_pipeline, "extract_acrlag", raising(NoFeatures))
-        monkeypatch.setattr(sid_pipeline, "fb_cepstra", raising(NoFeatures))
-        with pytest.raises(InsufficientData, match="both feature streams failed"):
-            score_utterance(tiny_db, audio)
-        # Any other error is a fault, not a stream that kept no frame.
-        monkeypatch.setattr(sid_pipeline, "extract_acrlag", raising(LagTooLarge))
-        with pytest.raises(LagTooLarge, match="^stub$"):
-            score_utterance(tiny_db, audio)
-        assert threading.active_count() == baseline
+        with on_the_one_worker():
+            # Either stream's NoFeatures leaves the decision to the other one.
+            for name, off, on in (
+                ("extract_acrlag", "residual", "spectral"),
+                ("fb_cepstra", "spectral", "residual"),
+            ):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(sid_pipeline, name, raising(NoFeatures))
+                    scores = score_utterance(tiny_db, audio)
+                    assert [getattr(s, on) for s in scores] == [getattr(s, on) for s in expected]
+                    assert all(getattr(s, off) is None for s in scores)
+                    result = identify(tiny_db, audio)
+                    assert result.fused_winner == getattr(result, f"{on}_winner")
+                    assert getattr(result, f"{off}_winner") is None
+            monkeypatch.setattr(sid_pipeline, "extract_acrlag", raising(NoFeatures))
+            monkeypatch.setattr(sid_pipeline, "fb_cepstra", raising(NoFeatures))
+            with pytest.raises(InsufficientData, match="both feature streams failed"):
+                score_utterance(tiny_db, audio)
+            # Any other error is a fault, not a stream that kept no frame.
+            monkeypatch.setattr(sid_pipeline, "extract_acrlag", raising(LagTooLarge))
+            with pytest.raises(LagTooLarge, match="^stub$"):
+                score_utterance(tiny_db, audio)
 
     @pytest.mark.parametrize(
         "gain",

@@ -243,6 +243,14 @@ def test_frames_longer_than_the_fft_refused(rng, extract):
         extract(make_frames(rng.standard_normal((3, 160))))
 
 
+def test_power_spectra_bits_equal_the_oracle(tiny_corpus_frames):
+    for fft_size in (256, 512):
+        spectra = np.fft.rfft(tiny_corpus_frames, n=fft_size, axis=1)
+        expected = spectra.real**2 + spectra.imag**2
+        got = spectral._power_spectra(tiny_corpus_frames, fft_size)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 class TestFbCepstra:
     def test_matches_dense_oracle(self, rng):
         frames = rng.standard_normal((4, 160))
