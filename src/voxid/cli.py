@@ -6,11 +6,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import audio_io
 from .errors import BadFileFormat, VoxidError, named
-from .features import FeatureKind, export_csv, read_json, save_features, write_json
+from .features import FeatureKind, export_csv, read_json, write_json
 from .sid_pipeline import (
     EXTRACTORS,
     FusionConfig,
@@ -27,18 +26,14 @@ from .sid_pipeline import (
 from .signal_prep import preprocess
 
 
-def _load_config(path: str | None, section: str | None = None) -> PipelineConfig:
-    """Pipeline settings from the --config JSON file, or the defaults, with
-    ``section`` fitting the frames when given; every error names the file."""
+def _load_config(path: str | None) -> PipelineConfig:
+    """Pipeline settings from the --config JSON file, or the defaults; every
+    error names the file."""
     if path is None:
         return PipelineConfig()
-    path = Path(path)
     doc = read_json(path)
-    with named(str(path), (BadFileFormat, ValueError), BadFileFormat):
-        config = PipelineConfig.from_json_dict(doc)
-        if section is not None:
-            config.check_frames_fit(section)
-    return config
+    with named(str(path), BadFileFormat):
+        return PipelineConfig.from_json_dict(doc)
 
 
 def _fusion(flag: str, value: str) -> FusionConfig:
@@ -68,14 +63,11 @@ def _cmd_synth_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    section, extract = EXTRACTORS[FeatureKind.parse(args.kind)]
-    config = _load_config(args.config, section)
+    extract = EXTRACTORS[FeatureKind.parse(args.kind)]
+    config = _load_config(args.config)
     audio = audio_io.read_wav(args.audio)
-    frames = preprocess(audio, config.frame)
-    matrix = extract(frames, getattr(config, section))
-    save_features(matrix, args.out)
-    if args.csv:
-        export_csv(matrix, args.csv)
+    matrix = extract(preprocess(audio, config.frame), config)
+    export_csv(matrix, args.out)
     print(f"{matrix.kind.value}: {matrix.n_frames} frames x {matrix.dim} -> {args.out}")
     return 0
 
@@ -171,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract features from one WAV file")
     p.add_argument("audio", help="input WAV path")
     p.add_argument("--kind", required=True, choices=[k.value.lower() for k in EXTRACTORS])
-    p.add_argument("--out", required=True, help="output feature file")
-    p.add_argument("--csv", help="also export CSV here")
+    p.add_argument("--out", required=True, help="output CSV file")
     p.add_argument("--config", help="JSON file of pipeline settings")
     p.set_defaults(func=_cmd_extract)
 

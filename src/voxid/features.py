@@ -1,4 +1,5 @@
-"""Per-frame feature matrices and their on-disk formats."""
+"""Per-frame feature matrices, their CSV export, and the pieces that the
+model and database formats share: text packing, a blob reader and file reads."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadFileFormat, DimError, FeatureKindMismatch, named
+from .errors import BadFileFormat, DimError, FeatureKindMismatch
 
 
 class FeatureKind(str, Enum):
@@ -58,9 +59,6 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-FEATURE_MAGIC = b"VOXFTR01"
-
-
 def concatenate_features(parts: Iterable[FeatureMatrix]) -> FeatureMatrix:
     """Stack matrices of one kind, keeping frame order."""
     parts = list(parts)
@@ -85,9 +83,9 @@ def pack_text(text: str) -> bytes:
 class BlobReader:
     """Cursor over a little-endian, length-prefixed binary blob.
 
-    The feature, model and database formats are all read through it: a
-    short read, text that is not UTF-8 or a leftover byte raises
-    ``BadFileFormat`` naming the format.
+    The model and database formats are both read through it: a short read,
+    text that is not UTF-8 or a leftover byte raises ``BadFileFormat``
+    naming the format.
     """
 
     def __init__(self, blob: bytes, what: str, magic: bytes) -> None:
@@ -123,31 +121,6 @@ class BlobReader:
             raise BadFileFormat(f"{left} trailing bytes after {self._what} payload")
 
 
-def feature_matrix_to_bytes(matrix: FeatureMatrix) -> bytes:
-    return (
-        FEATURE_MAGIC
-        + pack_text(matrix.kind.value)
-        + struct.pack("<QQ", matrix.n_frames, matrix.dim)
-        + matrix.values.astype("<f8").tobytes(order="C")
-    )
-
-
-def feature_matrix_from_bytes(blob: bytes) -> FeatureMatrix:
-    reader = BlobReader(blob, "feature file", FEATURE_MAGIC)
-    kind = FeatureKind.parse(reader.text())
-    rows, cols = reader.unpack("<QQ")
-    values = reader.floats(rows * cols)
-    reader.end()
-    if not np.all(np.isfinite(values)):
-        raise BadFileFormat("feature file holds non-finite values")
-    with named("feature file", ValueError, BadFileFormat):  # zero columns, or no such shape
-        return FeatureMatrix(kind, values.reshape(rows, cols))
-
-
-def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
-    Path(path).write_bytes(feature_matrix_to_bytes(matrix))
-
-
 def read_file(path: str | Path) -> bytes:
     """The file's bytes; BadFileFormat naming the path when it cannot be
     read (a missing file, a directory, a failed read)."""
@@ -170,12 +143,6 @@ def read_json(path: str | Path) -> object:
 def write_json(path: str | Path, doc: object) -> None:
     """Every JSON file voxid writes: two-space indents, sorted keys, a final newline."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_features(path: str | Path) -> FeatureMatrix:
-    blob = read_file(path)
-    with named(str(path), BadFileFormat):
-        return feature_matrix_from_bytes(blob)
 
 
 def export_csv(matrix: FeatureMatrix, path: str | Path) -> None:

@@ -28,15 +28,11 @@ from .errors import check_types, named
 from .features import BlobReader, FeatureKind, FeatureMatrix, concatenate_features, pack_text
 from .features import read_file, read_json, write_json
 from .gmm import GmmModel, TrainConfig
-from .signal_prep import AudioSignal, FrameConfig, preprocess
-from .spectral import FilterbankConfig, FrequencyScale, LpTransformConfig, PlpConfig
-from .spectral import extract_lp_features, fb_cepstra, plpcc
+from .signal_prep import AudioSignal, FrameConfig, FrameSequence, preprocess
+from .spectral import FilterbankConfig, FrequencyScale, extract_lp_features, fb_cepstra, plpcc
 
 DB_MAGIC = b"VOXSDB"
 DB_VERSION = 1
-# The config sections that a database's streams and training read, and so
-# all that its header holds: no other setting moves a database's bytes.
-DB_HEADER_SECTIONS = ("acrlag", "filterbank", "frame", "train")
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
@@ -102,7 +98,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     for entry in manifest.speakers:
         for p in entry.train_utterances + entry.test_utterances:
             if not Path(p).exists():
-                raise BadFileFormat(f"manifest references a missing file: {p}")
+                raise BadFileFormat(f"{path}: speaker {entry.speaker_id}: missing file {p}")
     return manifest
 
 
@@ -144,23 +140,32 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every setting in one place: the pipeline's, and those of the kinds
-    that only `voxid extract` computes (plp, lp_transform)."""
+    """Every setting in one place, and all that a database header holds:
+    framing, each stream's extractor, and training."""
 
     frame: FrameConfig = field(default_factory=FrameConfig)
     acrlag: AcrlagConfig = field(default_factory=AcrlagConfig)
     filterbank: FilterbankConfig = field(default_factory=FilterbankConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    plp: PlpConfig = field(default_factory=PlpConfig)
-    lp_transform: LpTransformConfig = field(default_factory=LpTransformConfig)
 
     def __post_init__(self) -> None:
         """Rules across sections, each section having checked its own: frames
-        fit the pipeline's FFT and hold its LP and ACRLAG lags, so neither
-        stream's extractor can refuse these settings; and each stream's
+        fit the filterbank's FFT and are longer than ACRLAG's LP order and
+        lag, so no extractor can refuse these settings; and each stream's
         features are narrow enough for exact stacked scores."""
-        for section in ("filterbank", "acrlag"):
-            self.check_frames_fit(section)
+        frame_len, fft_size = self.frame.frame_len_samples, self.filterbank.fft_size
+        if frame_len > fft_size:
+            raise ValueError(
+                f"config key 'frame.frame_len_samples': frames of {frame_len} samples "
+                f"do not fit a {fft_size}-point FFT (filterbank.fft_size)"
+            )
+        for name in ("lp_order", "max_lag"):
+            lag = getattr(self.acrlag, name)
+            if lag >= frame_len:
+                raise ValueError(
+                    f"config key 'acrlag.{name}': {lag} needs frames longer than "
+                    f"{frame_len} samples (frame.frame_len_samples)"
+                )
         for key, value, dim in (
             ("filterbank.n_cep", self.filterbank.n_cep, self.filterbank.n_cep),
             ("acrlag.max_lag", self.acrlag.max_lag, self.acrlag.dim),
@@ -169,25 +174,6 @@ class PipelineConfig:
                 raise ValueError(
                     f"config key '{key}': {value} gives features of dimension {dim}; "
                     f"scores are exact only below dimension {gmm.EXACT_STACK_DIM}"
-                )
-
-    def check_frames_fit(self, section: str) -> None:
-        """Refuse a section whose FFT is shorter than a frame, or whose LP
-        order or lag is not: construction checks the pipeline's two
-        sections, and `voxid extract` the section its kind reads."""
-        frame_len, settings = self.frame.frame_len_samples, getattr(self, section)
-        fft_size = getattr(settings, "fft_size", frame_len)
-        if frame_len > fft_size:
-            raise ValueError(
-                f"config key 'frame.frame_len_samples': frames of {frame_len} samples "
-                f"do not fit a {fft_size}-point FFT ({section}.fft_size)"
-            )
-        for name in ("lp_order", "max_lag", "order"):
-            lag = getattr(settings, name, 0)
-            if lag >= frame_len:
-                raise ValueError(
-                    f"config key '{section}.{name}': {lag} needs frames longer than "
-                    f"{frame_len} samples (frame.frame_len_samples)"
                 )
 
     @classmethod
@@ -226,46 +212,52 @@ class PipelineConfig:
             return replace(defaults, **sections)
 
 
-def _fb_cepstra_on(scale: FrequencyScale) -> Callable[..., FeatureMatrix]:
-    """fb_cepstra on ``scale``; settings already on it are passed as they
-    are, keeping the filterbank they built."""
-    return lambda frames, fb: fb_cepstra(
-        frames, fb if fb.scale is scale else replace(fb, scale=scale)
-    )
+Extractor = Callable[[FrameSequence, PipelineConfig], FeatureMatrix]
 
 
-def _lp_transform(kind: FeatureKind) -> Callable[..., FeatureMatrix]:
-    return lambda frames, lp_transform: extract_lp_features(frames, kind, lp_transform)
+def _fb_cepstra_on(scale: FrequencyScale) -> Extractor:
+    """fb_cepstra on ``scale``; filterbank settings already on it are passed
+    as they are, keeping the filterbank they built."""
+
+    def extract(frames: FrameSequence, config: PipelineConfig) -> FeatureMatrix:
+        fb = config.filterbank
+        return fb_cepstra(frames, fb if fb.scale is scale else replace(fb, scale=scale))
+
+    return extract
 
 
-# Each feature kind's PipelineConfig section and its extractor, called as
-# extract(frames, section): `voxid extract --kind` runs one, and `_streams`
-# takes the pipeline's two from here. Each entry looks its function up on
-# this module when it runs, so a wrapper set on the module sees every call.
-EXTRACTORS: dict[FeatureKind, tuple[str, Callable[..., FeatureMatrix]]] = {
-    FeatureKind.ACRLAG: ("acrlag", lambda frames, acrlag: extract_acrlag(frames, acrlag)),
-    FeatureKind.MFCC: ("filterbank", _fb_cepstra_on(FrequencyScale.MEL)),
-    FeatureKind.LFCC: ("filterbank", _fb_cepstra_on(FrequencyScale.HERTZ)),
-    FeatureKind.PLPCC: ("plp", lambda frames, plp: plpcc(frames, plp)),
-    FeatureKind.LPCC: ("lp_transform", _lp_transform(FeatureKind.LPCC)),
-    FeatureKind.LSF: ("lp_transform", _lp_transform(FeatureKind.LSF)),
-    FeatureKind.LAR: ("lp_transform", _lp_transform(FeatureKind.LAR)),
+def _extract_lp(kind: FeatureKind) -> Extractor:
+    return lambda frames, config: extract_lp_features(frames, kind)
+
+
+# Each feature kind's extractor, called as extract(frames, config): `voxid
+# extract --kind` runs one, and `_streams` takes the pipeline's two from
+# here. Each entry looks its function up on this module when it runs, so a
+# wrapper set on the module sees every call.
+EXTRACTORS: dict[FeatureKind, Extractor] = {
+    FeatureKind.ACRLAG: lambda frames, config: extract_acrlag(frames, config.acrlag),
+    FeatureKind.MFCC: _fb_cepstra_on(FrequencyScale.MEL),
+    FeatureKind.LFCC: _fb_cepstra_on(FrequencyScale.HERTZ),
+    FeatureKind.PLPCC: lambda frames, config: plpcc(frames, config.filterbank.fft_size),
+    FeatureKind.LPCC: _extract_lp(FeatureKind.LPCC),
+    FeatureKind.LSF: _extract_lp(FeatureKind.LSF),
+    FeatureKind.LAR: _extract_lp(FeatureKind.LAR),
 }
 
 
 class _Stream(NamedTuple):
-    """A feature stream: its extractor, the settings passed to it, and the
+    """A feature stream: its extractor, the config passed to it, and the
     kind and dimension of its features and models."""
 
     name: str
-    extract: Callable[..., FeatureMatrix]
-    settings: object
+    extract: Extractor
+    config: PipelineConfig
     kind: FeatureKind
     dim: int
 
-    def features(self, frames) -> FeatureMatrix:
+    def features(self, frames: FrameSequence) -> FeatureMatrix:
         """The stream's features of the frames, for training and scoring alike."""
-        features = self.extract(frames, self.settings)
+        features = self.extract(frames, self.config)
         if not np.isfinite(features.values).all():
             raise NumericalFailure(f"{self.name} stream: features are not finite")
         return features
@@ -276,8 +268,7 @@ def _streams(config: PipelineConfig) -> tuple[_Stream, _Stream]:
     speaker's models in a database blob."""
 
     def stream(name: str, kind: FeatureKind, dim: int) -> _Stream:
-        section, extract = EXTRACTORS[kind]
-        return _Stream(name, extract, getattr(config, section), kind, dim)
+        return _Stream(name, EXTRACTORS[kind], config, kind, dim)
 
     fb, ac = config.filterbank, config.acrlag
     return (
@@ -706,11 +697,10 @@ def fusion_sweep(
 
 
 def database_to_bytes(db: SpeakerDatabase) -> bytes:
-    header = {name: asdict(getattr(db.config, name)) for name in DB_HEADER_SECTIONS}
     out = [
         DB_MAGIC,
         struct.pack("<H", DB_VERSION),
-        pack_text(json.dumps(header, sort_keys=True)),
+        pack_text(json.dumps(asdict(db.config), sort_keys=True)),
         struct.pack("<I", db.n_speakers),
     ]
     for sid in db.speaker_ids:
@@ -731,9 +721,6 @@ def database_from_bytes(blob: bytes) -> SpeakerDatabase:
     except ValueError as exc:
         raise BadFileFormat(f"database header is not valid JSON ({exc})") from None
     config = PipelineConfig.from_json_dict(doc)
-    if (config.plp, config.lp_transform) != (PlpConfig(), LpTransformConfig()):
-        # A header written here never holds them: loading gives their defaults.
-        raise BadFileFormat("database header: 'plp' and 'lp_transform' may hold only defaults")
     (n_speakers,) = reader.unpack("<I")
     streams = _streams(config)
     speaker_ids = []

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,12 +27,9 @@ NYQUIST_HZ = SAMPLE_RATE_HZ / 2.0
 # size read from a database header could ask for any amount of memory.
 MAX_FFT_SIZE = 2**14
 
-# The largest LP model order or cepstrum length a config may ask for.  LSF
-# time grows about as the cube of the order: on a 3 s utterance (231 frames
-# of 160 samples, one Xeon core, one BLAS thread) order 64 takes 0.34 s,
-# against 2.6 s at 96 and 10 s at 159; PLPCC at model order or n_cep 64
-# takes under 4 ms.
-MAX_LP_ORDER = 64
+# The model order and cepstrum length of PLPCC, and the LP order and
+# feature dimension of LPCC, LSF and LAR.
+LP_ORDER = 19
 
 
 class FrequencyScale(str, Enum):
@@ -57,13 +54,6 @@ def _check_fft_size(n: int) -> None:
         raise ValueError("fft_size must be a power of two")
     if n > MAX_FFT_SIZE:
         raise ValueError(f"fft_size {n} is above the largest FFT size, {MAX_FFT_SIZE}")
-
-
-def _check_order(name: str, value: int) -> None:
-    if value > MAX_LP_ORDER:
-        raise ValueError(
-            f"{name} {value} is above {MAX_LP_ORDER}, the largest LP order or cepstrum length"
-        )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -174,7 +164,7 @@ def build_filterbank(cfg: FilterbankConfig) -> np.ndarray:
 
 def _power_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
     # rfft would silently cut a longer frame to its first fft_size samples.
-    # PipelineConfig refuses that pairing; a FilterbankConfig or PlpConfig
+    # PipelineConfig refuses that pairing; a FilterbankConfig or FFT size
     # passed to an extractor directly can still ask for it.
     if frames.shape[1] > fft_size:
         raise ValueError(
@@ -195,46 +185,19 @@ def fb_cepstra(frames: FrameSequence, cfg: FilterbankConfig = FilterbankConfig()
     return FeatureMatrix(cfg.feature_kind, log_energies @ cfg.dct_basis.T)
 
 
-@dataclass(frozen=True)
-class PlpConfig:
-    """Perceptual-LP cepstrum settings.
+# PLP's band count: the band samples become the autocorrelation support, so
+# it must exceed the model order with a little headroom.
+PLP_BANDS = max(int(np.ceil(bark_from_hertz(NYQUIST_HZ))) + 1, LP_ORDER + 2)
 
-    The band weights and their areas are built once per config, read-only.
-    """
 
-    model_order: int = 19
-    n_cep: int = 19
-    fft_size: int = 512
-
-    def __post_init__(self) -> None:
-        check_types(self, "plp")
-        if self.model_order < 1:
-            raise ValueError("model_order must be at least 1")
-        if self.n_cep < 1:
-            raise ValueError("need at least one cepstral coefficient")
-        _check_order("model_order", self.model_order)
-        _check_order("n_cep", self.n_cep)
-        _check_fft_size(self.fft_size)
-
-    @property
-    def resolved_bands(self) -> int:
-        nyquist_bark = float(bark_from_hertz(NYQUIST_HZ))
-        # The band samples become the autocorrelation support, so the count
-        # must exceed the model order with a little headroom.
-        return max(int(np.ceil(nyquist_bark)) + 1, self.model_order + 2)
-
-    @cached_property
-    def band_weights(self) -> np.ndarray:
-        """Critical-band weights times the equal-loudness curve,
-        (resolved_bands, fft_size // 2 + 1)."""
-        bin_hz = _bin_hz(self.fft_size)
-        weights = bark_filterbank(self.resolved_bands, self.fft_size)
-        return _read_only(weights * np.asarray(equal_loudness(bin_hz))[None, :])
-
-    @cached_property
-    def band_areas(self) -> np.ndarray:
-        """Each weighted band's area, the divisor of its energy."""
-        return _read_only(self.band_weights.sum(axis=1))
+@lru_cache(maxsize=None)
+def _plp_bands(fft_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Critical-band weights times the equal-loudness curve,
+    (PLP_BANDS, fft_size // 2 + 1), and each weighted band's area, the
+    divisor of its energy; built once per FFT size, read-only."""
+    _check_fft_size(fft_size)
+    weights = bark_filterbank(PLP_BANDS, fft_size) * equal_loudness(_bin_hz(fft_size))
+    return _read_only(weights), _read_only(weights.sum(axis=1))
 
 
 def equal_loudness(f: np.ndarray | float) -> np.ndarray | float:
@@ -260,27 +223,27 @@ def bark_filterbank(n_bands: int, fft_size: int) -> np.ndarray:
     return 10.0 ** np.minimum(0.0, np.minimum(hi, -2.5 * lo))
 
 
-def plpcc(frames: FrameSequence, cfg: PlpConfig = PlpConfig()) -> FeatureMatrix:
-    """Perceptual LP cepstra: Bark integration, equal loudness, cube-root
-    loudness, all-pole fit, cepstral recursion; frames with no stable fit
-    are dropped.
+def plpcc(frames: FrameSequence, fft_size: int = FilterbankConfig.fft_size) -> FeatureMatrix:
+    """Perceptual LP cepstra of order LP_ORDER from fft_size-point power
+    spectra: Bark integration, equal loudness, cube-root loudness, all-pole
+    fit, cepstral recursion; frames with no stable fit are dropped.
 
     The equal-loudness curve is folded into the band weights, and each band
     energy is divided by that weighted band area.  A flat power spectrum
     therefore maps to a flat auditory spectrum (the weighting's own response
     is divided out), and onward to near-zero predictor coefficients.
     """
-    n_bands = cfg.resolved_bands
-    power = _power_spectra(frames.frames, cfg.fft_size)
-    auditory = (power @ cfg.band_weights.T) / cfg.band_areas[None, :]
+    weights, areas = _plp_bands(fft_size)
+    power = _power_spectra(frames.frames, fft_size)
+    auditory = (power @ weights.T) / areas[None, :]
     loudness = np.cbrt(auditory)
     # Band samples stand in for the warped spectrum on [0, pi]; the inverse
     # real FFT of that half-spectrum is the model autocorrelation.
-    r = np.fft.irfft(loudness, n=2 * (n_bands - 1), axis=1)[:, : cfg.model_order + 1]
+    r = np.fft.irfft(loudness, n=2 * (PLP_BANDS - 1), axis=1)[:, : LP_ORDER + 1]
     coeffs, _, _, valid = lp._levinson_batch(r)
     if not np.any(valid):
         raise NoFeatures("no frame supported a perceptual LP fit")
-    return FeatureMatrix(FeatureKind.PLPCC, lp._lpcc_batch(coeffs[valid], cfg.n_cep))
+    return FeatureMatrix(FeatureKind.PLPCC, lp._lpcc_batch(coeffs[valid], LP_ORDER))
 
 
 def _lsf_rows(coeffs: np.ndarray, reflection: np.ndarray) -> np.ndarray:
@@ -290,33 +253,18 @@ def _lsf_rows(coeffs: np.ndarray, reflection: np.ndarray) -> np.ndarray:
     return freqs[valid]
 
 
-@dataclass(frozen=True)
-class LpTransformConfig:
-    """LPCC, LSF and LAR settings: the LP order, also the feature dimension."""
-
-    order: int = 19
-
-    def __post_init__(self) -> None:
-        check_types(self, "lp_transform")
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        _check_order("order", self.order)
-
-
-def extract_lp_features(
-    frames: FrameSequence, kind: FeatureKind, cfg: LpTransformConfig = LpTransformConfig()
-) -> FeatureMatrix:
-    """LP-transform features (LPCC, LSF, or LAR) at the model order ``cfg.order``."""
-    kind, order = FeatureKind(kind), cfg.order
+def extract_lp_features(frames: FrameSequence, kind: FeatureKind) -> FeatureMatrix:
+    """LP-transform features (LPCC, LSF, or LAR) at the model order LP_ORDER."""
+    kind = FeatureKind(kind)
     if kind is FeatureKind.LPCC:
-        transform = lambda coeffs, reflection: lp._lpcc_batch(coeffs, order)
+        transform = lambda coeffs, reflection: lp._lpcc_batch(coeffs, LP_ORDER)
     elif kind is FeatureKind.LAR:
         transform = lambda coeffs, reflection: lp.lar(reflection)
     elif kind is FeatureKind.LSF:
         transform = _lsf_rows
     else:
         raise ValueError(f"{kind.value} is not an LP-transform feature")
-    r = lp._autocorr_batch(frames.frames, order)
+    r = lp._autocorr_batch(frames.frames, LP_ORDER)
     coeffs, reflection, _, valid = lp._levinson_batch(r)
     if not np.any(valid):
         raise NoFeatures("no frame supported an LP fit")

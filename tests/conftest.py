@@ -1,7 +1,10 @@
-"""Shared fixtures: random frame generators and a tiny on-disk corpus."""
+"""Shared fixtures: random frame generators, a tiny on-disk corpus, and a
+bound on how long one test may run."""
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import struct
 
 import numpy as np
@@ -63,6 +66,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# The longest one test may run, in seconds; the slowest takes under 10 s.
+HANG_SECONDS = 300
+TERMINAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is off here, so fd 2 is the terminal's stderr; a
+    # test's captured stderr would swallow a hang's tracebacks.
+    config.stash[TERMINAL_STDERR] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(request):
+    """A test still running after HANG_SECONDS, such as one waiting on a
+    stream worker that died, dumps every thread's traceback and ends the
+    run with a failing status instead of hanging it."""
+    stderr = request.config.stash[TERMINAL_STDERR]
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

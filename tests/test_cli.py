@@ -17,14 +17,12 @@ from voxid import audio_io
 from voxid.acrlag import AcrlagConfig, extract_acrlag
 from voxid.cli import _load_config, build_parser, main
 from voxid.errors import BadFileFormat
-from voxid.features import FeatureKind, feature_matrix_to_bytes, load_features
+from voxid.features import FeatureKind, export_csv
 from voxid.sid_pipeline import PipelineConfig, load_database, load_manifest
 from voxid.signal_prep import AudioSignal, FrameConfig, preprocess
 from voxid.spectral import (
     FilterbankConfig,
     FrequencyScale,
-    LpTransformConfig,
-    PlpConfig,
     extract_lp_features,
     fb_cepstra,
     plpcc,
@@ -35,11 +33,17 @@ LIBRARY_EXTRACTORS = {
     "acrlag": extract_acrlag,
     "mfcc": lambda frames: fb_cepstra(frames, FilterbankConfig(scale=FrequencyScale.MEL)),
     "lfcc": lambda frames: fb_cepstra(frames, FilterbankConfig(scale=FrequencyScale.HERTZ)),
-    "plpcc": lambda frames: plpcc(frames, PlpConfig()),
-    "lpcc": lambda frames: extract_lp_features(frames, FeatureKind.LPCC, LpTransformConfig(19)),
-    "lsf": lambda frames: extract_lp_features(frames, FeatureKind.LSF, LpTransformConfig(19)),
-    "lar": lambda frames: extract_lp_features(frames, FeatureKind.LAR, LpTransformConfig(19)),
+    "plpcc": lambda frames: plpcc(frames, 512),
+    "lpcc": lambda frames: extract_lp_features(frames, FeatureKind.LPCC),
+    "lsf": lambda frames: extract_lp_features(frames, FeatureKind.LSF),
+    "lar": lambda frames: extract_lp_features(frames, FeatureKind.LAR),
 }
+
+
+def csv_bytes(matrix, path: Path) -> bytes:
+    """The bytes of the CSV that `voxid extract --out` writes for matrix."""
+    export_csv(matrix, path)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +118,8 @@ def test_import_does_not_load_scipy():
         "    audio = read_wav(manifest.speakers[0].test_utterances[0])\n"
         "    identify(db, audio)\n"
         "    frames = preprocess(audio, config.frame)\n"
-        "    for section, extract in EXTRACTORS.values():\n"
-        "        extract(frames, getattr(config, section))\n"
+        "    for extract in EXTRACTORS.values():\n"
+        "        extract(frames, config)\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(voxid.__file__).parents[1])}
@@ -156,8 +160,7 @@ def test_package_root_provides_what_callers_take_from_it():
 
 
 @pytest.mark.parametrize(
-    "load", [load_manifest, load_database, load_features, _load_config],
-    ids=["manifest", "database", "features", "config"],
+    "load", [load_manifest, load_database, _load_config], ids=["manifest", "database", "config"]
 )
 @pytest.mark.parametrize(
     "name, strerror", [("missing.bin", "No such file or directory"), (".", "Is a directory")]
@@ -168,22 +171,12 @@ def test_unreadable_path_is_bad_file_format(tmp_path, load, name, strerror):
         load(str(path))
 
 
-@pytest.mark.parametrize(
-    "load, what", [(load_database, "database"), (load_features, "feature file")]
-)
-def test_truncated_file_error_starts_with_its_path(cli_corpus, cli_db, tmp_path, load, what):
-    # A database is loaded beside a manifest, and a feature file beside
-    # others: the error says which file failed.
-    whole = cli_db
-    if load is load_features:
-        whole = tmp_path / "mfcc.ftr"
-        wav = str(cli_corpus / "spk02" / "test_00.wav")
-        assert main(["extract", wav, "--kind", "mfcc", "--out", str(whole)]) == 0
-    path = tmp_path / f"truncated{whole.suffix}"
-    path.write_bytes(whole.read_bytes()[:300])
-    message = f"{path}: {what} truncated: "
-    with pytest.raises(BadFileFormat, match=f"^{re.escape(message)}"):
-        load(path)
+def test_truncated_database_error_starts_with_its_path(cli_db, tmp_path):
+    # A database is loaded beside a manifest: the error says which file failed.
+    path = tmp_path / "truncated.db"
+    path.write_bytes(cli_db.read_bytes()[:300])
+    with pytest.raises(BadFileFormat, match=f"^{re.escape(f'{path}: database truncated: ')}"):
+        load_database(path)
 
 
 class TestSynthCorpus:
@@ -223,14 +216,38 @@ class TestExtract:
     @pytest.mark.parametrize("kind", ["acrlag", "mfcc", "lfcc", "plpcc", "lpcc", "lsf", "lar"])
     def test_all_kinds(self, kind, cli_corpus, tmp_path):
         wav = cli_corpus / "spk00" / "train_00.wav"
-        out = tmp_path / f"{kind}.ftr"
+        out = tmp_path / f"{kind}.csv"
         assert main(["extract", str(wav), "--kind", kind, "--out", str(out)]) == 0
-        feats = load_features(out)
-        assert feats.kind is FeatureKind.parse(kind)
-        assert feats.n_frames > 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith(f"{kind}_0,") and len(lines) > 1
         frames = preprocess(audio_io.read_wav(wav), FrameConfig())
-        expected = feature_matrix_to_bytes(LIBRARY_EXTRACTORS[kind](frames))
+        expected = csv_bytes(LIBRARY_EXTRACTORS[kind](frames), tmp_path / "expected.csv")
         assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("kind", sorted(LIBRARY_EXTRACTORS))
+    def test_out_csv_holds_every_value_to_the_last_bit(self, kind, cli_corpus, tmp_path):
+        # The CSV is the one feature output: read back, it gives the
+        # extractor's float64 values bit for bit.
+        wav = cli_corpus / "spk01" / "test_00.wav"
+        out = tmp_path / f"{kind}.csv"
+        assert main(["extract", str(wav), "--kind", kind, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        expected = LIBRARY_EXTRACTORS[kind](preprocess(audio_io.read_wav(wav), FrameConfig()))
+        assert header == ",".join(f"{kind}_{i}" for i in range(expected.dim))
+        parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert parsed.shape == expected.values.shape
+        assert parsed.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "name", ["missing/f.csv", "."], ids=["missing-directory", "directory"]
+    )
+    def test_unwritable_out_is_an_error_line(self, cli_corpus, tmp_path, capsys, name):
+        out = tmp_path / name
+        wav = str(cli_corpus / "spk00" / "test_00.wav")
+        assert main(["extract", wav, "--kind", "mfcc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"'{out}'\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_kind_choices_cover_every_feature_kind(self):
         extract = build_parser()._subparsers._group_actions[0].choices["extract"]
@@ -252,49 +269,39 @@ class TestExtract:
                     frames, FilterbankConfig(n_filters=24, n_cep=12, scale=FrequencyScale.HERTZ)
                 ),
             ),
-            # The keys that replaced the settings flags: plp.model_order,
-            # plp.n_cep and plp.fft_size (plpcc's --order, --n-cep and
-            # --fft-size), and lp_transform.order (--order of lpcc, lsf, lar).
+            # PLPCC takes its FFT size from the filterbank, so frames of
+            # 1024 samples give PLPCC with a 1024-point filterbank.
+            ("plpcc", {"filterbank": {"fft_size": 1024}}, lambda frames: plpcc(frames, 1024)),
             (
                 "plpcc",
-                {"plp": {"model_order": 12}},
-                lambda frames: plpcc(frames, PlpConfig(model_order=12)),
+                {
+                    "frame": {"frame_len_samples": 1024, "hop_samples": 512},
+                    "filterbank": {"fft_size": 1024},
+                },
+                lambda frames: plpcc(frames, 1024),
             ),
-            ("plpcc", {"plp": {"n_cep": 8}}, lambda frames: plpcc(frames, PlpConfig(n_cep=8))),
-            (
-                "plpcc",
-                {"plp": {"fft_size": 256}},
-                lambda frames: plpcc(frames, PlpConfig(fft_size=256)),
-            ),
-            (
-                "plpcc",
-                {"plp": {"model_order": 12, "n_cep": 8, "fft_size": 256}},
-                lambda frames: plpcc(frames, PlpConfig(model_order=12, n_cep=8, fft_size=256)),
-            ),
+            # LPCC, LSF and LAR have a fixed order; the frame settings
+            # still reach them.
             *(
                 (
                     kind,
-                    {"lp_transform": {"order": 12}},
-                    lambda frames, kind=kind: extract_lp_features(
-                        frames, FeatureKind.parse(kind), LpTransformConfig(12)
-                    ),
+                    {"frame": {"frame_len_samples": 240, "hop_samples": 120}},
+                    lambda frames, kind=kind: extract_lp_features(frames, FeatureKind.parse(kind)),
                 )
                 for kind in ("lpcc", "lsf", "lar")
             ),
         ],
-        ids=[
-            "acrlag", "lfcc", "plp-order", "plp-n-cep", "plp-fft-size", "plp-all",
-            "lpcc", "lsf", "lar",
-        ],
+        ids=["acrlag", "lfcc", "plpcc-fft-1024", "plpcc-frames-1024", "lpcc", "lsf", "lar"],
     )
     def test_config_settings_reach_the_extractor(self, cli_corpus, tmp_path, kind, doc, direct):
         wav = cli_corpus / "spk00" / "train_00.wav"
-        frames = preprocess(audio_io.read_wav(wav), FrameConfig())
+        frame = PipelineConfig.from_json_dict(doc).frame
+        frames = preprocess(audio_io.read_wav(wav), frame)
         config = write_config(tmp_path / "cfg.json", doc)
-        out = tmp_path / "f.ftr"
+        out = tmp_path / "f.csv"
         code = main(["extract", str(wav), "--kind", kind, "--out", str(out), "--config", config])
         assert code == 0
-        assert out.read_bytes() == feature_matrix_to_bytes(direct(frames))
+        assert out.read_bytes() == csv_bytes(direct(frames), tmp_path / "expected.csv")
 
     @pytest.mark.parametrize(
         "kind, flag",
@@ -309,13 +316,14 @@ class TestExtract:
             ("mfcc", "--n-cep"),
             ("lfcc", "--fft-size"),
             ("acrlag", "--order"),
+            ("mfcc", "--csv"),
         ],
     )
     def test_removed_settings_flag_is_a_usage_error(self, cli_corpus, tmp_path, capsys, kind, flag):
         # Settings come from --config alone; the flags that once set them
-        # are unknown options.
+        # are unknown options, as is --csv: --out writes the CSV.
         wav = cli_corpus / "spk00" / "train_00.wav"
-        out = tmp_path / "f.ftr"
+        out = tmp_path / "f.csv"
         with pytest.raises(SystemExit) as caught:
             main(["extract", str(wav), "--kind", kind, "--out", str(out), flag, "5"])
         assert caught.value.code == 2
@@ -331,75 +339,26 @@ class TestExtract:
             for name, p in subparsers.items()
         }
         assert options["train"] == {"-h", "--manifest", "--out", "--config"}
-        assert options["extract"] == {"-h", "audio", "--kind", "--out", "--csv", "--config"}
+        assert options["extract"] == {"-h", "audio", "--kind", "--out", "--config"}
 
-    def test_csv_export(self, cli_corpus, tmp_path):
-        wav = cli_corpus / "spk01" / "train_00.wav"
-        out = tmp_path / "m.ftr"
-        csv = tmp_path / "m.csv"
-        code = main(
-            ["extract", str(wav), "--kind", "mfcc", "--out", str(out), "--csv", str(csv)]
-        )
-        assert code == 0
-        header = csv.read_text().splitlines()[0]
-        assert header.startswith("mfcc_0,")
-
-    @pytest.mark.parametrize(
-        "fft_size, reason",
-        [
-            (
-                128,
-                "config key 'frame.frame_len_samples': frames of 160 samples "
-                "do not fit a 128-point FFT (plp.fft_size)",
-            ),
-            (2**30, f"config key 'plp': fft_size {2**30} is above the largest FFT size, 16384"),
-        ],
-        ids=["frame-longer-than-the-fft", "fft-above-the-cap"],
-    )
-    def test_bad_plp_fft_size_is_a_config_error_line(
-        self, cli_corpus, tmp_path, capsys, fft_size, reason
+    @pytest.mark.parametrize("section", ["plp", "lp_transform"])
+    @pytest.mark.parametrize("command", ["train", "extract"])
+    def test_extract_only_section_is_an_unknown_config_key(
+        self, cli_corpus, tmp_path, capsys, section, command
     ):
-        wav = str(cli_corpus / "spk00" / "test_00.wav")
-        cfg = write_config(tmp_path / "cfg.json", {"plp": {"fft_size": fft_size}})
-        out = tmp_path / "p.ftr"
-        code = main(["extract", wav, "--kind", "plpcc", "--config", cfg, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "kind, doc, reason",
-        [
-            ("plpcc", {"plp": {"model_order": 5000}}, "config key 'plp': model_order 5000"),
-            ("plpcc", {"plp": {"n_cep": 10**8}}, f"config key 'plp': n_cep {10**8}"),
-            (
-                "lsf",
-                {
-                    "frame": {"frame_len_samples": 1024, "hop_samples": 512},
-                    "filterbank": {"fft_size": 1024},
-                    "lp_transform": {"order": 1000},
-                },
-                "config key 'lp_transform': order 1000",
-            ),
-        ],
-        ids=["plp-model-order", "plp-n-cep", "lp-transform-order"],
-    )
-    def test_orders_above_the_cap_are_a_config_error_line(
-        self, cli_corpus, tmp_path, capsys, kind, doc, reason
-    ):
-        wav = str(cli_corpus / "spk00" / "test_00.wav")
-        cfg = write_config(tmp_path / "cfg.json", doc)
-        out = tmp_path / "x.ftr"
-        code = main(["extract", wav, "--kind", kind, "--config", cfg, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: {cfg}: {reason} is above 64, the largest LP order or cepstrum length\n"
-        )
+        cfg = write_config(tmp_path / "cfg.json", {section: {}})
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--manifest", str(cli_corpus / "manifest.json")],
+            "extract": ["extract", str(cli_corpus / "spk00" / "test_00.wav"), "--kind", "plpcc"],
+        }[command]
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key '{section}'\n"
         assert not out.exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main(
-            ["extract", str(tmp_path / "nope.wav"), "--kind", "mfcc", "--out", "x.ftr"]
+            ["extract", str(tmp_path / "nope.wav"), "--kind", "mfcc", "--out", "x.csv"]
         )
         assert code == 1
         assert capsys.readouterr().err.strip()
@@ -462,55 +421,35 @@ class TestTrainIdentifyEvaluate:
         assert train_m2(cli_corpus, again) == 0
         assert again.read_bytes() == cli_db.read_bytes()
 
-    def test_extract_settings_never_move_a_database(self, cli_corpus, cli_db, tmp_path):
-        # A header holds only the sections the streams and training read.
-        config = write_config(
-            tmp_path / "cfg.json",
-            {
-                "train": {"n_components": 2},
-                "plp": {"model_order": 12, "n_cep": 8, "fft_size": 256},
-                "lp_transform": {"order": 12},
-            },
-        )
-        db = tmp_path / "extract_settings.db"
-        manifest = str(cli_corpus / "manifest.json")
-        assert main(["train", "--manifest", manifest, "--out", str(db), "--config", config]) == 0
-        blob = db.read_bytes()
-        assert blob == cli_db.read_bytes()
-        (length,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12 : 12 + length])
-        assert sorted(header) == ["acrlag", "filterbank", "frame", "train"]
-
     @pytest.mark.parametrize(
-        "doc, refused_kind, key",
+        "doc, refused_kinds, reason",
         [
             (
                 {
                     "frame": {"frame_len_samples": 1024, "hop_samples": 512},
                     "filterbank": {"fft_size": 1024},
                 },
-                "plpcc",
-                "config key 'frame.frame_len_samples': frames of 1024 samples "
-                "do not fit a 512-point FFT (plp.fft_size)",
+                (),
+                None,
             ),
             (
                 {
                     "frame": {"frame_len_samples": 16, "hop_samples": 8},
                     "acrlag": {"lp_order": 10, "max_lag": 8},
                 },
-                "lpcc",
-                "config key 'lp_transform.order': 19 needs frames longer than 16 samples "
-                "(frame.frame_len_samples)",
+                ("lpcc", "lsf", "lar"),
+                "lag 19 needs a frame longer than 16 samples",
             ),
         ],
-        ids=["frames-above-plp-fft", "frames-within-lp-transform-order"],
+        ids=["frames-of-1024", "frames-of-16"],
     )
-    def test_extract_only_defaults_never_refuse_a_pipeline_config(
-        self, cli_corpus, tmp_path, capsys, doc, refused_kind, key
+    def test_fixed_order_kinds_never_refuse_a_pipeline_config(
+        self, cli_corpus, tmp_path, capsys, doc, refused_kinds, reason
     ):
-        # The plp and lp_transform defaults misfit these frames, yet the
-        # pipeline never reads them: train, load, identify and the pipeline's
-        # kinds run; only `voxid extract` of a kind that reads one refuses.
+        # No stream reads PLPCC, LPCC, LSF or LAR, so their fixed order never
+        # refuses a config: train, load, identify and every other kind run;
+        # only `voxid extract` of a kind whose order-19 fit the frames
+        # cannot hold refuses, with an error line.
         config = write_config(tmp_path / "cfg.json", {**doc, "train": {"n_components": 2}})
         db = tmp_path / "speakers.db"
         manifest = str(cli_corpus / "manifest.json")
@@ -519,14 +458,48 @@ class TestTrainIdentifyEvaluate:
         assert load_database(db).config.frame.frame_len_samples == frame_len
         wav = str(cli_corpus / "spk02" / "test_00.wav")
         assert main(["identify", wav, "--db", str(db)]) == 0
-        out = tmp_path / "f.ftr"
-        for kind in ("mfcc", "lfcc", "acrlag"):
-            assert main(["extract", wav, "--kind", kind, "--config", config, "--out", str(out)]) == 0
-        out.unlink()
-        capsys.readouterr()
-        code = main(["extract", wav, "--kind", refused_kind, "--config", config, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {config}: {key}\n"
+        out = tmp_path / "f.csv"
+        for kind in sorted(LIBRARY_EXTRACTORS):
+            capsys.readouterr()
+            code = main(["extract", wav, "--kind", kind, "--config", config, "--out", str(out)])
+            if kind in refused_kinds:
+                assert code == 1
+                assert capsys.readouterr().err == f"error: {reason}\n"
+                assert not out.exists()
+            else:
+                assert code == 0
+                out.unlink()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "fuse-sweep"])
+    def test_manifest_naming_a_missing_wav_is_an_error_line(
+        self, cli_corpus, cli_db, tmp_path, capsys, command
+    ):
+        # The line names the manifest, the speaker and the missing file.
+        manifest = load_manifest(cli_corpus / "manifest.json")
+        ghost = tmp_path / "ghost.wav"
+        doc = {
+            "speakers": [
+                {
+                    "speaker_id": s.speaker_id,
+                    "train_utterances": list(s.train_utterances),
+                    "test_utterances": [*s.test_utterances, *[str(ghost)] * (i == 1)],
+                }
+                for i, s in enumerate(manifest.speakers)
+            ]
+        }
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--out", str(out)],
+            "evaluate": ["evaluate", "--db", str(cli_db), "--report", str(out)],
+            "fuse-sweep": ["fuse-sweep", "--db", str(cli_db), "--report", str(out)],
+        }[command]
+        assert main([*argv, "--manifest", str(path)]) == 1
+        speaker = manifest.speakers[1].speaker_id
+        assert capsys.readouterr().err == (
+            f"error: {path}: speaker {speaker}: missing file {ghost}\n"
+        )
         assert not out.exists()
 
     def test_denormal_variance_is_an_error_line(self, cli_corpus, cli_db, tmp_path, capsys):
@@ -676,7 +649,7 @@ class TestTrainIdentifyEvaluate:
         speech = audio_io.read_wav(cli_corpus / "spk02" / "test_00.wav")
         wav = tmp_path / "16k.wav"
         audio_io.write_wav(wav, AudioSignal(speech.samples, 16000))
-        out = tmp_path / "x.ftr"
+        out = tmp_path / "x.csv"
         options = {
             "identify": ["--db", str(cli_db)],
             "extract": ["--kind", "mfcc", "--out", str(out)],

@@ -4,8 +4,6 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tests.conftest import with_oversized_chunk
 from voxid.audio_io import read_wav, write_wav
@@ -22,11 +20,7 @@ from voxid.features import (
     FeatureMatrix,
     concatenate_features,
     export_csv,
-    feature_matrix_from_bytes,
-    feature_matrix_to_bytes,
-    load_features,
     pack_text,
-    save_features,
 )
 from voxid.signal_prep import AudioSignal
 
@@ -72,13 +66,6 @@ class TestFeatureMatrix:
             concatenate_features([a, b])
 
 
-# Values in [1, 2) with four columns: one bit flip can turn a value into inf
-# or NaN (the top exponent bit) and the column count into 0.
-FLIP_BLOB = feature_matrix_to_bytes(
-    FeatureMatrix(FeatureKind.MFCC, 1.0 + np.arange(12.0).reshape(3, 4) / 16)
-)
-
-
 class TestBlobReader:
     def test_reads_in_order(self):
         blob = b"MAG" + pack_text("h\u00e9") + struct.pack("<Hd", 7, 2.5) + b"xy"
@@ -115,75 +102,6 @@ class TestBlobReader:
 
 
 class TestFeatureSerialization:
-    def test_round_trip_bit_exact(self, rng):
-        m = FeatureMatrix(FeatureKind.PLPCC, rng.standard_normal((17, 19)))
-        back = feature_matrix_from_bytes(feature_matrix_to_bytes(m))
-        assert back.kind is m.kind
-        np.testing.assert_array_equal(back.values, m.values)
-
-    def test_file_round_trip(self, rng, tmp_path):
-        m = FeatureMatrix(FeatureKind.ACRLAG, rng.standard_normal((9, 13)))
-        path = tmp_path / "feats.bin"
-        save_features(m, path)
-        back = load_features(path)
-        np.testing.assert_array_equal(back.values, m.values)
-        assert back.kind is m.kind
-
-    def test_bad_magic(self, rng):
-        blob = bytearray(
-            feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
-        )
-        blob[0] ^= 0xFF
-        with pytest.raises(BadFileFormat, match="magic"):
-            feature_matrix_from_bytes(bytes(blob))
-
-    def test_truncation(self, rng):
-        blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
-        with pytest.raises(BadFileFormat):
-            feature_matrix_from_bytes(blob[:-1])
-
-    def test_every_truncation_rejected(self, rng):
-        blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
-        for n in range(len(blob)):
-            with pytest.raises(BadFileFormat):
-                feature_matrix_from_bytes(blob[:n])
-
-    def test_trailing_garbage(self, rng):
-        blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
-        with pytest.raises(BadFileFormat):
-            feature_matrix_from_bytes(blob + b"!")
-
-    def test_non_utf8_kind_rejected(self, rng):
-        blob = bytearray(
-            feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, rng.standard_normal((2, 3))))
-        )
-        blob[12] = 0xFF  # first byte of the feature-kind name
-        with pytest.raises(BadFileFormat, match="UTF-8"):
-            feature_matrix_from_bytes(bytes(blob))
-
-    def test_zero_columns_rejected(self):
-        blob = b"VOXFTR01" + pack_text("MFCC") + struct.pack("<QQ", 4, 0)
-        with pytest.raises(BadFileFormat, match="dimension"):
-            feature_matrix_from_bytes(blob)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_payload_rejected(self, bad):
-        values = np.ones((2, 3))
-        values[1, 2] = bad
-        blob = feature_matrix_to_bytes(FeatureMatrix(FeatureKind.MFCC, values))
-        with pytest.raises(BadFileFormat, match="non-finite"):
-            feature_matrix_from_bytes(blob)
-
-    @settings(max_examples=300, deadline=None)
-    @given(bit=st.integers(0, 8 * len(FLIP_BLOB) - 1))
-    def test_bit_flip_loads_or_raises_bad_file_format(self, bit):
-        blob = bytearray(FLIP_BLOB)
-        blob[bit // 8] ^= 1 << (bit % 8)
-        try:
-            feature_matrix_from_bytes(bytes(blob))
-        except BadFileFormat:
-            pass
-
     def test_csv_export(self, rng, tmp_path):
         m = FeatureMatrix(FeatureKind.LAR, rng.standard_normal((4, 3)))
         path = tmp_path / "out.csv"
@@ -193,6 +111,18 @@ class TestFeatureSerialization:
         assert len(lines) == 5
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         np.testing.assert_allclose(parsed, m.values, atol=0)
+
+    def test_csv_export_keeps_every_bit(self, rng, tmp_path):
+        # The CSV is the one feature output, so it loses nothing: signed
+        # zeros, subnormals and the extremes of float64 read back as written.
+        values = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-300, 300, (6, 4))
+        values[0] = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).tiny]
+        values[1] = [1 / 3, 0.1, -2.0**-1074 * 3, 1e16 + 2]
+        path = tmp_path / "out.csv"
+        export_csv(FeatureMatrix(FeatureKind.MFCC, values), path)
+        rows = path.read_text().splitlines()[1:]
+        parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert parsed.tobytes() == values.tobytes()
 
 
 class TestWavIo:

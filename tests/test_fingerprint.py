@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,3 +51,18 @@ def test_one_ulp_in_a_saved_database_is_named(fingerprint, tmp_path):
         ["moved: outputs/db_m2.db"],
         True,
     )
+
+
+def test_compare_needs_neither_voxid_nor_numpy(tmp_path):
+    # python -S leaves site-packages, and so NumPy, off sys.path, and no
+    # PYTHONPATH leaves voxid off it.
+    script = Path(__file__).parents[1] / "tools" / "fingerprint.py"
+    doc = {"platform": {"python": "3"}, "hashes": {"a": "0" * 64, "b": "1" * 64}}
+    for name in ("base.json", "head.json"):
+        (tmp_path / name).write_text(json.dumps(doc))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-S", str(script), "compare", "base.json", "head.json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "all 2 hashes equal\n", "")

@@ -9,7 +9,7 @@ from voxid import corpus, lp
 from voxid.errors import DegenerateFrame, LagTooLarge, NumericalFailure, UnstableFilter
 from voxid.features import FeatureKind
 from voxid.signal_prep import FrameSequence
-from voxid.spectral import LpTransformConfig, extract_lp_features
+from voxid.spectral import LP_ORDER, extract_lp_features
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -338,11 +338,14 @@ class TestLpcc:
         # The LPCC stream keeps as many cepstra as the model order.
         frames = np.vstack([random_ar_frame(rng, 12)[0] for _ in range(3)])
         for order in (2, 12):
-            got = extract_lp_features(
-                FrameSequence(frames), FeatureKind.LPCC, LpTransformConfig(order)
-            ).values
-            coeffs = [lp.analyze_frame(frame, order).coefficients for frame in frames]
-            np.testing.assert_array_equal(got, [lpcc(c, order) for c in coeffs])
+            coeffs, _, _, valid = lp._levinson_batch(lp._autocorr_batch(frames, order))
+            assert valid.all()
+            got = lp._lpcc_batch(coeffs, order)
+            expected = [lpcc(lp.analyze_frame(frame, order).coefficients, order) for frame in frames]
+            np.testing.assert_array_equal(got, expected)
+        got = extract_lp_features(FrameSequence(frames), FeatureKind.LPCC).values
+        coeffs = [lp.analyze_frame(frame, LP_ORDER).coefficients for frame in frames]
+        np.testing.assert_array_equal(got, [lpcc(c, LP_ORDER) for c in coeffs])
 
 
 class TestLsf:

@@ -12,7 +12,7 @@ import warnings
 import weakref
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import NON_INTEGER_CONFIGS, with_denormal_variance, with_oversized_chunk
 from voxid import audio_io, gmm, sid_pipeline, spectral
-from voxid.acrlag import AcrlagConfig
+from voxid.acrlag import AcrlagConfig, extract_acrlag
 from voxid.cli import _load_config
 from voxid.errors import (
     AudioFormatError,
@@ -35,7 +35,7 @@ from voxid.errors import (
     NumericalFailure,
     VoxidError,
 )
-from voxid.features import FeatureMatrix, concatenate_features
+from voxid.features import FeatureKind, FeatureMatrix, concatenate_features
 from voxid.gmm import GmmModel, TrainConfig
 from voxid.signal_prep import AudioSignal, FrameConfig
 from voxid.sid_pipeline import (
@@ -65,7 +65,7 @@ from voxid.sid_pipeline import (
     synth_corpus,
     train_database,
 )
-from voxid.spectral import FilterbankConfig, LpTransformConfig, PlpConfig, fb_cepstra
+from voxid.spectral import FilterbankConfig, extract_lp_features, fb_cepstra, plpcc
 
 TINY_TRAIN = PipelineConfig(train=TrainConfig(n_components=2))
 
@@ -181,14 +181,16 @@ class TestManifest:
                     "speakers": [
                         {
                             "speaker_id": "a",
-                            "train_utterances": ["ghost.wav"],
-                            "test_utterances": [],
+                            "train_utterances": ["x.wav"],
+                            "test_utterances": ["ghost.wav"],
                         }
                     ]
                 }
             )
         )
-        with pytest.raises(BadFileFormat, match="missing"):
+        (tmp_path / "x.wav").write_bytes(b"")
+        message = f"{path}: speaker a: missing file {tmp_path / 'ghost.wav'}"
+        with pytest.raises(BadFileFormat, match=f"^{re.escape(message)}$"):
             load_manifest(path)
 
     def test_duplicate_ids_rejected(self):
@@ -221,9 +223,10 @@ class TestManifest:
         ],
     )
     def test_malformed_manifest_rejected(self, tmp_path, raw, match):
+        # Every manifest error begins with the manifest's path.
         path = tmp_path / "m.json"
         path.write_bytes(raw)
-        with pytest.raises(BadFileFormat, match=match):
+        with pytest.raises(BadFileFormat, match=f"^{re.escape(str(path))}: .*{match}"):
             load_manifest(path)
 
 
@@ -1456,13 +1459,11 @@ class TestDatabasePersistence:
                 16,
             ),
         ],
-        ids=["frames-above-plp-fft", "frames-within-lp-transform-order"],
+        ids=["frames-of-1024", "frames-of-16"],
     )
-    def test_header_whose_frames_misfit_an_extract_only_section_loads(
-        self, tiny_db, edits, frame_len
-    ):
-        # The plp.fft_size and lp_transform.order defaults (512, 19) fit
-        # neither header's frames, and neither section is a database setting.
+    def test_header_with_long_or_short_frames_loads(self, tiny_db, edits, frame_len):
+        # PLPCC at 512 points fits neither header's frames, nor an order-19
+        # LPCC, LSF or LAR fit the second's; no stream reads either kind.
         header = V1_CONFIG_JSON
         for old, new in edits:
             header = header.replace(old, new)
@@ -1470,20 +1471,21 @@ class TestDatabasePersistence:
         assert db.config.frame.frame_len_samples == frame_len
         assert database_from_bytes(database_to_bytes(db)).config == db.config
 
-    @pytest.mark.parametrize("section", ['"plp": {"fft_size": 256}', '"lp_transform": {"order": 12}'])
+    @pytest.mark.parametrize("section", ["plp", "lp_transform"])
     def test_header_with_an_extract_only_section_rejected(self, tiny_db, section):
-        # No header written here holds one, and a database would lose it on
-        # save; at its defaults it is what loading gives anyway.
+        # The sections of the extract-only kinds are gone: a header naming
+        # one, even empty, is refused as it would be by --config.
+        header = V1_CONFIG_JSON.replace('"score_average"', f'"{section}": {{}}, "score_average"')
+        blob = with_config_json(database_to_bytes(tiny_db), header)
+        with pytest.raises(BadFileFormat, match=f"^unknown config key '{section}'$"):
+            database_from_bytes(blob)
+
+    def test_header_holds_the_whole_config(self, tiny_db):
         blob = database_to_bytes(tiny_db)
-        header = V1_CONFIG_JSON.replace('"score_average"', f'{section}, "score_average"')
-        with pytest.raises(
-            BadFileFormat,
-            match="^database header: 'plp' and 'lp_transform' may hold only defaults$",
-        ):
-            database_from_bytes(with_config_json(blob, header))
-        header = json.dumps(asdict(tiny_db.config), sort_keys=True)
-        assert '"plp"' in header and '"lp_transform"' in header
-        assert database_from_bytes(with_config_json(blob, header)).config == tiny_db.config
+        (length,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + length])
+        assert header == json.loads(json.dumps(asdict(tiny_db.config)))
+        assert list(header) == sorted(f.name for f in fields(PipelineConfig))
 
     @pytest.mark.parametrize("fft_size", [2**18, 2**30])
     def test_header_with_a_huge_fft_rejected_before_allocating(self, tiny_db, fft_size):
@@ -1560,6 +1562,33 @@ class TestDatabaseMatchesConfig:
             SpeakerDatabase(TINY_TRAIN, tiny_db.speaker_ids, tiny_db.spectral_models, residual)
 
 
+# Settings that each extractor reading a section sees away from its defaults.
+OTHER_SECTIONS = PipelineConfig(
+    acrlag=AcrlagConfig(lp_order=10, max_lag=6),
+    filterbank=FilterbankConfig(n_filters=24, n_cep=12, f_low_hz=100.0, fft_size=1024),
+)
+
+
+@pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda kind: kind.value)
+def test_each_extractor_reads_its_settings_from_the_config(speech_frames, kind):
+    # Every entry is called as extract(frames, config); PLPCC takes the
+    # filterbank's FFT size, and LPCC, LSF and LAR read no setting.
+    fb = OTHER_SECTIONS.filterbank
+    direct = {
+        FeatureKind.ACRLAG: lambda: extract_acrlag(speech_frames, OTHER_SECTIONS.acrlag),
+        FeatureKind.MFCC: lambda: fb_cepstra(speech_frames, fb),
+        FeatureKind.LFCC: lambda: fb_cepstra(speech_frames, replace(fb, scale="hertz")),
+        FeatureKind.PLPCC: lambda: plpcc(speech_frames, 1024),
+    }.get(kind, lambda: extract_lp_features(speech_frames, kind))()
+    extract = sid_pipeline.EXTRACTORS[kind]
+    got = extract(speech_frames, OTHER_SECTIONS)
+    assert got.kind is kind
+    assert got.values.tobytes() == direct.values.tobytes()
+    at_defaults = extract(speech_frames, PipelineConfig()).values
+    reads_a_setting = kind not in (FeatureKind.LPCC, FeatureKind.LSF, FeatureKind.LAR)
+    assert reads_a_setting == (at_defaults.tobytes() != got.values.tobytes())
+
+
 class TestConfigJson:
     @pytest.mark.parametrize(
         "doc, key",
@@ -1593,63 +1622,54 @@ class TestConfigJson:
         with pytest.raises(BadFileFormat, match="object"):
             PipelineConfig.from_json_dict([])
 
-    def test_extract_only_sections_are_read(self):
-        doc = {"plp": {"model_order": 12, "n_cep": 8, "fft_size": 256}, "lp_transform": {"order": 12}}
-        assert PipelineConfig.from_json_dict(doc) == PipelineConfig(
-            plp=PlpConfig(model_order=12, n_cep=8, fft_size=256),
-            lp_transform=LpTransformConfig(order=12),
-        )
-
     @pytest.mark.parametrize(
-        "doc, reason",
-        [
-            ({"lp_transform": {"order": 0}}, "config key 'lp_transform': order must be at least 1"),
-            ({"plp": {"model_order": 0}}, "config key 'plp': model_order must be at least 1"),
-            ({"lp_transform": {"order": 12.0}}, "config key 'lp_transform.order' must be an integer"),
-            ({"plp": {"order": 12}}, "unknown config key 'plp.order'"),
-        ],
-    )
-    def test_extract_only_sections_refuse_what_their_extractors_would(self, doc, reason):
-        with pytest.raises(BadFileFormat, match=f"^{re.escape(reason)}"):
-            PipelineConfig.from_json_dict(doc)
-
-    @pytest.mark.parametrize(
-        "doc, section, reason",
+        "sections, reason",
         [
             (
-                {"plp": {"fft_size": 128}},
-                "plp",
-                "config key 'frame.frame_len_samples': frames of 160 samples "
-                "do not fit a 128-point FFT (plp.fft_size)",
-            ),
-            (
-                {"frame": {"frame_len_samples": 1024, "hop_samples": 512}, "filterbank": {"fft_size": 1024}},
-                "plp",
+                {"frame": FrameConfig(frame_len_samples=1024, hop_samples=512)},
                 "config key 'frame.frame_len_samples': frames of 1024 samples "
-                "do not fit a 512-point FFT (plp.fft_size)",
+                "do not fit a 512-point FFT (filterbank.fft_size)",
             ),
             (
-                {"frame": {"frame_len_samples": 64, "hop_samples": 32}, "lp_transform": {"order": 64}},
-                "lp_transform",
-                "config key 'lp_transform.order': 64 needs frames longer than 64 samples "
+                {"frame": FrameConfig(frame_len_samples=12, hop_samples=6)},
+                "config key 'acrlag.lp_order': 13 needs frames longer than 12 samples "
                 "(frame.frame_len_samples)",
             ),
             (
-                {"frame": {"frame_len_samples": 16, "hop_samples": 8}, "acrlag": {"lp_order": 10, "max_lag": 8}},
-                "lp_transform",
-                "config key 'lp_transform.order': 19 needs frames longer than 16 samples "
+                {
+                    "frame": FrameConfig(frame_len_samples=12, hop_samples=6),
+                    "acrlag": AcrlagConfig(lp_order=10, max_lag=12),
+                },
+                "config key 'acrlag.max_lag': 12 needs frames longer than 12 samples "
                 "(frame.frame_len_samples)",
             ),
         ],
+        ids=["frames-above-the-fft", "frames-within-the-lp-order", "frames-within-the-lag"],
     )
-    def test_extract_only_sections_never_refuse_a_pipeline_config(self, doc, section, reason):
-        # Only `voxid extract` checks them, for the kind it runs: the pipeline
-        # never reads them, so a config they misfit still trains and loads.
-        config = PipelineConfig.from_json_dict(doc)
-        for pipeline_section in ("filterbank", "acrlag"):
-            config.check_frames_fit(pipeline_section)
+    def test_a_config_built_in_python_obeys_the_cross_section_rules(self, sections, reason):
+        # The constructor holds every rule across sections, so Python and
+        # --config refuse the same settings with the same words.
+        doc = {name: asdict(section) for name, section in sections.items()}
+        with pytest.raises(BadFileFormat, match=f"^{re.escape(reason)}$"):
+            PipelineConfig.from_json_dict(doc)
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
-            config.check_frames_fit(section)
+            PipelineConfig(**sections)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"plp": {}},
+            {"plp": {"model_order": 12, "n_cep": 8, "fft_size": 256}},
+            {"lp_transform": {}},
+            {"lp_transform": {"order": 12}},
+        ],
+        ids=["plp-empty", "plp", "lp_transform-empty", "lp_transform"],
+    )
+    def test_removed_sections_are_unknown_keys(self, doc):
+        # PLPCC, LPCC, LSF and LAR have no settings of their own.
+        (section,) = doc
+        with pytest.raises(BadFileFormat, match=f"^unknown config key '{section}'$"):
+            PipelineConfig.from_json_dict({"train": {"n_components": 2}, **doc})
 
     def test_old_seed_and_score_average_false_are_accepted(self):
         doc = {"score_average": False, "train": {"seed": 7, "n_components": 4}}
@@ -1685,10 +1705,10 @@ class TestConfigJson:
             ("filterbank", "n_filters", 20.0),
             ("filterbank", "scale", True),
             ("filterbank", "f_high_hz", "4000"),
-            ("plp", "model_order", 19.0),
-            ("plp", "fft_size", True),
-            ("lp_transform", "order", 19.0),
+            ("filterbank", "fft_size", True),
+            ("frame", "frame_len_samples", 160.0),
             ("train", "n_components", 8.0),
+            ("train", "em_iterations", 10.0),
             ("train", "variance_floor_ratio", None),
         ],
     )
@@ -1777,6 +1797,14 @@ CONFIG_SPACE = {
 }
 CONFIG_KEYS = [(section, key) for section, keys in CONFIG_SPACE.items() for key in keys]
 DEFAULT_CONFIG = PipelineConfig()
+
+
+def test_config_space_holds_every_setting():
+    # The property below may draw any key of any section of PipelineConfig.
+    assert {section: set(keys) for section, keys in CONFIG_SPACE.items()} == {
+        section.name: {f.name for f in fields(getattr(DEFAULT_CONFIG, section.name))}
+        for section in fields(PipelineConfig)
+    }
 
 
 def given_or_default(doc: dict, section: str, key: str):

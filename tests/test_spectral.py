@@ -5,18 +5,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from voxid import lp, spectral
 from voxid.errors import NoFeatures
-from voxid.features import FeatureKind, FeatureMatrix, feature_matrix_to_bytes
+from voxid.features import FeatureKind, FeatureMatrix
 from voxid.signal_prep import FrameSequence
 from voxid.spectral import (
+    LP_ORDER,
     MAX_FFT_SIZE,
-    MAX_LP_ORDER,
     FilterbankConfig,
     FrequencyScale,
-    LpTransformConfig,
-    PlpConfig,
     bark_filterbank,
     build_filterbank,
     equal_loudness,
@@ -171,12 +170,19 @@ class TestFilterbank:
         assert hash(FilterbankConfig()) == hash(FilterbankConfig())
 
     @pytest.mark.parametrize("fft_size", [2**18, 2**30])
-    @pytest.mark.parametrize("config", [FilterbankConfig, PlpConfig])
-    def test_fft_size_above_the_cap_refused_before_allocating(self, config, fft_size):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda fft_size: FilterbankConfig(fft_size=fft_size),
+            lambda fft_size: plpcc(make_frames(np.ones(160)), fft_size),
+        ],
+        ids=["FilterbankConfig", "plpcc"],
+    )
+    def test_fft_size_above_the_cap_refused_before_allocating(self, build, fft_size):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"^fft_size {fft_size} is above .* {MAX_FFT_SIZE}"):
-                config(fft_size=fft_size)
+                build(fft_size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -184,7 +190,8 @@ class TestFilterbank:
 
     def test_fft_size_at_the_cap_accepted(self):
         assert FilterbankConfig(fft_size=MAX_FFT_SIZE).filterbank.shape == (20, MAX_FFT_SIZE // 2 + 1)
-        assert PlpConfig(fft_size=MAX_FFT_SIZE).fft_size == MAX_FFT_SIZE
+        frames = make_frames(np.random.default_rng(0).standard_normal(160))
+        assert plpcc(frames, MAX_FFT_SIZE).dim == LP_ORDER
 
     @pytest.mark.parametrize("scale", list(FrequencyScale))
     def test_boundary_points_are_linspace_and_prefixes_its_start(self, rng, scale):
@@ -208,17 +215,6 @@ class TestFilterbank:
                 prefix = spectral._boundary_points(cfg, count)
                 assert prefix.tobytes() == full[:count].tobytes()
 
-    @pytest.mark.parametrize(
-        "config, name",
-        [(PlpConfig, "model_order"), (PlpConfig, "n_cep"), (LpTransformConfig, "order")],
-    )
-    def test_orders_above_the_cap_refused(self, config, name):
-        assert getattr(config(**{name: MAX_LP_ORDER}), name) == MAX_LP_ORDER
-        for value in (MAX_LP_ORDER + 1, 10**8):
-            reason = f"^{name} {value} is above {MAX_LP_ORDER}, the largest LP order"
-            with pytest.raises(ValueError, match=reason):
-                config(**{name: value})
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FilterbankConfig(n_cep=20, n_filters=20)
@@ -232,7 +228,7 @@ class TestFilterbank:
     "extract",
     [
         lambda frames: fb_cepstra(frames, FilterbankConfig(fft_size=128)),
-        lambda frames: plpcc(frames, PlpConfig(fft_size=128)),
+        lambda frames: plpcc(frames, 128),
     ],
     ids=["fb_cepstra", "plpcc"],
 )
@@ -300,7 +296,43 @@ class TestFbCepstra:
         assert np.all(np.isfinite(got))
 
 
+def dense_plpcc(frames: np.ndarray, fft_size: int) -> np.ndarray:
+    """Oracle: PLPCC frame by frame, with the model autocorrelation as an
+    explicit cosine sum over the bands and the normal equations solved as a
+    Toeplitz system; frames with no stable fit are dropped."""
+    bin_hz = np.arange(fft_size // 2 + 1) * RATE / fft_size
+    weights = bark_filterbank(spectral.PLP_BANDS, fft_size) * equal_loudness(bin_hz)
+    n = 2 * (spectral.PLP_BANDS - 1)
+    band = np.arange(spectral.PLP_BANDS)
+    # The inverse real FFT counts the first and last bands once, the others twice.
+    twice = np.where((band == 0) | (band == spectral.PLP_BANDS - 1), 1.0, 2.0)
+    rows = []
+    for frame in frames:
+        power = np.abs(np.fft.fft(frame, fft_size)[: fft_size // 2 + 1]) ** 2
+        loudness = np.cbrt((weights @ power) / weights.sum(axis=1))
+        r = np.array(
+            [
+                np.sum(twice * loudness * np.cos(2 * np.pi * band * k / n)) / n
+                for k in range(LP_ORDER + 1)
+            ]
+        )
+        if lp._levinson_batch(r[None, :])[3][0]:
+            coeffs = scipy.linalg.solve_toeplitz(r[:LP_ORDER], r[1:])
+            rows.append(lp._lpcc_batch(coeffs[None, :], LP_ORDER)[0])
+    return np.array(rows)
+
+
 class TestPlp:
+    @pytest.mark.parametrize("fft_size", [256, 512, 1024, 2048])
+    def test_matches_dense_oracle_at_each_fft_size(self, speech_frames, fft_size):
+        # The pipeline passes filterbank.fft_size; each size builds its own
+        # band weights.
+        got = plpcc(speech_frames, fft_size)
+        assert got.kind is FeatureKind.PLPCC and got.dim == LP_ORDER
+        np.testing.assert_allclose(
+            got.values, dense_plpcc(speech_frames.frames, fft_size), rtol=1e-9, atol=1e-12
+        )
+
     def test_flat_spectrum_gives_tiny_cepstra(self):
         frame = np.zeros(160)
         frame[0] = 1.0
@@ -327,20 +359,25 @@ class TestPlp:
         assert w[1] > w[0]  # low frequencies are attenuated
 
     def test_band_count_covers_order(self):
-        cfg = PlpConfig()
-        assert cfg.resolved_bands >= cfg.model_order + 2
+        assert spectral.PLP_BANDS >= LP_ORDER + 2
 
-    def test_band_weights_built_once_per_config_and_read_only(self):
-        cfg = PlpConfig(model_order=12, fft_size=256)
-        assert cfg.band_weights is cfg.band_weights and cfg.band_areas is cfg.band_areas
+    def test_band_weights_built_once_per_fft_size_and_read_only(self):
+        band_weights, band_areas = spectral._plp_bands(256)
+        again = spectral._plp_bands(256)
+        assert again[0] is band_weights and again[1] is band_areas
         bin_hz = np.arange(129) * RATE / 256
-        weights = bark_filterbank(cfg.resolved_bands, 256) * equal_loudness(bin_hz)
-        np.testing.assert_array_equal(cfg.band_weights, weights)
-        np.testing.assert_array_equal(cfg.band_areas, weights.sum(axis=1))
-        for array in (cfg.band_weights, cfg.band_areas):
+        weights = bark_filterbank(spectral.PLP_BANDS, 256) * equal_loudness(bin_hz)
+        np.testing.assert_array_equal(band_weights, weights)
+        np.testing.assert_array_equal(band_areas, weights.sum(axis=1))
+        for array in (band_weights, band_areas):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        assert hash(PlpConfig()) == hash(PlpConfig())
+
+
+def stable_fits(frames: FrameSequence, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The predictor and reflection rows of the frames' stable order-``order`` fits."""
+    coeffs, reflection, _, valid = lp._levinson_batch(lp._autocorr_batch(frames.frames, order))
+    return coeffs[valid], reflection[valid]
 
 
 class TestLpFeatureKinds:
@@ -350,14 +387,16 @@ class TestLpFeatureKinds:
         assert got.dim == 19
 
     def test_lsf_rows_sorted(self, speech_frames):
-        got = extract_lp_features(speech_frames, FeatureKind.LSF, LpTransformConfig(12))
-        assert got.dim == 12
-        assert np.all(np.diff(got.values, axis=1) > 0)
+        coeffs, _ = stable_fits(speech_frames, 12)
+        freqs, valid = lp._lsf_batch(coeffs)
+        assert valid.all() and freqs.shape == (len(coeffs), 12)
+        assert np.all(np.diff(freqs, axis=1) > 0)
 
     def test_lar_bounded_reflections(self, speech_frames):
-        got = extract_lp_features(speech_frames, FeatureKind.LAR, LpTransformConfig(12))
-        assert got.dim == 12
-        assert np.all(np.isfinite(got.values))
+        _, reflection = stable_fits(speech_frames, 12)
+        got = lp.lar(reflection)
+        assert got.shape == (len(reflection), 12)
+        assert np.all(np.isfinite(got))
 
     def test_lsf_without_a_stable_frame_raises_no_features(self):
         # Silent frames support no LP fit; non-minimum-phase predictors have
@@ -368,15 +407,13 @@ class TestLpFeatureKinds:
             spectral._lsf_rows(np.array([[2.5], [-1.5]]), None)
 
     @pytest.mark.parametrize("kind", [FeatureKind.LPCC, FeatureKind.LSF, FeatureKind.LAR])
-    def test_dimension_follows_the_config_order(self, speech_frames, kind):
-        for order in (1, 7, 19, 30):
-            got = extract_lp_features(speech_frames, kind, LpTransformConfig(order))
-            assert got.kind is kind and got.dim == order
+    def test_dimension_is_the_lp_order(self, speech_frames, kind):
+        got = extract_lp_features(speech_frames, kind)
+        assert got.kind is kind and got.dim == LP_ORDER
 
     @pytest.mark.parametrize("kind", [FeatureKind.LPCC, FeatureKind.LSF, FeatureKind.LAR])
     def test_order_19_bytes_equal_the_one_frame_lp_path(self, speech_frames, kind):
-        # The order-19 rows that a bare order of 19 gave before the order
-        # came in a config: each frame's fit through lp's one-frame helpers.
+        # Each row is its frame's order-19 fit through lp's one-frame helpers.
         one_row = {
             FeatureKind.LPCC: lambda fit: lp._lpcc_batch(fit.coefficients[None, :], 19)[0],
             FeatureKind.LSF: lambda fit: lp.lsf(fit.coefficients),
@@ -384,8 +421,27 @@ class TestLpFeatureKinds:
         }[kind]
         fits = [lp.analyze_frame(frame, 19) for frame in speech_frames.frames]
         expected = FeatureMatrix(kind, np.array([one_row(fit) for fit in fits]))
-        got = extract_lp_features(speech_frames, kind, LpTransformConfig(19))
-        assert feature_matrix_to_bytes(got) == feature_matrix_to_bytes(expected)
+        got = extract_lp_features(speech_frames, kind)
+        assert got.kind is expected.kind and got.values.shape == expected.values.shape
+        assert got.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("kind", [FeatureKind.LPCC, FeatureKind.LSF, FeatureKind.LAR])
+    def test_kernels_give_one_column_per_order(self, speech_frames, kind):
+        # The extractor fixes the order at LP_ORDER; the kernels under it
+        # take any order, and at LP_ORDER give the extractor's rows.
+        for order in (1, 7, LP_ORDER, 30):
+            coeffs, reflection = stable_fits(speech_frames, order)
+            if kind is FeatureKind.LPCC:
+                rows = lp._lpcc_batch(coeffs, order)
+            elif kind is FeatureKind.LAR:
+                rows = lp.lar(reflection)
+            else:
+                rows, valid = lp._lsf_batch(coeffs)
+                rows = rows[valid]
+            assert rows.shape == (len(rows), order) and len(rows) > 0
+            if order == LP_ORDER:
+                got = extract_lp_features(speech_frames, kind).values
+                assert got.tobytes() == rows.tobytes()
 
     def test_rejects_non_lp_kind(self, speech_frames):
         with pytest.raises(ValueError):

@@ -7,9 +7,9 @@
 drives ``voxid.cli.main`` in this process, so the bytes hashed are the
 CLI's: every WAV and the manifest, the databases trained at M=8 and M=32,
 ``identify --json`` for spk02/test_00.wav at M=8, the ``evaluate`` and
-``fuse-sweep`` reports at M=8, and the features of every ``extract`` kind
-for that WAV. The reports hold utterance paths, so the corpus directory is
-replaced in them by a fixed token before they are hashed.
+``fuse-sweep`` reports at M=8, and the CSV that ``extract`` writes for that
+WAV in every kind. The reports hold utterance paths, so the corpus
+directory is replaced in them by a fixed token before they are hashed.
 
 Bytes hold only on one platform: ``np.exp`` and ``np.log`` give other bits
 at another SIMD level, and at M >= 32 training sums depend on the BLAS
@@ -17,7 +17,8 @@ thread count. Each file therefore records a platform key, and ``compare``
 prints any difference in it before the hashes that moved. ``compare``
 exits 1 if a hash moved; a name that only one side has is listed but does
 not fail. Compare two commits on one machine by running ``write`` with
-each commit's ``src`` on ``PYTHONPATH``.
+each commit's ``src`` on ``PYTHONPATH``. ``compare`` reads only the two
+JSON files, and needs neither voxid nor NumPy.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from voxid import cli
-
 CORPUS_TOKEN = "<corpus>"
 EXTRACT_KINDS = ("acrlag", "mfcc", "lfcc", "plpcc", "lpcc", "lsf", "lar")
 # Outputs whose bytes hold paths under the corpus directory.
@@ -46,6 +43,7 @@ REPORTS = ("evaluate", "fuse_sweep")
 def platform_key() -> dict:
     """What the hashed bytes depend on besides the code: the interpreter, the
     NumPy build, the CPU features NumPy dispatches on and the BLAS threads."""
+    import numpy as np
     from numpy._core._multiarray_umath import (
         __cpu_baseline__,
         __cpu_dispatch__,
@@ -63,6 +61,8 @@ def platform_key() -> dict:
 
 def _voxid(*argv: object) -> None:
     """Run one CLI command, its printout discarded; a failure raises."""
+    from voxid import cli
+
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main([str(arg) for arg in argv])
     if status != 0:
@@ -101,7 +101,7 @@ def produce(
     _voxid("evaluate", *scored, "--report", outputs / f"evaluate_m{m}.json")
     _voxid("fuse-sweep", *scored, "--report", outputs / f"fuse_sweep_m{m}.json")
     for kind in EXTRACT_KINDS:
-        _voxid("extract", wav, "--kind", kind, "--out", outputs / f"extract_{kind}.ftr")
+        _voxid("extract", wav, "--kind", kind, "--out", outputs / f"extract_{kind}.csv")
 
 
 def fingerprint(workdir: Path) -> dict:
