@@ -66,7 +66,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     extract = EXTRACTORS[FeatureKind.parse(args.kind)]
     config = _load_config(args.config)
     audio = audio_io.read_wav(args.audio)
-    matrix = extract(preprocess(audio, config.frame), config)
+    frames = preprocess(audio, config.frame)
+    # The frames a kind cannot fit come from the config: name both.
+    kind = f"--kind {args.kind}"
+    with named(kind if args.config is None else f"{args.config}: {kind}"):
+        matrix = extract(frames, config)
     export_csv(matrix, args.out)
     print(f"{matrix.kind.value}: {matrix.n_frames} frames x {matrix.dim} -> {args.out}")
     return 0

@@ -38,14 +38,20 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 DEFAULT_VARIANCE_FLOOR_RATIO = 1e-3
 
-# At most this many models share one pair of scoring products.  At 8
-# components and ~230 frames each (T, K) temporary of a block is 0.24 MB.
-# Both streams against 100 speakers (d = 19 and 13, 231 frames) took a
-# median 1.9-2.1 ms in blocks of 12 to 32, which trade places from run to
-# run (1.0 MB peak at 16, 1.7 MB at 32), 2.2-2.3 ms in blocks of 8, 2.5 ms
-# in blocks of 4 and 3.5 ms in one block of 100 (Xeon, 2 MB L2 per core,
-# one BLAS thread).
-SCORE_BLOCK = 16
+# Float64 entries in one block's (T, models * M) scoring product: 512 KB.
+# Blocks of a fixed 16 models grew with M and T, to 49 MB a product at M=64
+# and 6,000 frames.  Both streams against 100 speakers at once, on two
+# threads with one BLAS thread (2-core Xeon VM, one process per run,
+# medians of 8 alternating runs), took this many ms with blocks of 16, and
+# with this budget and one scratch buffer per call:
+#     T frames       100          231           600
+#     M=8       3.24 -> 1.70   4.06 -> 2.56   7.93 -> 6.31
+#     M=32      5.48 -> 4.53  10.56 -> 8.91   31.5 -> 19.7
+#     M=64      9.60 -> 6.88  18.8 -> 15.0    64.8 -> 42.1
+# With new memory for each block's products instead, the budget was up to
+# 9% slower than blocks of 16 (M=32, T=231): each block faulted in fresh
+# pages.
+SCORE_BUDGET = 2**16
 
 # np.exp of an input below log(tiny), about -708.40, is subnormal or 0, and
 # NumPy's exp takes a slow path for it: near -720 about 100 ns an element,
@@ -332,6 +338,7 @@ def _weighted_log_densities(
     squares: np.ndarray,
     start: int = 0,
     stop: int | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """log w_i + log N(x_t | mu_i, diag var_i) for the components of models
     start to stop of the stack, mixture-major: (models, M, T) C-contiguous.
@@ -341,29 +348,70 @@ def _weighted_log_densities(
     count training allows), a model's entries were found not to depend on
     which other models share the product (OpenBLAS, one thread); otherwise
     BLAS may sum a dot product in another order, a last-bit difference.
+
+    Given scratch, (2, >= T * models * M), the products are written to
+    C-contiguous prefixes of its rows and the result is a view of its
+    second row; without it, they are new arrays.
     """
     m = stack.n_components
     rows = slice(start * m, None if stop is None else stop * m)
-    weighted = squares @ stack.half_precisions[rows].T
-    weighted += data @ stack.scaled_means[rows].T
+    half_precisions = stack.half_precisions[rows]
+    n_frames, width = data.shape[0], half_precisions.shape[0]
+    first = second = None
+    if scratch is not None:
+        first, second = (row.reshape(n_frames, width) for row in scratch[:, : n_frames * width])
+    weighted = np.matmul(squares, half_precisions.T, out=first)
+    weighted += np.matmul(data, stack.scaled_means[rows].T, out=second)
     weighted += stack.offsets[rows]
-    # The explicit model count reshapes a product of 0 frames too.
-    return np.ascontiguousarray(weighted.T).reshape(weighted.shape[1] // m, m, data.shape[0])
+    # The second product is spent: its buffer takes the mixture-major copy,
+    # whose explicit model count reshapes a product of 0 frames too.
+    major = np.empty((width, n_frames)) if scratch is None else second.reshape(width, n_frames)
+    np.copyto(major, weighted.T)
+    return major.reshape(width // m, m, n_frames)
+
+
+def _block_unit(n_components: int) -> int:
+    """Models that span 8 product columns, or one model at M >= 8.  A
+    product of more than about 190 columns whose count is not a multiple of
+    8 was found to sum its last columns in another order than a one-model
+    product does (OpenBLAS, AVX-512), so a block of several models is a
+    multiple of this many."""
+    return max(1, 8 // n_components)
+
+
+def _score_block(n_components: int, n_frames: int) -> int:
+    """Models per block of an n_frames utterance: as many as keep a block's
+    product within SCORE_BUDGET entries, a multiple of _block_unit, and at
+    least one."""
+    block = SCORE_BUDGET // (n_components * max(n_frames, 1))
+    return max(1, block - block % _block_unit(n_components))
 
 
 def _frame_log_densities(stack: ModelStack, data: np.ndarray) -> np.ndarray:
     """log p(x_t | model) for every model of the stack and frame, (S, T).
 
-    SCORE_BLOCK models at a time share one pair of products.  The
-    log-sum-exp over components then works on whole rows of T frames, and
-    each model's output row is contiguous, so summing it adds the frames in
-    the same order as a one-model call does.
+    _score_block(M, T) models at a time share one pair of products; the
+    models past the last multiple of _block_unit(M) score one at a time.
+    The log-sum-exp over components then works on whole rows of T frames,
+    and each model's output row is contiguous, so summing it adds the
+    frames in the same order as a one-model call does.
     """
+    if data.shape[0] == 1:
+        # A one-row product takes another BLAS path, whose sums were found to
+        # depend on the model count by an ulp; two equal rows take the usual one.
+        return _frame_log_densities(stack, np.repeat(data, 2, axis=0))[:, :1]
+    m, n_models = stack.n_components, stack.n_models
+    block = _score_block(m, data.shape[0])
+    aligned = n_models - n_models % _block_unit(m)
+    starts = [*range(0, aligned, block), *range(aligned, n_models + 1)]
     squares = data * data
-    out = np.empty((stack.n_models, data.shape[0]))
-    for start in range(0, stack.n_models, SCORE_BLOCK):
-        stop = start + SCORE_BLOCK
-        weighted = _weighted_log_densities(stack, data, squares, start, stop)
+    out = np.empty((n_models, data.shape[0]))
+    # Blocks share one scratch buffer, so a call takes new memory once, not
+    # once a block.  A single block takes new arrays: scoring 10 speakers at
+    # M=8 in a scratch buffer read 10% slower in 11 of 12 runs.
+    scratch = np.empty((2, data.shape[0] * m * block)) if len(starts) > 2 else None
+    for start, stop in zip(starts, starts[1:]):
+        weighted = _weighted_log_densities(stack, data, squares, start, stop, scratch)
         out[start:stop] = _logsumexp(weighted, axis=1)
     return out
 

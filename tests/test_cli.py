@@ -464,7 +464,7 @@ class TestTrainIdentifyEvaluate:
             code = main(["extract", wav, "--kind", kind, "--config", config, "--out", str(out)])
             if kind in refused_kinds:
                 assert code == 1
-                assert capsys.readouterr().err == f"error: {reason}\n"
+                assert capsys.readouterr().err == f"error: {config}: --kind {kind}: {reason}\n"
                 assert not out.exists()
             else:
                 assert code == 0

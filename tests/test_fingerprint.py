@@ -33,6 +33,9 @@ def test_two_runs_write_equal_json(fingerprint, tmp_path):
     assert outs[0].read_text() == outs[1].read_text()
     names = json.loads(outs[0].read_text())["hashes"]
     assert {"outputs/db_m2.db", "outputs/evaluate_m2.json", "corpus/manifest.json"} <= set(names)
+    # The database with 90 decoys, and what identifies and evaluates against it.
+    wide = {"outputs/db_m2_s93.db", "outputs/identify_m2_s93.json", "outputs/evaluate_m2_s93.json"}
+    assert wide <= set(names)
     assert fingerprint.compare(*[json.loads(out.read_text())] * 2) == ([], False)
 
 

@@ -31,10 +31,10 @@ from voxid.gmm import (
     LBG_SHIFT_TOLERANCE,
     LBG_SPLIT_EPSILON,
     LOG_TWO_PI,
-    SCORE_BLOCK,
     _assign,
     _logsumexp,
     _moments,
+    _score_block,
     variance_floor,
 )
 
@@ -285,11 +285,13 @@ class TestClampedExp:
         assert np.finfo(np.float64).tiny < np.exp(EXP_CLAMP) < 2.0**-1000
 
     @pytest.mark.parametrize("m", ALLOWED_COMPONENT_COUNTS)
-    @pytest.mark.parametrize(
-        "shape, axis", [((SCORE_BLOCK, None, 231), 1), ((None, 231), 0)], ids=["block-M-T", "M-T"]
-    )
-    def test_matches_plain_exp_bit_for_bit(self, rng, m, shape, axis):
-        shape = tuple(m if n is None else n for n in shape)
+    @pytest.mark.parametrize("layout", ["block-M-T", "M-T"])
+    def test_matches_plain_exp_bit_for_bit(self, rng, m, layout):
+        # A scoring block of a 231-frame utterance, or an EM step's (M, T).
+        if layout == "block-M-T":
+            shape, axis = (_score_block(m, 231), m, 231), 1
+        else:
+            shape, axis = (m, 231), 0
         for share in (0.1, 0.3, 0.5, 0.7, 0.9):
             # One entry in m of a row is its maximum.
             expected = min(share, 1.0 - 1.0 / m)
@@ -332,7 +334,8 @@ class TestClampedExp:
         # Far frames put many terms below EXP_CLAMP.
         fm = feats(rng.standard_normal((300, d)) * 40.0)
         saved = (fm.values.copy(), model.weights.copy(), model.means.copy(), model.variances.copy())
-        stack = stack_models([model] * (SCORE_BLOCK + 1))
+        # Two whole blocks and one model more.
+        stack = stack_models([model] * (2 * _score_block(m, 300) + 1))
         stack_scores(stack, fm)
         em_step(fm, model, variance_floor(fm, 1e-3))
         for array, before in zip((fm.values, model.weights, model.means, model.variances), saved):
@@ -741,9 +744,10 @@ class TestUtteranceScore:
         )
 
     def test_zero_frames_score_zero_per_model(self, rng):
-        # The empty sum, in one block and across a block boundary.
-        for n_models in (1, SCORE_BLOCK + 3):
-            stack = stack_models([self.make_model(rng, m=4) for _ in range(n_models)])
+        # The empty sum, in one block and across two block boundaries.
+        model = self.make_model(rng, m=4)
+        for n_models in (1, 2 * _score_block(4, 0) + 3):
+            stack = stack_models([model] * n_models)
             got = stack_scores(stack, feats(np.zeros((0, 3))))
             np.testing.assert_array_equal(got, np.zeros(n_models))
 
@@ -754,15 +758,38 @@ class TestUtteranceScore:
         with pytest.raises(DimError):
             stack_scores(stack, feats(np.zeros((2, 4))))
 
-    # (13, 8) and (19, 8) are the default residual and spectral streams.
-    @pytest.mark.parametrize("d, m", [(5, 4), (13, 8), (19, 8)])
-    def test_stacked_scores_equal_one_model_reference(self, rng, d, m):
-        # More models than one block holds, so a block boundary is crossed.
-        models = [self.make_model(rng, d=d, m=m) for _ in range(2 * SCORE_BLOCK + 3)]
-        data = rng.standard_normal((60, d))
+    def assert_stacked_equal_alone(self, pool, n_models, data):
+        """n_models drawn from pool in turn score in one stack what each
+        scores alone, bit for bit."""
+        alone = [model_score(model, data) for model in pool]
+        models = [pool[i % len(pool)] for i in range(n_models)]
         got = stack_scores(stack_models(models), feats(data))
-        expected = [model_score(model, data) for model in models]
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, [alone[i % len(pool)] for i in range(n_models)])
+
+    # (13, 8) and (19, 8) are the default residual and spectral streams.  A
+    # one-frame product takes another BLAS path, seen at M=2.
+    @pytest.mark.parametrize("d, m", [(5, 4), (13, 8), (19, 8), (13, 2), (19, 2)])
+    def test_stacked_scores_equal_one_model_reference(self, rng, d, m):
+        pool = [self.make_model(rng, d=d, m=m) for _ in range(37)]
+        for n_frames in (1, 60):
+            # Two whole blocks and a partial one.
+            n_models = 2 * _score_block(m, n_frames) + 3
+            self.assert_stacked_equal_alone(pool, n_models, rng.standard_normal((n_frames, d)))
+
+    # Blocks of one model each, and one block of 600 models and more: the
+    # budget's two ends.  In a product of 1,206 columns (603 models at M=2),
+    # the last columns' sums differed from the one-model sums for about 4
+    # in 10 draws of the frames, so each case scores 10 draws.
+    @pytest.mark.parametrize(
+        "m, n_frames, n_models", [(64, 1500, 5), (2, 12, 603)], ids=["one-model", "wide"]
+    )
+    @pytest.mark.parametrize("d", [13, 19])
+    def test_stacked_scores_equal_one_model_reference_at_the_budget_ends(
+        self, rng, d, m, n_frames, n_models
+    ):
+        pool = [self.make_model(rng, d=d, m=m) for _ in range(n_models)]
+        for _ in range(10):
+            self.assert_stacked_equal_alone(pool, n_models, rng.standard_normal((n_frames, d)))
 
     # The corpus's utterances keep about 231 frames: every frame count mod 8
     # around it, against the benchmark's 100 speakers, for both streams.
@@ -779,12 +806,14 @@ class TestUtteranceScore:
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
     def test_stacked_scores_match_direct_oracle(self, rng, m):
-        models = [self.make_model(rng, d=3, m=m) for _ in range(2 * SCORE_BLOCK + 3)]
+        # Two whole blocks and a partial one, of 37 distinct models in turn.
+        pool = [self.make_model(rng, d=3, m=m) for _ in range(37)]
         data = rng.standard_normal((12, 3))
-        expected = [sum(mixture_log_density_oracle(model, x) for x in data) for model in models]
-        np.testing.assert_allclose(
-            stack_scores(stack_models(models), feats(data)), expected, rtol=1e-12, atol=0
-        )
+        oracle = [sum(mixture_log_density_oracle(model, x) for x in data) for model in pool]
+        n_models = 2 * _score_block(m, 12) + 3
+        got = stack_scores(stack_models([pool[i % 37] for i in range(n_models)]), feats(data))
+        expected = [oracle[i % 37] for i in range(n_models)]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_zero_weight_component_scores_as_if_removed(self, rng):
         full = self.make_model(rng, d=3, m=3)

@@ -692,18 +692,23 @@ class TestConcurrentEnrollment:
                 train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
 
 
+def stream_features(db: SpeakerDatabase, audio: AudioSignal) -> tuple[FeatureMatrix, ...]:
+    """The spectral and the residual features of one utterance. The layers
+    are looked up on sid_pipeline, so stubs set there apply."""
+    frames = sid_pipeline.preprocess(audio, db.config.frame)
+    return (
+        sid_pipeline.fb_cepstra(frames, db.config.filterbank),
+        sid_pipeline.extract_acrlag(frames, db.config.acrlag),
+    )
+
+
 def serial_scores(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerScores, ...]:
     """score_utterance one stream after the other on the calling thread,
-    with each stream's models stacked here in speaker order. The layers are
-    looked up on sid_pipeline, so stubs set there apply."""
-    frames = sid_pipeline.preprocess(audio, db.config.frame)
+    with each stream's models stacked here in speaker order."""
     columns = []
-    for extract, settings, models in (
-        (sid_pipeline.fb_cepstra, db.config.filterbank, db.spectral_models),
-        (sid_pipeline.extract_acrlag, db.config.acrlag, db.residual_models),
-    ):
+    for features, models in zip(stream_features(db, audio), db.stream_models):
         stack = gmm.stack_models([models[sid] for sid in db.speaker_ids])
-        columns.append(gmm.stack_scores(stack, extract(frames, settings)).tolist())
+        columns.append(gmm.stack_scores(stack, features).tolist())
     return tuple(map(SpeakerScores, db.speaker_ids, *columns))
 
 
@@ -711,10 +716,22 @@ class TestConcurrentScoring:
     """score_utterance runs each utterance's streams at once, with the
     scores and the error of the spectral stream, then the residual one."""
 
-    @pytest.mark.parametrize("n_decoys", [0, 2 * gmm.SCORE_BLOCK])
-    def test_scores_and_reports_equal_a_serial_loop(self, tiny_corpus, tiny_db, n_decoys):
+    @pytest.mark.parametrize("n_blocks", [0, 2])
+    def test_scores_and_reports_equal_a_serial_loop(self, tiny_corpus, tiny_db, n_blocks):
         manifest, _ = tiny_corpus
-        db = with_decoys(tiny_db, n_decoys)
+        if n_blocks:
+            # Blocks are widest at the fewest feature rows of any utterance
+            # and stream; past n_blocks of those, the models spill into more.
+            rows = min(
+                features.n_frames
+                for entry in manifest.speakers
+                for path in entry.test_utterances
+                for features in stream_features(tiny_db, audio_io.read_wav(path))
+            )
+            block = gmm._score_block(tiny_db.config.train.n_components, rows)
+            db = with_decoys(tiny_db, n_blocks * block + 5 - tiny_db.n_speakers)
+        else:
+            db = tiny_db
         with on_the_one_worker():
             trials = []
             for entry in manifest.speakers:

@@ -8,8 +8,12 @@ drives ``voxid.cli.main`` in this process, so the bytes hashed are the
 CLI's: every WAV and the manifest, the databases trained at M=8 and M=32,
 ``identify --json`` for spk02/test_00.wav at M=8, the ``evaluate`` and
 ``fuse-sweep`` reports at M=8, and the CSV that ``extract`` writes for that
-WAV in every kind. The reports hold utterance paths, so the corpus
-directory is replaced in them by a fixed token before they are hashed.
+WAV in every kind. Each database is also saved with 90 seeded decoys, as
+the benchmark's wide database is built, and ``identify --json`` and
+``evaluate`` run against those 100 speakers too: enough models that
+scoring splits them into blocks. The reports hold utterance paths, so the
+corpus directory is replaced in them by a fixed token before they are
+hashed.
 
 Bytes hold only on one platform: ``np.exp`` and ``np.log`` give other bits
 at another SIMD level, and at M >= 32 training sums depend on the BLAS
@@ -38,6 +42,10 @@ CORPUS_TOKEN = "<corpus>"
 EXTRACT_KINDS = ("acrlag", "mfcc", "lfcc", "plpcc", "lpcc", "lsf", "lar")
 # Outputs whose bytes hold paths under the corpus directory.
 REPORTS = ("evaluate", "fuse_sweep")
+# Decoy i copies speaker i mod S and moves every mean by one standard
+# deviation times a normal draw of this generator: perfbench's decoys.
+DECOYS = 90
+DECOY_SEED = (0, 0xDEC0)
 
 
 def platform_key() -> dict:
@@ -69,6 +77,27 @@ def _voxid(*argv: object) -> None:
         raise RuntimeError(f"voxid {' '.join(map(str, argv))} exited {status}")
 
 
+def save_with_decoys(db_path: Path, out: Path) -> None:
+    """Save to out the database at db_path with DECOYS seeded decoy
+    speakers after its own, built from the public constructors."""
+    import numpy as np
+    from voxid import GmmModel, load_database
+    from voxid.sid_pipeline import SpeakerDatabase, save_database
+
+    db = load_database(db_path)
+    rng = np.random.default_rng(DECOY_SEED)
+    stores = (dict(db.spectral_models), dict(db.residual_models))
+    ids = list(db.speaker_ids)
+    for i in range(DECOYS):
+        base, decoy = db.speaker_ids[i % db.n_speakers], f"decoy{i:03d}"
+        for store in stores:
+            m = store[base]
+            shift = np.sqrt(m.variances) * rng.standard_normal(m.means.shape)
+            store[decoy] = GmmModel(m.feature_kind, m.weights, m.means + shift, m.variances)
+        ids.append(decoy)
+    save_database(SpeakerDatabase(db.config, tuple(ids), *stores), out)
+
+
 def produce(
     workdir: Path,
     speakers: int = 10,
@@ -79,7 +108,7 @@ def produce(
 ) -> None:
     """Write every fingerprinted output under workdir. The corpus is seed 0;
     a database is trained at each order, and the first is the one that
-    identifies and evaluates."""
+    identifies and evaluates alone; with DECOYS decoys, every one does."""
     corpus, outputs, configs = (workdir / name for name in ("corpus", "outputs", "configs"))
     outputs.mkdir(parents=True)
     configs.mkdir()
@@ -102,6 +131,15 @@ def produce(
     _voxid("fuse-sweep", *scored, "--report", outputs / f"fuse_sweep_m{m}.json")
     for kind in EXTRACT_KINDS:
         _voxid("extract", wav, "--kind", kind, "--out", outputs / f"extract_{kind}.csv")
+    wide = f"s{speakers + DECOYS}"
+    for m in orders:
+        db = outputs / f"db_m{m}_{wide}.db"
+        save_with_decoys(outputs / f"db_m{m}.db", db)
+        _voxid("identify", wav, "--db", db, "--json", outputs / f"identify_m{m}_{wide}.json")
+        _voxid(
+            "evaluate", "--db", db, "--manifest", manifest,
+            "--report", outputs / f"evaluate_m{m}_{wide}.json",
+        )
 
 
 def fingerprint(workdir: Path) -> dict:
