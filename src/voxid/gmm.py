@@ -141,6 +141,29 @@ def variance_floor(features: FeatureMatrix, ratio: float) -> np.ndarray:
     return ratio * np.where(global_var > 0, global_var, fallback)
 
 
+# The largest sum of squares of all features that training takes. A
+# distance |x|^2 - 2 x.c + |c|^2 between a frame and a centroid (a mean of
+# frames) has terms whose magnitudes add up to at most 4 times that sum;
+# a factor of 8 leaves room for rounding.
+_MAX_SQUARES = float(np.finfo(np.float64).max) / 8.0
+
+
+def _check_trainable(features: FeatureMatrix) -> None:
+    """Refuse features that training cannot take: a NaN or an inf, or
+    values so large that a squared distance between them could overflow
+    (see ``_MAX_SQUARES``)."""
+    data = features.values
+    if not np.isfinite(data).all():
+        cause = "a NaN" if np.isnan(data).any() else "an infinite value"
+        raise NumericalFailure(f"features hold {cause}")
+    with np.errstate(over="ignore"):
+        total = np.square(data).sum()
+    if not total <= _MAX_SQUARES:
+        raise NumericalFailure(
+            "features are too large: the sum of their squares exceeds float64's maximum / 8"
+        )
+
+
 def _assign(twice_data: np.ndarray, unit_quad: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Label of the nearest centroid for every frame, (T,); the first wins a tie.
 
@@ -229,6 +252,7 @@ def lbg_init(
         raise InsufficientData(
             f"{data.shape[0]} frames cannot seed {n_components} components"
         )
+    _check_trainable(features)
     spread = data.std(axis=0)
     spread = np.where(spread > 0, spread, 1.0)
     floor = variance_floor(features, variance_floor_ratio)
@@ -451,10 +475,13 @@ def em_fit(features: FeatureMatrix, init: GmmModel, cfg: TrainConfig) -> GmmMode
         raise FeatureKindMismatch(
             f"features are {features.kind.value}, model is {init.feature_kind.value}"
         )
+    if features.dim != init.dim:
+        raise DimError(f"feature dim {features.dim} != model dim {init.dim}")
     if features.n_frames < init.n_components:
         raise InsufficientData(
             f"{features.n_frames} frames cannot fit {init.n_components} components"
         )
+    _check_trainable(features)
     floor = variance_floor(features, cfg.variance_floor_ratio)
     model = init
     for iteration in range(cfg.em_iterations):

@@ -11,8 +11,11 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import signal
 import struct
+import sys
 import threading
+import warnings
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -232,8 +235,10 @@ def _extract_lp(kind: FeatureKind) -> Extractor:
 
 # Each feature kind's extractor, called as extract(frames, config): `voxid
 # extract --kind` runs one, and `_streams` takes the pipeline's two from
-# here. Each entry looks its function up on this module when it runs, so a
-# wrapper set on the module sees every call.
+# here. Each entry looks its function up on this module when it runs, and
+# every extraction runs in the calling process, so a wrapper set on the
+# module sees every call. (Only the spectral stream's training runs in
+# another process: see _train_streams.)
 EXTRACTORS: dict[FeatureKind, Extractor] = {
     FeatureKind.ACRLAG: lambda frames, config: extract_acrlag(frames, config.acrlag),
     FeatureKind.MFCC: _fb_cepstra_on(FrequencyScale.MEL),
@@ -377,13 +382,151 @@ def _stream_worker() -> _StreamWorker | None:
 
 
 def _forget_worker() -> None:
-    """In a forked child: the parent's worker thread does not run here, so
-    the next call starts the child's own."""
-    global _worker, _worker_lock
+    """In a forked child: the parent's worker thread does not run here, nor
+    is the parent's trainer the child's to use, so the next call starts the
+    child's own. The child closes its copy of the parent's end of the
+    trainer's pipe, so that the trainer still meets its end of file when
+    the parent exits."""
+    global _worker, _worker_lock, _trainer
     _worker, _worker_lock = None, threading.Lock()
+    if _trainer is not None:
+        _trainer.disown()
+        _trainer = None
 
 
 os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve_training(conn, parent_end) -> None:
+    """The trainer process's loop: it takes (features, TrainConfig, the
+    caller's np.geterr()) and sends back (model or the Exception raised,
+    the warnings met as (message, category, filename, lineno)). It ignores
+    SIGINT, which a terminal sends the parent's whole process group, and
+    it ends at end of file: it closes its copy of the parent's end, so the
+    pipe closes once the parent's copy does."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()
+    while True:
+        try:
+            features, cfg, err = conn.recv()
+        except EOFError:
+            return
+        with warnings.catch_warnings(record=True) as met, np.errstate(**err):
+            warnings.simplefilter("always")
+            try:
+                result = gmm.train_gmm(features, cfg)
+            except Exception as exc:
+                result = exc
+        try:
+            conn.send((result, [(w.message, w.category, w.filename, w.lineno) for w in met]))
+        except OSError:  # the parent gave this trainer up
+            return
+
+
+def _warn_again(message: Warning, category: type, filename: str, lineno: int) -> None:
+    """Issue a warning the trainer met as if raised at its place in this
+    process: the module at filename, if loaded, gives the filters their
+    module name and its once-registry, as warnings.warn would."""
+    module = next(
+        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
+    )
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        registry = vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
+
+
+class _Trainer:
+    """A process forked from this one that trains the spectral stream's
+    mixture of each enrollment while the calling thread trains the residual
+    stream's, so that the two trainings do not share a GIL. Forked, it runs
+    this process's code on this process's BLAS, and its models are those an
+    in-process training would give, bit for bit."""
+
+    def __init__(self, context) -> None:
+        self.conn, child_end = context.Pipe()
+        self.lock = threading.Lock()  # held from a request to its reply
+        self.process = context.Process(
+            target=_serve_training, args=(child_end, self.conn), name="voxid-trainer", daemon=True
+        )
+        try:
+            self.process.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child_end.close()
+
+    @property
+    def usable(self) -> bool:
+        return not self.conn.closed and self.process.is_alive()
+
+    def submit(self, features: FeatureMatrix, cfg: TrainConfig, err: dict) -> bool:
+        """Hand the features over; False when the trainer is gone."""
+        try:
+            self.conn.send((features, cfg, err))
+        except OSError:
+            return False
+        return True
+
+    def result(self) -> GmmModel | Exception | None:
+        """The submitted features' model or the Exception their training
+        raised, with the warnings it met issued here first (one that a
+        filter turns into an error takes the result's place); None when the
+        trainer died."""
+        try:
+            result, met = self.conn.recv()
+        except (EOFError, OSError):
+            return None
+        try:
+            for warning in met:
+                _warn_again(*warning)
+        except Exception as exc:
+            return exc
+        return result
+
+    def disown(self) -> None:
+        """In a forked child: close this copy of the pipe, and keep
+        multiprocessing from stopping the parent's trainer at the child's exit."""
+        from multiprocessing import process
+
+        self.conn.close()
+        process._children.discard(self.process)
+
+
+_trainer: _Trainer | None = None
+
+
+def _retire(trainer: _Trainer) -> None:
+    """Stop using the trainer: close the pipe and stop the process."""
+    global _trainer
+    if _trainer is trainer:
+        _trainer = None
+    trainer.conn.close()
+    trainer.process.terminate()
+
+
+def _spectral_trainer() -> _Trainer | None:
+    """This process's trainer, started by the first enrollment and replaced
+    when it has died; None where Linux fork is not available or no process
+    can start."""
+    global _trainer
+    if not sys.platform.startswith("linux"):
+        return None
+    with _worker_lock:
+        if _trainer is not None and not _trainer.usable:
+            _retire(_trainer)
+        if _trainer is None:
+            import multiprocessing
+
+            if multiprocessing.current_process().daemon:  # which may start no process
+                return None
+            try:
+                _trainer = _Trainer(multiprocessing.get_context("fork"))
+            except (OSError, RuntimeError):  # RuntimeError: a fork at interpreter shutdown
+                return None
+        return _trainer
 
 
 def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | Exception]:
@@ -402,10 +545,7 @@ def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | 
     results: list = [None, None]
 
     def run(index: int) -> None:
-        try:
-            results[index] = task(streams[index])
-        except BaseException as exc:
-            results[index] = exc
+        results[index] = _outcome(task, streams[index])
 
     worker = _stream_worker()
     if worker is None:
@@ -417,6 +557,20 @@ def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | 
             run(1)
         finally:
             done.acquire()
+    return _both_done(results)
+
+
+def _outcome(task: Callable[[_T], _R], stream: _T) -> _R | BaseException:
+    """task(stream), or the BaseException it raised."""
+    try:
+        return task(stream)
+    except BaseException as exc:
+        return exc
+
+
+def _both_done(results: list) -> list:
+    """Both streams' results, once both have finished; a BaseException that
+    is no Exception among them is raised, the spectral stream's first."""
     for result in results:
         if isinstance(result, BaseException) and not isinstance(result, Exception):
             raise result
@@ -430,22 +584,67 @@ def _value(result: _R | Exception) -> _R:
     return result
 
 
+def _train_streams(
+    stacked: tuple[FeatureMatrix, FeatureMatrix], cfg: TrainConfig
+) -> list[GmmModel | Exception]:
+    """``[train_gmm(spectral), train_gmm(residual)]`` as ``_map_streams``
+    returns it, with the Exception a training raised in its stream's place.
+
+    The spectral features go to the process's trainer (``_spectral_trainer``)
+    with the caller's ``np.geterr()``, and the residual stream trains on the
+    calling thread meanwhile. The trainer's warnings are issued here, under
+    the caller's filters, once both have finished. One call at a time uses
+    the trainer; another thread's call waits for it. Where there is no
+    trainer, or the caller's errstate calls a function, both streams train
+    through ``_map_streams``; if the trainer dies, the spectral stream
+    trains on the calling thread after the residual one. As with
+    ``_map_streams``, a BaseException that is no Exception is raised once
+    both streams are done, the spectral stream's first, and the trainer's
+    reply is read before it is. One that escapes between the request and
+    the reply (an interrupt while sending or waiting) may leave half a
+    request or an unread reply in the pipe, so the trainer is retired and
+    no later call uses that pipe."""
+
+    def train(features: FeatureMatrix) -> GmmModel:
+        return gmm.train_gmm(features, cfg)
+
+    trainer, err = _trainer, np.geterr()
+    if trainer is None or "call" in err.values() or "log" in err.values():
+        return _map_streams(train, stacked)
+    with trainer.lock:
+        try:
+            sent = trainer.submit(stacked[0], cfg, err)
+            residual = _outcome(train, stacked[1])
+            spectral = trainer.result() if sent else None
+        except BaseException:
+            _retire(trainer)
+            raise
+    if spectral is None:
+        _retire(trainer)
+        spectral = _outcome(train, stacked[0])
+    return _both_done([spectral, residual])
+
+
 def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerDatabase:
     """Fit one model per stream per speaker from the manifest's train lists.
 
     Each utterance in turn is read and preprocessed on the calling thread,
     and then its two streams extract at the same time (see
-    ``_map_streams``); after a speaker's last utterance, each stream's
-    features are stacked on the calling thread and both streams train at
-    the same time. Each step's first error is raised at once, the spectral
-    stream's before the residual stream's, so it is the error that one
-    step after another would meet first; and one utterance's frames are
-    held at a time.
+    ``_map_streams``), on the calling thread and the stream worker. After a
+    speaker's last utterance, each stream's features are stacked on the
+    calling thread and both streams train at the same time: the spectral
+    stream's in the trainer process, forked by the first call before its
+    first extraction, and the residual stream's on the calling thread (see
+    ``_train_streams``). Each step's first error is raised at once, the
+    spectral stream's before the residual stream's, so it is the error that
+    one step after another would meet first; and one utterance's frames
+    are held at a time.
     """
     if not manifest.speakers:
         raise InsufficientData("manifest lists no speakers")
     streams = _streams(config)
     stream_models: tuple[dict[str, GmmModel], ...] = tuple({} for _ in streams)
+    _spectral_trainer()  # forked before this call's first task on the stream worker
     for entry in manifest.speakers:
         sid = entry.speaker_id
         if not entry.train_utterances:
@@ -460,7 +659,7 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
                 for parts, part in zip(stream_parts, features):
                     parts.append(_value(part))
         stacked = tuple(concatenate_features(parts) for parts in stream_parts)
-        fitted = _map_streams(lambda features: gmm.train_gmm(features, config.train), stacked)
+        fitted = _train_streams(stacked, config.train)
         for stream, models, model in zip(streams, stream_models, fitted):
             with named(f"speaker {sid}, {stream.name} stream", InsufficientData):
                 models[sid] = _value(model)

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -12,6 +13,7 @@ from voxid.errors import (
     DimError,
     FeatureKindMismatch,
     InsufficientData,
+    NumericalFailure,
 )
 from voxid.features import FeatureKind, FeatureMatrix, pack_text
 from voxid.gmm import (
@@ -554,6 +556,41 @@ class TestLbgInit:
         np.testing.assert_array_equal(a.variances, b.variances)
 
 
+TOO_LARGE = "are too large: the sum of their squares exceeds float64's maximum / 8"
+
+
+@pytest.mark.parametrize(
+    "cells, cause",
+    [
+        ({(17, 1): np.nan}, "hold a NaN"),
+        ({(17, 1): np.inf}, "hold an infinite value"),
+        ({(17, 1): 1e160}, TOO_LARGE),
+        ({(17, 1): 1e200}, TOO_LARGE),
+        # The sum of squares, 1.62e308, is finite, but the distance between
+        # the two frames, once each is a centroid, is not.
+        ({(17, 1): 0.9e154, (18, 1): -0.9e154}, TOO_LARGE),
+    ],
+    ids=["nan", "inf", "1e160", "1e200", "two-frames-0.9e154"],
+)
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("train", ["lbg_init", "em_fit"])
+def test_features_training_cannot_take_are_refused_by_cause(rng, cells, cause, m, train):
+    # One bad cell of a 200 x 3 matrix once read as k-means leaving a
+    # cluster empty; no warning may come before the refusal.
+    data = rng.standard_normal((200, 3))
+    for cell, value in cells.items():
+        data[cell] = value
+    start = lbg_init(feats(rng.standard_normal((200, 3))), m)
+    call = {
+        "lbg_init": lambda: lbg_init(feats(data), m),
+        "em_fit": lambda: em_fit(feats(data), start, TrainConfig(n_components=m)),
+    }[train]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=f"^features {re.escape(cause)}$"):
+            call()
+
+
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
         model = GmmModel(KIND, np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)))
@@ -706,6 +743,12 @@ class TestEm:
         model = lbg_init(fm, 2)
         with pytest.raises(FeatureKindMismatch):
             em_fit(other, model, TrainConfig(n_components=2))
+
+    def test_dim_mismatch(self, rng):
+        model = lbg_init(two_clouds(rng, n_per=50), 2)
+        wider = feats(rng.standard_normal((100, 4)))
+        with pytest.raises(DimError, match=r"^feature dim 4 != model dim 3$"):
+            em_fit(wider, model, TrainConfig(n_components=2))
 
     def test_train_deterministic(self, rng):
         fm = two_clouds(rng, n_per=300)

@@ -1,7 +1,10 @@
+import errno
 import itertools
 import json
 import os
+import pickle
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -120,8 +123,9 @@ def with_decoys(db: SpeakerDatabase, n: int) -> SpeakerDatabase:
 @contextmanager
 def on_the_one_worker():
     """The calls inside start no thread, and leave no thread but the
-    process's one stream worker, the same thread as before them."""
-    worker = sid_pipeline._stream_worker()
+    process's one stream worker, the same thread as before them, and the
+    same trainer process."""
+    worker, trainer = sid_pipeline._stream_worker(), sid_pipeline._spectral_trainer()
     started = []
     start = threading.Thread.start
 
@@ -134,6 +138,7 @@ def on_the_one_worker():
     assert started == []
     assert sid_pipeline._stream_worker() is worker
     assert set(threading.enumerate()) == {threading.main_thread(), worker.thread}
+    assert sid_pipeline._trainer is trainer and trainer.usable
 
 
 def identify_or_error(db: SpeakerDatabase, audio: AudioSignal):
@@ -809,15 +814,19 @@ class TestConcurrentScoring:
 
 # Runs in a fresh interpreter: two identifies, then one enrollment. Prints
 # a JSON record of the threads alive after the import and after each call,
-# the threads that extracted spectral features and that trained a model,
-# and the modules the import of voxid loaded that a thread pool would bring.
+# whether multiprocessing was loaded by then, the threads that extracted
+# spectral features, the stream kind, process and thread of each training,
+# the trainer's pid, and the modules the import of voxid loaded that a
+# thread or process pool would bring. Each training appends a line to the
+# file named by the last argument, since the trainer's memory is its own.
 LIFECYCLE = """
-import json, sys, threading
+import json, os, sys, threading
 import voxid
 from voxid import sid_pipeline
 
-modules = sorted(m for m in ("concurrent.futures", "logging", "queue") if m in sys.modules)
-record = {"modules": modules, "spectral": [], "train": [], "after": []}
+pools = ("concurrent.futures", "logging", "multiprocessing", "queue")
+modules = sorted(m for m in pools if m in sys.modules)
+record = {"modules": modules, "spectral": [], "after": [], "multiprocessing": []}
 layer, train_gmm = sid_pipeline.fb_cepstra, sid_pipeline.gmm.train_gmm
 
 def spectral(frames, settings):
@@ -825,10 +834,12 @@ def spectral(frames, settings):
     return layer(frames, settings)
 
 def train(features, config):
-    record["train"].append(threading.get_ident())
+    with open(sys.argv[4], "a") as f:
+        f.write(json.dumps([features.kind.value, os.getpid(), threading.get_ident()]) + "\\n")
     return train_gmm(features, config)
 
 def others():
+    record["multiprocessing"].append("multiprocessing" in sys.modules)
     return [t.ident for t in threading.enumerate() if t is not threading.main_thread()]
 
 sid_pipeline.fb_cepstra = spectral
@@ -843,7 +854,10 @@ manifest = sid_pipeline.CorpusManifest(
 )
 voxid.train_database(manifest, db.config)
 record["after"].append(others())
-record["main"] = threading.get_ident()
+record["main"] = [os.getpid(), threading.get_ident()]
+record["trainer"] = sid_pipeline._trainer.process.pid
+with open(sys.argv[4]) as f:
+    record["train"] = sorted(json.loads(line) for line in f)
 print(json.dumps(record))
 """
 
@@ -914,19 +928,27 @@ class TestStreamWorker:
     """Every two-stream call in a process hands its spectral stream to one
     worker thread, started on the first call."""
 
-    def test_a_fresh_interpreter_keeps_one_worker(self, tiny_corpus, tiny_db_path):
+    def test_a_fresh_interpreter_keeps_one_worker(self, tiny_corpus, tiny_db_path, tmp_path):
         paths = tiny_corpus[0].speakers[0].test_utterances[:2]
-        record = json.loads(run_script(LIFECYCLE, tiny_db_path, *paths))
-        # The import starts no thread and loads no thread pool.
+        trainings = tmp_path / "trainings.jsonl"
+        record = json.loads(run_script(LIFECYCLE, tiny_db_path, *paths, trainings))
+        # The import starts no thread and loads no thread or process pool;
+        # only the enrollment loads multiprocessing.
         assert record["modules"] == []
+        assert record["multiprocessing"] == [False, False, False, True]
         assert record["after"][0] == []
+        main_pid, main_thread = record["main"]
         (worker,) = record["after"][1]
-        assert worker != record["main"]
+        assert worker != main_thread
         assert record["after"] == [[], [worker], [worker], [worker]]
-        # Two identifies and two enrolled utterances; then the spectral
-        # model trains on the worker and the residual one on the caller.
+        # Two identifies and two enrolled utterances extract on the worker;
+        # then the spectral model trains in the trainer process and the
+        # residual one on the caller.
         assert record["spectral"] == [worker] * 4
-        assert sorted(record["train"]) == sorted([worker, record["main"]])
+        assert record["trainer"] != main_pid
+        residual, spectral = record["train"]
+        assert residual == ["ACRLAG", main_pid, main_thread]
+        assert spectral[:2] == ["MFCC", record["trainer"]]
 
     def test_a_forked_child_scores_as_its_parent(self, tiny_corpus, tiny_db_path):
         path = tiny_corpus[0].speakers[1].test_utterances[0]
@@ -979,6 +1001,239 @@ class TestStreamWorker:
         assert got == [[scores] * 3 for scores in expected]
         assert sid_pipeline._stream_worker() is worker
         assert set(threading.enumerate()) == {threading.main_thread(), worker.thread}
+
+
+@contextmanager
+def a_fresh_trainer():
+    """Inside, the next enrollment forks a trainer of its own, which takes
+    whatever is patched then; it is retired on the way out, and the
+    process's trainer is back."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sid_pipeline, "_trainer", None)
+        try:
+            yield
+        finally:
+            if sid_pipeline._trainer is not None:
+                sid_pipeline._retire(sid_pipeline._trainer)
+
+
+def overflow_outside(pid: int):
+    """gmm.train_gmm, but an overflow first in any process other than pid."""
+    train_gmm = gmm.train_gmm
+
+    def train(features, cfg):
+        if os.getpid() != pid:
+            np.array([1e308]) * 10.0
+        return train_gmm(features, cfg)
+
+    return train
+
+
+# Enrolls in a fresh interpreter, forks, and enrolls again in the child,
+# which leaves by sys.exit so that its exit handlers run; then the parent
+# enrolls once more. Prints whether every database equals the first, the
+# child's exit status, the trainer pids of the parent before and after and
+# of the child, and whether the child's trainer is gone.
+FORKED_TRAINER = """
+import json, os, sys
+from voxid import sid_pipeline
+from voxid.gmm import TrainConfig
+from voxid.sid_pipeline import (
+    CorpusManifest, PipelineConfig, SpeakerEntry, database_to_bytes, train_database,
+)
+
+manifest = CorpusManifest((SpeakerEntry("solo", tuple(sys.argv[1:3]), ()),))
+config = PipelineConfig(train=TrainConfig(n_components=2))
+
+def enroll():
+    return database_to_bytes(train_database(manifest, config))
+
+expected = enroll()
+record = {"parent": sid_pipeline._trainer.process.pid}
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.close(read_end)
+    same = enroll() == expected
+    os.write(write_end, json.dumps([same, sid_pipeline._trainer.process.pid]).encode())
+    sys.exit(0)
+os.close(write_end)
+with os.fdopen(read_end) as f:
+    record["child_same"], record["child"] = json.loads(f.read())
+record["status"] = os.waitpid(pid, 0)[1]
+try:
+    os.kill(record["child"], 0)
+    record["child_trainer_gone"] = False
+except ProcessLookupError:
+    record["child_trainer_gone"] = True
+record["again_same"] = enroll() == expected
+record["after"] = sid_pipeline._trainer.process.pid
+print(json.dumps(record))
+"""
+
+
+class TestSpectralTrainer:
+    """Each enrollment trains its spectral stream's models in one forked
+    process per process, started by the first enrollment, and gives the
+    models of a training on the calling thread."""
+
+    def test_a_trainer_killed_between_enrollments_is_replaced(self, tiny_corpus):
+        manifest = one_speaker(tiny_corpus[0], 2)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        killed = sid_pipeline._trainer.process
+        os.kill(killed.pid, signal.SIGKILL)
+        killed.join(timeout=10.0)
+        assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+        assert sid_pipeline._trainer.process.pid != killed.pid
+        assert sid_pipeline._trainer.usable
+
+    def test_a_trainer_that_dies_training_leaves_the_speaker_to_the_caller(
+        self, tiny_corpus, monkeypatch
+    ):
+        manifest = one_speaker(tiny_corpus[0], 2)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        train_gmm, parent = gmm.train_gmm, os.getpid()
+
+        def die_outside(features, cfg):
+            if os.getpid() != parent:
+                os._exit(1)
+            return train_gmm(features, cfg)
+
+        with a_fresh_trainer():
+            monkeypatch.setattr(gmm, "train_gmm", die_outside)
+            assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+            assert sid_pipeline._trainer is None
+
+    def test_an_interrupt_waits_for_the_trainers_reply(self, tiny_corpus, monkeypatch):
+        # The next call enrolls another speaker: a stale reply would hand it
+        # the interrupted speaker's spectral model.
+        interrupted = one_speaker(tiny_corpus[0], 2)
+        other = CorpusManifest((tiny_corpus[0].speakers[2],))
+        expected = database_to_bytes(train_database(other, TINY_TRAIN))
+        trainer = sid_pipeline._trainer
+        replies, result = [], sid_pipeline._Trainer.result
+
+        def recorded(self):
+            replies.append(result(self))
+            return replies[-1]
+
+        def interrupt(features, cfg):
+            raise KeyboardInterrupt
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sid_pipeline._Trainer, "result", recorded)
+            patch.setattr(gmm, "train_gmm", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                train_database(interrupted, TINY_TRAIN)
+        assert [type(reply) for reply in replies] == [GmmModel]
+        assert sid_pipeline._trainer is trainer and trainer.usable
+        assert database_to_bytes(train_database(other, TINY_TRAIN)) == expected
+
+    def test_an_interrupt_while_sending_retires_the_trainer(self, tiny_corpus):
+        # Half a request stays in the pipe; the next call, for another
+        # speaker, must not send its own request after it.
+        other = CorpusManifest((tiny_corpus[0].speakers[2],))
+        expected = database_to_bytes(train_database(other, TINY_TRAIN))
+        trainer = sid_pipeline._trainer
+
+        def half_sent(request):
+            payload = pickle.dumps(request)
+            os.write(
+                trainer.conn.fileno(),
+                struct.pack("!i", len(payload)) + payload[: len(payload) // 2],
+            )
+            raise KeyboardInterrupt
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer.conn, "send", half_sent)
+            with pytest.raises(KeyboardInterrupt):
+                train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
+        assert sid_pipeline._trainer is None and not trainer.usable
+        assert database_to_bytes(train_database(other, TINY_TRAIN)) == expected
+        assert sid_pipeline._trainer is not trainer and sid_pipeline._trainer.usable
+
+    def test_an_interrupt_before_the_callers_training_retires_the_trainer(self, tiny_corpus):
+        # The request went out whole, and the reply is never read: the next
+        # call, for another speaker, would read it as its own.
+        other = CorpusManifest((tiny_corpus[0].speakers[2],))
+        expected = database_to_bytes(train_database(other, TINY_TRAIN))
+        trainer, outcome = sid_pipeline._trainer, sid_pipeline._outcome
+
+        def interrupted_before_training(task, stream):
+            if isinstance(stream, FeatureMatrix):
+                raise KeyboardInterrupt
+            return outcome(task, stream)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sid_pipeline, "_outcome", interrupted_before_training)
+            with pytest.raises(KeyboardInterrupt):
+                train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
+        assert sid_pipeline._trainer is None and not trainer.usable
+        assert database_to_bytes(train_database(other, TINY_TRAIN)) == expected
+        assert sid_pipeline._trainer is not trainer and sid_pipeline._trainer.usable
+
+    def test_callers_errstate_holds_in_the_trainer(self, tiny_corpus, monkeypatch):
+        with a_fresh_trainer():
+            monkeypatch.setattr(gmm, "train_gmm", overflow_outside(os.getpid()))
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
+            assert sid_pipeline._trainer.usable
+
+    def test_callers_warning_filters_hold_for_the_trainers_warnings(
+        self, tiny_corpus, monkeypatch
+    ):
+        manifest = one_speaker(tiny_corpus[0], 1)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        with a_fresh_trainer():
+            monkeypatch.setattr(gmm, "train_gmm", overflow_outside(os.getpid()))
+            with warnings.catch_warnings(), np.errstate(over="warn"):
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="^overflow encountered in multiply$"):
+                    train_database(manifest, TINY_TRAIN)
+            with warnings.catch_warnings(record=True) as met, np.errstate(over="warn"):
+                warnings.simplefilter("always")
+                assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+            assert [(w.category, str(w.message), w.filename) for w in met] == [
+                (RuntimeWarning, "overflow encountered in multiply", __file__)
+            ]
+            assert sid_pipeline._trainer.usable
+
+    @pytest.mark.parametrize("why", ["no process starts", "no Linux fork", "errstate calls"])
+    def test_without_a_trainer_both_streams_train_through_map_streams(
+        self, tiny_corpus, monkeypatch, why
+    ):
+        manifest = one_speaker(tiny_corpus[0], 2)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        calls, map_streams = [], sid_pipeline._map_streams
+
+        def counted(task, streams):
+            calls.append("train" if isinstance(streams[0], FeatureMatrix) else "extract")
+            return map_streams(task, streams)
+
+        def refuse():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        errstate = np.errstate()
+        with a_fresh_trainer():
+            monkeypatch.setattr(sid_pipeline, "_map_streams", counted)
+            if why == "no process starts":
+                monkeypatch.setattr(os, "fork", refuse)
+            elif why == "no Linux fork":
+                monkeypatch.setattr(sys, "platform", "darwin")
+            else:  # a function the trainer does not have
+                errstate = np.errstate(over="call", call=lambda kind, flag: None)
+            with errstate:
+                assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+            assert (sid_pipeline._trainer is None) == (why != "errstate calls")
+        assert calls == ["extract", "extract", "train"]
+
+    def test_a_forked_child_enrolls_through_a_trainer_of_its_own(self, tiny_corpus):
+        paths = tiny_corpus[0].speakers[1].train_utterances[:2]
+        record = json.loads(run_script(FORKED_TRAINER, *paths))
+        assert record["child_same"] and record["again_same"]
+        assert record["status"] == 0
+        assert record["child"] != record["parent"] == record["after"]
+        assert record["child_trainer_gone"]
 
 
 class TestScoringAndIdentify:
