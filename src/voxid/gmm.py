@@ -148,20 +148,21 @@ def variance_floor(features: FeatureMatrix, ratio: float) -> np.ndarray:
 _MAX_SQUARES = float(np.finfo(np.float64).max) / 8.0
 
 
-def _check_trainable(features: FeatureMatrix) -> None:
+def check_features(features: FeatureMatrix) -> None:
     """Refuse features that training cannot take: a NaN or an inf, or
     values so large that a squared distance between them could overflow
-    (see ``_MAX_SQUARES``)."""
+    (see ``_MAX_SQUARES``). The pipeline holds each stream's features of
+    training and scoring alike to this rule."""
     data = features.values
+    # One BLAS dot: NaN if any value is NaN, inf on overflow, and no warning.
+    if np.vdot(data, data) <= _MAX_SQUARES:
+        return
     if not np.isfinite(data).all():
         cause = "a NaN" if np.isnan(data).any() else "an infinite value"
         raise NumericalFailure(f"features hold {cause}")
-    with np.errstate(over="ignore"):
-        total = np.square(data).sum()
-    if not total <= _MAX_SQUARES:
-        raise NumericalFailure(
-            "features are too large: the sum of their squares exceeds float64's maximum / 8"
-        )
+    raise NumericalFailure(
+        "features are too large: the sum of their squares exceeds float64's maximum / 8"
+    )
 
 
 def _assign(twice_data: np.ndarray, unit_quad: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -252,7 +253,7 @@ def lbg_init(
         raise InsufficientData(
             f"{data.shape[0]} frames cannot seed {n_components} components"
         )
-    _check_trainable(features)
+    check_features(features)
     spread = data.std(axis=0)
     spread = np.where(spread > 0, spread, 1.0)
     floor = variance_floor(features, variance_floor_ratio)
@@ -481,7 +482,7 @@ def em_fit(features: FeatureMatrix, init: GmmModel, cfg: TrainConfig) -> GmmMode
         raise InsufficientData(
             f"{features.n_frames} frames cannot fit {init.n_components} components"
         )
-    _check_trainable(features)
+    check_features(features)
     floor = variance_floor(features, cfg.variance_floor_ratio)
     model = init
     for iteration in range(cfg.em_iterations):

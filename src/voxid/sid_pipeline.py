@@ -8,9 +8,12 @@ argmax of utterance log-likelihoods, optionally after linear score fusion.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import contextvars
 import json
 import os
+import pickle
 import signal
 import struct
 import sys
@@ -261,10 +264,11 @@ class _Stream(NamedTuple):
     dim: int
 
     def features(self, frames: FrameSequence) -> FeatureMatrix:
-        """The stream's features of the frames, for training and scoring alike."""
+        """The stream's features of the frames, for training and scoring
+        alike, held to the rule of ``gmm.check_features``."""
         features = self.extract(frames, self.config)
-        if not np.isfinite(features.values).all():
-            raise NumericalFailure(f"{self.name} stream: features are not finite")
+        with named(f"{self.name} stream", NumericalFailure):
+            gmm.check_features(features)
         return features
 
 
@@ -385,42 +389,37 @@ def _forget_worker() -> None:
     """In a forked child: the parent's worker thread does not run here, nor
     is the parent's trainer the child's to use, so the next call starts the
     child's own. The child closes its copy of the parent's end of the
-    trainer's pipe, so that the trainer still meets its end of file when
+    trainer's pipes, so that the trainer still meets its end of file when
     the parent exits."""
     global _worker, _worker_lock, _trainer
     _worker, _worker_lock = None, threading.Lock()
     if _trainer is not None:
-        _trainer.disown()
+        _trainer.requests.close()
+        _trainer.replies.close()
         _trainer = None
 
 
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _serve_training(conn, parent_end) -> None:
-    """The trainer process's loop: it takes (features, TrainConfig, the
-    caller's np.geterr()) and sends back (model or the Exception raised,
-    the warnings met as (message, category, filename, lineno)). It ignores
-    SIGINT, which a terminal sends the parent's whole process group, and
-    it ends at end of file: it closes its copy of the parent's end, so the
-    pipe closes once the parent's copy does."""
+def _serve_training(requests, replies) -> None:
+    """The trainer process's loop: it reads (features, TrainConfig, the
+    caller's np.geterr()) and writes back (model or the Exception raised,
+    the warnings met as (message, category, filename, lineno)), one pickle
+    each, until a closed pipe ends it. It ignores SIGINT, which a terminal
+    sends the parent's whole process group."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()
     while True:
-        try:
-            features, cfg, err = conn.recv()
-        except EOFError:
-            return
+        features, cfg, err = pickle.load(requests)
         with warnings.catch_warnings(record=True) as met, np.errstate(**err):
             warnings.simplefilter("always")
             try:
                 result = gmm.train_gmm(features, cfg)
             except Exception as exc:
                 result = exc
-        try:
-            conn.send((result, [(w.message, w.category, w.filename, w.lineno) for w in met]))
-        except OSError:  # the parent gave this trainer up
-            return
+        met = [(w.message, w.category, w.filename, w.lineno) for w in met]
+        pickle.dump((result, met), replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
 
 
 def _warn_again(message: Warning, category: type, filename: str, lineno: int) -> None:
@@ -444,29 +443,32 @@ class _Trainer:
     this process's code on this process's BLAS, and its models are those an
     in-process training would give, bit for bit."""
 
-    def __init__(self, context) -> None:
-        self.conn, child_end = context.Pipe()
-        self.lock = threading.Lock()  # held from a request to its reply
-        self.process = context.Process(
-            target=_serve_training, args=(child_end, self.conn), name="voxid-trainer", daemon=True
-        )
+    def __init__(self) -> None:
+        (child_requests, requests), (replies, child_replies) = os.pipe(), os.pipe()
         try:
-            self.process.start()
+            self.pid = os.fork()
         except BaseException:
-            self.conn.close()
+            for fd in (child_requests, requests, replies, child_replies):
+                os.close(fd)
             raise
-        finally:
-            child_end.close()
-
-    @property
-    def usable(self) -> bool:
-        return not self.conn.closed and self.process.is_alive()
+        if self.pid == 0:
+            try:
+                os.close(requests)
+                os.close(replies)
+                _serve_training(open(child_requests, "rb"), open(child_replies, "wb"))
+            finally:
+                os._exit(0)
+        os.close(child_requests)
+        os.close(child_replies)
+        self.requests, self.replies = open(requests, "wb"), open(replies, "rb")
+        self.lock = threading.Lock()  # held from a request to its reply
 
     def submit(self, features: FeatureMatrix, cfg: TrainConfig, err: dict) -> bool:
-        """Hand the features over; False when the trainer is gone."""
+        """Hand the features over; False when the trainer is dead or retired."""
         try:
-            self.conn.send((features, cfg, err))
-        except OSError:
+            pickle.dump((features, cfg, err), self.requests, pickle.HIGHEST_PROTOCOL)
+            self.requests.flush()
+        except (OSError, ValueError):
             return False
         return True
 
@@ -474,10 +476,10 @@ class _Trainer:
         """The submitted features' model or the Exception their training
         raised, with the warnings it met issued here first (one that a
         filter turns into an error takes the result's place); None when the
-        trainer died."""
+        trainer died before its reply was whole."""
         try:
-            result, met = self.conn.recv()
-        except (EOFError, OSError):
+            result, met = pickle.load(self.replies)
+        except (EOFError, OSError, pickle.UnpicklingError):
             return None
         try:
             for warning in met:
@@ -486,44 +488,42 @@ class _Trainer:
             return exc
         return result
 
-    def disown(self) -> None:
-        """In a forked child: close this copy of the pipe, and keep
-        multiprocessing from stopping the parent's trainer at the child's exit."""
-        from multiprocessing import process
-
-        self.conn.close()
-        process._children.discard(self.process)
-
 
 _trainer: _Trainer | None = None
 
 
-def _retire(trainer: _Trainer) -> None:
-    """Stop using the trainer: close the pipe and stop the process."""
+def _retire(trainer: _Trainer | None) -> None:
+    """Stop using the trainer: close its pipes, then kill and reap it. A
+    retired trainer's pipes are closed, and a second call does nothing."""
     global _trainer
     if _trainer is trainer:
         _trainer = None
-    trainer.conn.close()
-    trainer.process.terminate()
+    if trainer is None or trainer.replies.closed:
+        return
+    for pipe in (trainer.requests, trainer.replies):
+        with contextlib.suppress(OSError):  # the rest of a request, to a dead trainer
+            pipe.close()
+    with contextlib.suppress(OSError):  # reaped already, as where SIGCHLD is ignored
+        os.kill(trainer.pid, signal.SIGKILL)
+        os.waitpid(trainer.pid, 0)
+
+
+# Left running at exit, the trainer would outlive this process until it
+# met its end of file.
+atexit.register(lambda: _retire(_trainer))
 
 
 def _spectral_trainer() -> _Trainer | None:
-    """This process's trainer, started by the first enrollment and replaced
-    when it has died; None where Linux fork is not available or no process
-    can start."""
+    """This process's trainer, forked by the first enrollment and again by
+    the first one after it was retired; None where Linux fork is not
+    available or no process can start."""
     global _trainer
     if not sys.platform.startswith("linux"):
         return None
     with _worker_lock:
-        if _trainer is not None and not _trainer.usable:
-            _retire(_trainer)
         if _trainer is None:
-            import multiprocessing
-
-            if multiprocessing.current_process().daemon:  # which may start no process
-                return None
             try:
-                _trainer = _Trainer(multiprocessing.get_context("fork"))
+                _trainer = _Trainer()
             except (OSError, RuntimeError):  # RuntimeError: a fork at interpreter shutdown
                 return None
         return _trainer
@@ -596,14 +596,14 @@ def _train_streams(
     the caller's filters, once both have finished. One call at a time uses
     the trainer; another thread's call waits for it. Where there is no
     trainer, or the caller's errstate calls a function, both streams train
-    through ``_map_streams``; if the trainer dies, the spectral stream
-    trains on the calling thread after the residual one. As with
-    ``_map_streams``, a BaseException that is no Exception is raised once
-    both streams are done, the spectral stream's first, and the trainer's
-    reply is read before it is. One that escapes between the request and
-    the reply (an interrupt while sending or waiting) may leave half a
-    request or an unread reply in the pipe, so the trainer is retired and
-    no later call uses that pipe."""
+    through ``_map_streams``. A dead trainer is noticed when it is used (a
+    broken pipe, or end of file at the reply) and retired; the spectral
+    stream then trains on the calling thread, and the next enrollment forks
+    a new trainer. As with ``_map_streams``, a BaseException that is no
+    Exception is raised once both streams are done, the spectral stream's
+    first, after the trainer's reply is read. One that escapes between the
+    request and the reply (an interrupt while sending or waiting) may leave
+    half a request or an unread reply in the pipes, so the trainer is retired."""
 
     def train(features: FeatureMatrix) -> GmmModel:
         return gmm.train_gmm(features, cfg)
@@ -612,15 +612,15 @@ def _train_streams(
     if trainer is None or "call" in err.values() or "log" in err.values():
         return _map_streams(train, stacked)
     with trainer.lock:
+        spectral = None
         try:
             sent = trainer.submit(stacked[0], cfg, err)
             residual = _outcome(train, stacked[1])
             spectral = trainer.result() if sent else None
-        except BaseException:
-            _retire(trainer)
-            raise
+        finally:
+            if spectral is None:  # dead, retired, or interrupted: the pipes are not to be trusted
+                _retire(trainer)
     if spectral is None:
-        _retire(trainer)
         spectral = _outcome(train, stacked[0])
     return _both_done([spectral, residual])
 
@@ -661,7 +661,8 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
         stacked = tuple(concatenate_features(parts) for parts in stream_parts)
         fitted = _train_streams(stacked, config.train)
         for stream, models, model in zip(streams, stream_models, fitted):
-            with named(f"speaker {sid}, {stream.name} stream", InsufficientData):
+            prefix = f"speaker {sid}, {stream.name} stream"
+            with named(prefix, (InsufficientData, NumericalFailure)):
                 models[sid] = _value(model)
     return SpeakerDatabase(config, manifest.speaker_ids, *stream_models)
 
@@ -682,7 +683,9 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     for all speakers.  Every other error propagates to the caller, the
     spectral stream's before the residual stream's, as when one stream
     runs after the other: the config admits no settings an extractor
-    would refuse.
+    would refuse. A stream whose features break ``gmm.check_features``'s
+    rule, or that gives no speaker a finite score, is refused by name
+    rather than left to fuse into scores that rank no speaker.
     """
     if not db.speaker_ids:
         raise InsufficientData("speaker database is empty")
@@ -690,9 +693,11 @@ def score_utterance(db: SpeakerDatabase, audio: AudioSignal) -> tuple[SpeakerSco
     missing = [None] * db.n_speakers
     pairs = tuple(zip(_streams(db.config), db.model_stacks))
     scored = _map_streams(lambda pair: gmm.stack_scores(pair[1], pair[0].features(frames)), pairs)
-    columns = [
-        missing if isinstance(column, NoFeatures) else _value(column).tolist() for column in scored
-    ]
+    columns = []
+    for (stream, _), column in zip(pairs, scored):
+        if not isinstance(column, NoFeatures) and not np.isfinite(_value(column)).any():
+            raise NumericalFailure(f"{stream.name} stream: no speaker has a finite score")
+        columns.append(missing if isinstance(column, NoFeatures) else column.tolist())
     if all(column is missing for column in columns):
         raise InsufficientData("both feature streams failed for this utterance")
     return tuple(map(SpeakerScores, db.speaker_ids, *columns))

@@ -138,7 +138,21 @@ def on_the_one_worker():
     assert started == []
     assert sid_pipeline._stream_worker() is worker
     assert set(threading.enumerate()) == {threading.main_thread(), worker.thread}
-    assert sid_pipeline._trainer is trainer and trainer.usable
+    assert sid_pipeline._trainer is trainer and running(trainer.pid)
+
+
+def running(pid: int) -> bool:
+    """Whether this process's child pid runs; one that has exited is reaped here."""
+    return os.waitpid(pid, os.WNOHANG) == (0, 0)
+
+
+def reaped(pid: int) -> bool:
+    """Whether this process's child pid has exited and been reaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def identify_or_error(db: SpeakerDatabase, audio: AudioSignal):
@@ -528,8 +542,8 @@ def serial_enrollment(entry: SpeakerEntry, config: PipelineConfig):
     for (name, _, _), features in zip(streams, stacked):
         try:
             models.append(gmm.model_to_bytes(gmm.train_gmm(features, config.train)))
-        except InsufficientData as exc:
-            return InsufficientData, f"speaker {sid}, {name} stream: {exc}"
+        except (InsufficientData, NumericalFailure) as exc:
+            return type(exc), f"speaker {sid}, {name} stream: {exc}"
     return tuple(models)
 
 
@@ -603,11 +617,35 @@ class TestConcurrentEnrollment:
             return features
 
         monkeypatch.setattr(sid_pipeline, name, nan_in_second_utterance)
-        message = f"^solo: {re.escape(path)}: {stream} stream: features are not finite$"
+        message = f"^solo: {re.escape(path)}: {stream} stream: features hold a NaN$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match=message):
                 train_database(manifest, TINY_TRAIN)
+
+    @pytest.mark.parametrize(
+        "name, stream", [("fb_cepstra", "spectral"), ("extract_acrlag", "residual")]
+    )
+    def test_numerical_failures_in_training_name_speaker_and_stream(
+        self, tiny_corpus, monkeypatch, name, stream
+    ):
+        # spk01's features: each utterance's at 0.75 of gmm's bound on the
+        # sum of squares, so only the speaker's stacked features exceed it.
+        # The spectral stream trains in the trainer, the residual one here.
+        manifest = CorpusManifest(tiny_corpus[0].speakers[:2])
+        layer, calls = getattr(sid_pipeline, name), itertools.count()
+
+        def near_the_bound_for_spk01(frames, settings):
+            features = layer(frames, settings)
+            if next(calls) < len(manifest.speakers[0].train_utterances):
+                return features
+            scale = np.sqrt(0.75 * gmm._MAX_SQUARES / np.square(features.values).sum())
+            return FeatureMatrix(features.kind, features.values * scale)
+
+        monkeypatch.setattr(sid_pipeline, name, near_the_bound_for_spk01)
+        message = f"^speaker spk01, {stream} stream: features are too large: "
+        with pytest.raises(NumericalFailure, match=message):
+            train_database(manifest, TINY_TRAIN)
 
     @pytest.mark.parametrize("short", [("extract_acrlag",), ("fb_cepstra", "extract_acrlag")])
     def test_training_errors_name_the_first_stream_that_fails(
@@ -773,7 +811,7 @@ class TestConcurrentScoring:
         audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
         with on_the_one_worker():
             monkeypatch.setattr(sid_pipeline, "extract_acrlag", one_nan_row)
-            message = "^residual stream: features are not finite$"
+            message = "^residual stream: features hold a NaN$"
             with pytest.raises(NumericalFailure, match=message):
                 score_utterance(tiny_db, audio)
 
@@ -797,17 +835,14 @@ class TestConcurrentScoring:
     def test_callers_errstate_holds_in_both_streams_scoring(
         self, tiny_corpus, tiny_db, monkeypatch, name
     ):
-        # Finite features whose squares overflow in the stream's scoring;
-        # the spectral stream runs on the worker thread.
-        layer = getattr(sid_pipeline, name)
-
-        def huge(frames, settings):
-            features = layer(frames, settings)
-            return FeatureMatrix(features.kind, features.values * 1e200)
+        # The spectral stream runs on the worker thread.
+        def overflow(frames, settings):
+            np.array([1e308]) * 10.0
+            raise AssertionError("the overflow did not raise")
 
         audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
         with on_the_one_worker():
-            monkeypatch.setattr(sid_pipeline, name, huge)
+            monkeypatch.setattr(sid_pipeline, name, overflow)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
                 score_utterance(tiny_db, audio)
 
@@ -855,7 +890,7 @@ manifest = sid_pipeline.CorpusManifest(
 voxid.train_database(manifest, db.config)
 record["after"].append(others())
 record["main"] = [os.getpid(), threading.get_ident()]
-record["trainer"] = sid_pipeline._trainer.process.pid
+record["trainer"] = sid_pipeline._trainer.pid
 with open(sys.argv[4]) as f:
     record["train"] = sorted(json.loads(line) for line in f)
 print(json.dumps(record))
@@ -932,10 +967,10 @@ class TestStreamWorker:
         paths = tiny_corpus[0].speakers[0].test_utterances[:2]
         trainings = tmp_path / "trainings.jsonl"
         record = json.loads(run_script(LIFECYCLE, tiny_db_path, *paths, trainings))
-        # The import starts no thread and loads no thread or process pool;
-        # only the enrollment loads multiprocessing.
+        # The import starts no thread and loads no thread or process pool,
+        # and the enrollment forks its trainer without multiprocessing.
         assert record["modules"] == []
-        assert record["multiprocessing"] == [False, False, False, True]
+        assert record["multiprocessing"] == [False, False, False, False]
         assert record["after"][0] == []
         main_pid, main_thread = record["main"]
         (worker,) = record["after"][1]
@@ -1049,13 +1084,13 @@ def enroll():
     return database_to_bytes(train_database(manifest, config))
 
 expected = enroll()
-record = {"parent": sid_pipeline._trainer.process.pid}
+record = {"parent": sid_pipeline._trainer.pid}
 read_end, write_end = os.pipe()
 pid = os.fork()
 if pid == 0:
     os.close(read_end)
     same = enroll() == expected
-    os.write(write_end, json.dumps([same, sid_pipeline._trainer.process.pid]).encode())
+    os.write(write_end, json.dumps([same, sid_pipeline._trainer.pid]).encode())
     sys.exit(0)
 os.close(write_end)
 with os.fdopen(read_end) as f:
@@ -1067,7 +1102,7 @@ try:
 except ProcessLookupError:
     record["child_trainer_gone"] = True
 record["again_same"] = enroll() == expected
-record["after"] = sid_pipeline._trainer.process.pid
+record["after"] = sid_pipeline._trainer.pid
 print(json.dumps(record))
 """
 
@@ -1078,14 +1113,30 @@ class TestSpectralTrainer:
     models of a training on the calling thread."""
 
     def test_a_trainer_killed_between_enrollments_is_replaced(self, tiny_corpus):
-        manifest = one_speaker(tiny_corpus[0], 2)
+        # The next enrollment meets the dead trainer's broken pipe, retires
+        # it and trains on the calling thread; the one after forks anew.
+        manifest = CorpusManifest(tiny_corpus[0].speakers[:2])
         expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
-        killed = sid_pipeline._trainer.process
-        os.kill(killed.pid, signal.SIGKILL)
-        killed.join(timeout=10.0)
+        killed = sid_pipeline._trainer.pid
+        os.kill(killed, signal.SIGKILL)
         assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
-        assert sid_pipeline._trainer.process.pid != killed.pid
-        assert sid_pipeline._trainer.usable
+        assert sid_pipeline._trainer is None and reaped(killed)
+        assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+        assert sid_pipeline._trainer.pid != killed and running(sid_pipeline._trainer.pid)
+
+    def test_a_retired_trainer_is_reaped(self, tiny_corpus):
+        manifest = one_speaker(tiny_corpus[0], 1)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        with a_fresh_trainer():
+            assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+            trainer = sid_pipeline._trainer
+            assert running(trainer.pid)
+            sid_pipeline._retire(trainer)
+            assert sid_pipeline._trainer is None
+            assert trainer.requests.closed and trainer.replies.closed
+            with pytest.raises(ChildProcessError):
+                os.waitpid(trainer.pid, os.WNOHANG)
+            sid_pipeline._retire(trainer)  # a second retirement does nothing
 
     def test_a_trainer_that_dies_training_leaves_the_speaker_to_the_caller(
         self, tiny_corpus, monkeypatch
@@ -1101,8 +1152,9 @@ class TestSpectralTrainer:
 
         with a_fresh_trainer():
             monkeypatch.setattr(gmm, "train_gmm", die_outside)
+            trainer = sid_pipeline._spectral_trainer()  # the one the enrollment takes
             assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
-            assert sid_pipeline._trainer is None
+            assert sid_pipeline._trainer is None and reaped(trainer.pid)
 
     def test_an_interrupt_waits_for_the_trainers_reply(self, tiny_corpus, monkeypatch):
         # The next call enrolls another speaker: a stale reply would hand it
@@ -1126,7 +1178,7 @@ class TestSpectralTrainer:
             with pytest.raises(KeyboardInterrupt):
                 train_database(interrupted, TINY_TRAIN)
         assert [type(reply) for reply in replies] == [GmmModel]
-        assert sid_pipeline._trainer is trainer and trainer.usable
+        assert sid_pipeline._trainer is trainer and running(trainer.pid)
         assert database_to_bytes(train_database(other, TINY_TRAIN)) == expected
 
     def test_an_interrupt_while_sending_retires_the_trainer(self, tiny_corpus):
@@ -1136,21 +1188,19 @@ class TestSpectralTrainer:
         expected = database_to_bytes(train_database(other, TINY_TRAIN))
         trainer = sid_pipeline._trainer
 
-        def half_sent(request):
-            payload = pickle.dumps(request)
-            os.write(
-                trainer.conn.fileno(),
-                struct.pack("!i", len(payload)) + payload[: len(payload) // 2],
-            )
+        def half_sent(self, features, cfg, err):
+            payload = pickle.dumps((features, cfg, err), pickle.HIGHEST_PROTOCOL)
+            self.requests.write(payload[: len(payload) // 2])
+            self.requests.flush()
             raise KeyboardInterrupt
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(trainer.conn, "send", half_sent)
+            patch.setattr(sid_pipeline._Trainer, "submit", half_sent)
             with pytest.raises(KeyboardInterrupt):
                 train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
-        assert sid_pipeline._trainer is None and not trainer.usable
+        assert sid_pipeline._trainer is None and reaped(trainer.pid)
         assert database_to_bytes(train_database(other, TINY_TRAIN)) == expected
-        assert sid_pipeline._trainer is not trainer and sid_pipeline._trainer.usable
+        assert sid_pipeline._trainer is not trainer and running(sid_pipeline._trainer.pid)
 
     def test_an_interrupt_before_the_callers_training_retires_the_trainer(self, tiny_corpus):
         # The request went out whole, and the reply is never read: the next
@@ -1168,16 +1218,16 @@ class TestSpectralTrainer:
             patch.setattr(sid_pipeline, "_outcome", interrupted_before_training)
             with pytest.raises(KeyboardInterrupt):
                 train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
-        assert sid_pipeline._trainer is None and not trainer.usable
+        assert sid_pipeline._trainer is None and reaped(trainer.pid)
         assert database_to_bytes(train_database(other, TINY_TRAIN)) == expected
-        assert sid_pipeline._trainer is not trainer and sid_pipeline._trainer.usable
+        assert sid_pipeline._trainer is not trainer and running(sid_pipeline._trainer.pid)
 
     def test_callers_errstate_holds_in_the_trainer(self, tiny_corpus, monkeypatch):
         with a_fresh_trainer():
             monkeypatch.setattr(gmm, "train_gmm", overflow_outside(os.getpid()))
             with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
                 train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
-            assert sid_pipeline._trainer.usable
+            assert running(sid_pipeline._trainer.pid)
 
     def test_callers_warning_filters_hold_for_the_trainers_warnings(
         self, tiny_corpus, monkeypatch
@@ -1196,7 +1246,7 @@ class TestSpectralTrainer:
             assert [(w.category, str(w.message), w.filename) for w in met] == [
                 (RuntimeWarning, "overflow encountered in multiply", __file__)
             ]
-            assert sid_pipeline._trainer.usable
+            assert running(sid_pipeline._trainer.pid)
 
     @pytest.mark.parametrize("why", ["no process starts", "no Linux fork", "errstate calls"])
     def test_without_a_trainer_both_streams_train_through_map_streams(
@@ -1274,7 +1324,7 @@ class TestScoringAndIdentify:
         monkeypatch.setattr(sid_pipeline, "fb_cepstra", one_nan_row)
         manifest, _ = tiny_corpus
         entry = manifest.speakers[0]
-        message = "spectral stream: features are not finite"
+        message = "spectral stream: features hold a NaN"
         with pytest.raises(NumericalFailure, match=message):
             identify(tiny_db, audio_io.read_wav(entry.test_utterances[0]))
         manifest = CorpusManifest((replace(entry, test_utterances=entry.test_utterances[:1]),))
@@ -1435,6 +1485,100 @@ class TestScoringAndIdentify:
         score_utterance(db, audio_io.read_wav(manifest.speakers[1].test_utterances[0]))
         assert db.model_stacks is stacks
         assert [stack.n_models for stack in stacks] == [db.n_speakers] * 2
+
+
+def scaled_by(name: str, power: int):
+    """The pipeline layer called name, with its features times 10**power."""
+    layer = getattr(sid_pipeline, name)
+
+    def scaled(frames, settings):
+        features = layer(frames, settings)
+        with np.errstate(over="ignore"):
+            return FeatureMatrix(features.kind, features.values * 10.0**power)
+
+    return scaled
+
+
+class TestOverflowingStreams:
+    """One stream's features too large for its scores to be finite are
+    refused by that stream's name, at enrollment and at scoring alike, and
+    never fuse into scores that rank no speaker."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["fb_cepstra", "extract_acrlag"]),
+        power=st.integers(0, 300),
+        at_enrollment=st.booleans(),
+    )
+    def test_one_scaled_stream_is_named_or_ranked_on_finite_scores(
+        self, tiny_corpus, tiny_db, name, power, at_enrollment
+    ):
+        stream = "spectral" if name == "fb_cepstra" else "residual"
+        speakers = tiny_corpus[0].speakers
+        audio = audio_io.read_wav(speakers[1].test_utterances[0])
+        named = rf"^(spk\d\d: [^:]+: |speaker spk\d\d, )?{stream} stream: "
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(sid_pipeline, name, scaled_by(name, power))
+            try:
+                if at_enrollment:
+                    manifest = CorpusManifest(
+                        tuple(replace(e, train_utterances=e.train_utterances[:1]) for e in speakers)
+                    )
+                    db = train_database(manifest, TINY_TRAIN)
+                    patch.undo()
+                else:
+                    db = tiny_db
+                result = identify(db, audio)
+            except VoxidError as exc:
+                assert re.match(named, str(exc)), str(exc)
+                return
+        fused = result.fused_scores()
+        assert np.isfinite(fused[result.fused_winner])
+        assert fused[result.fused_winner] == max(v for v in fused.values() if np.isfinite(v))
+        for winner, column in (
+            (result.spectral_winner, [s.spectral for s in result.scores]),
+            (result.residual_winner, [s.residual for s in result.scores]),
+        ):
+            finite = [v for v in column if np.isfinite(v)]
+            assert column[db.speaker_ids.index(winner)] == max(finite)
+
+    def test_features_whose_squares_overflow_name_their_stream(self, tiny_corpus, tiny_db):
+        # Every residual score of such features was NaN, and so was every
+        # fused score, though the spectral stream scored every speaker.
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[0].test_utterances[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sid_pipeline, "extract_acrlag", scaled_by("extract_acrlag", 160))
+            message = (
+                "^residual stream: features are too large: "
+                "the sum of their squares exceeds float64's maximum / 8$"
+            )
+            with pytest.raises(NumericalFailure, match=message):
+                identify(tiny_db, audio)
+
+    @pytest.mark.parametrize("kind", [FeatureKind.MFCC, FeatureKind.ACRLAG])
+    def test_a_stream_without_a_finite_score_is_refused_by_name(
+        self, tiny_corpus, tiny_db, monkeypatch, kind
+    ):
+        audio = audio_io.read_wav(tiny_corpus[0].speakers[2].test_utterances[0])
+        expected = score_utterance(tiny_db, audio)
+        stack_scores, replaced = gmm.stack_scores, []
+
+        def with_scores(stack, features):
+            scores = stack_scores(stack, features)
+            return replaced.pop() if features.kind is kind else scores
+
+        monkeypatch.setattr(gmm, "stack_scores", with_scores)
+        stream = "spectral" if kind is FeatureKind.MFCC else "residual"
+        replaced.append(np.array([-np.inf, np.nan, -np.inf]))
+        message = f"^{stream} stream: no speaker has a finite score$"
+        with pytest.raises(NumericalFailure, match=message):
+            score_utterance(tiny_db, audio)
+        # One finite score is enough: it wins its stream.
+        replaced.append(np.array([-np.inf, np.nan, -1e6]))
+        result = identify(tiny_db, audio)
+        assert getattr(result, f"{stream}_winner") == tiny_db.speaker_ids[2]
+        other = "residual" if stream == "spectral" else "spectral"
+        assert [getattr(s, other) for s in result.scores] == [getattr(s, other) for s in expected]
 
 
 class TestReports:
