@@ -241,7 +241,7 @@ def _extract_lp(kind: FeatureKind) -> Extractor:
 # here. Each entry looks its function up on this module when it runs, and
 # every extraction runs in the calling process, so a wrapper set on the
 # module sees every call. (Only the spectral stream's training runs in
-# another process: see _train_streams.)
+# another process: see _train_stream.)
 EXTRACTORS: dict[FeatureKind, Extractor] = {
     FeatureKind.ACRLAG: lambda frames, config: extract_acrlag(frames, config.acrlag),
     FeatureKind.MFCC: _fb_cepstra_on(FrequencyScale.MEL),
@@ -441,7 +441,9 @@ class _Trainer:
     mixture of each enrollment while the calling thread trains the residual
     stream's, so that the two trainings do not share a GIL. Forked, it runs
     this process's code on this process's BLAS, and its models are those an
-    in-process training would give, bit for bit."""
+    in-process training would give, bit for bit. Only the spectral stream's
+    tasks of ``_map_streams`` use its pipes, one request and its reply at
+    a time, in the order of the stream worker's queue."""
 
     def __init__(self) -> None:
         (child_requests, requests), (replies, child_replies) = os.pipe(), os.pipe()
@@ -461,25 +463,19 @@ class _Trainer:
         os.close(child_requests)
         os.close(child_replies)
         self.requests, self.replies = open(requests, "wb"), open(replies, "rb")
-        self.lock = threading.Lock()  # held from a request to its reply
 
-    def submit(self, features: FeatureMatrix, cfg: TrainConfig, err: dict) -> bool:
-        """Hand the features over; False when the trainer is dead or retired."""
+    def train(
+        self, features: FeatureMatrix, cfg: TrainConfig, err: dict
+    ) -> GmmModel | Exception | None:
+        """The features' model or the Exception their training raised, with
+        the warnings it met issued here first (one that a filter turns into
+        an error takes the result's place); None when the trainer is dead or
+        retired, or died before its reply was whole."""
         try:
             pickle.dump((features, cfg, err), self.requests, pickle.HIGHEST_PROTOCOL)
             self.requests.flush()
-        except (OSError, ValueError):
-            return False
-        return True
-
-    def result(self) -> GmmModel | Exception | None:
-        """The submitted features' model or the Exception their training
-        raised, with the warnings it met issued here first (one that a
-        filter turns into an error takes the result's place); None when the
-        trainer died before its reply was whole."""
-        try:
             result, met = pickle.load(self.replies)
-        except (EOFError, OSError, pickle.UnpicklingError):
+        except (OSError, ValueError, EOFError, pickle.UnpicklingError):
             return None
         try:
             for warning in met:
@@ -493,19 +489,22 @@ _trainer: _Trainer | None = None
 
 
 def _retire(trainer: _Trainer | None) -> None:
-    """Stop using the trainer: close its pipes, then kill and reap it. A
-    retired trainer's pipes are closed, and a second call does nothing."""
+    """Stop using the process's trainer: kill and reap it, then close its
+    pipes. The kill comes first, because closing a pipe waits for another
+    thread's read of it to return, and the trainer's death ends that read
+    at once. A trainer that is no longer the process's (retired already,
+    or a forked child's copy of its parent's) is left alone."""
     global _trainer
-    if _trainer is trainer:
+    with _worker_lock:
+        if trainer is None or trainer is not _trainer:
+            return
         _trainer = None
-    if trainer is None or trainer.replies.closed:
-        return
-    for pipe in (trainer.requests, trainer.replies):
-        with contextlib.suppress(OSError):  # the rest of a request, to a dead trainer
-            pipe.close()
     with contextlib.suppress(OSError):  # reaped already, as where SIGCHLD is ignored
         os.kill(trainer.pid, signal.SIGKILL)
         os.waitpid(trainer.pid, 0)
+    for pipe in (trainer.requests, trainer.replies):
+        with contextlib.suppress(OSError):  # the rest of a request, to a dead trainer
+            pipe.close()
 
 
 # Left running at exit, the trainer would outlive this process until it
@@ -538,14 +537,18 @@ def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | 
     task runs on the process's one stream worker (``_stream_worker``), in a
     copy of the caller's context, so a NumPy errstate set by the caller
     holds in it (NumPy 2 keeps errstate in a context variable); concurrent
-    callers queue their spectral tasks on it. Where no thread can start,
-    both tasks run on the calling thread. A call returns only after both
-    tasks have finished, and a BaseException that is no Exception, from
-    either task, is then raised, the spectral stream's first."""
+    callers queue their spectral tasks on it, which also orders their
+    requests to the trainer (``_train_stream``). Where no thread can
+    start, both tasks run on the calling thread. A call returns only after
+    both tasks have finished, and a BaseException that is no Exception,
+    from either task, is then raised, the spectral stream's first."""
     results: list = [None, None]
 
     def run(index: int) -> None:
-        results[index] = _outcome(task, streams[index])
+        try:
+            results[index] = task(streams[index])
+        except BaseException as exc:
+            results[index] = exc
 
     worker = _stream_worker()
     if worker is None:
@@ -557,20 +560,6 @@ def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | 
             run(1)
         finally:
             done.acquire()
-    return _both_done(results)
-
-
-def _outcome(task: Callable[[_T], _R], stream: _T) -> _R | BaseException:
-    """task(stream), or the BaseException it raised."""
-    try:
-        return task(stream)
-    except BaseException as exc:
-        return exc
-
-
-def _both_done(results: list) -> list:
-    """Both streams' results, once both have finished; a BaseException that
-    is no Exception among them is raised, the spectral stream's first."""
     for result in results:
         if isinstance(result, BaseException) and not isinstance(result, Exception):
             raise result
@@ -584,45 +573,33 @@ def _value(result: _R | Exception) -> _R:
     return result
 
 
-def _train_streams(
-    stacked: tuple[FeatureMatrix, FeatureMatrix], cfg: TrainConfig
-) -> list[GmmModel | Exception]:
-    """``[train_gmm(spectral), train_gmm(residual)]`` as ``_map_streams``
-    returns it, with the Exception a training raised in its stream's place.
-
-    The spectral features go to the process's trainer (``_spectral_trainer``)
-    with the caller's ``np.geterr()``, and the residual stream trains on the
-    calling thread meanwhile. The trainer's warnings are issued here, under
-    the caller's filters, once both have finished. One call at a time uses
-    the trainer; another thread's call waits for it. Where there is no
-    trainer, or the caller's errstate calls a function, both streams train
-    through ``_map_streams``. A dead trainer is noticed when it is used (a
-    broken pipe, or end of file at the reply) and retired; the spectral
-    stream then trains on the calling thread, and the next enrollment forks
-    a new trainer. As with ``_map_streams``, a BaseException that is no
-    Exception is raised once both streams are done, the spectral stream's
-    first, after the trainer's reply is read. One that escapes between the
-    request and the reply (an interrupt while sending or waiting) may leave
-    half a request or an unread reply in the pipes, so the trainer is retired."""
-
-    def train(features: FeatureMatrix) -> GmmModel:
-        return gmm.train_gmm(features, cfg)
-
-    trainer, err = _trainer, np.geterr()
-    if trainer is None or "call" in err.values() or "log" in err.values():
-        return _map_streams(train, stacked)
-    with trainer.lock:
-        spectral = None
+def _train_stream(stream: _Stream, features: FeatureMatrix) -> GmmModel:
+    """The stream's mixture of a speaker's stacked features, ``gmm.train_gmm``
+    with the config's ``TrainConfig``. The residual stream's trains in
+    place. The spectral stream's is trained by the process's trainer
+    (``_spectral_trainer``) with the caller's ``np.geterr()``, the warnings
+    it met issued here under the caller's filters; it too trains in place
+    where there is no trainer, where the errstate calls a function, which
+    the trainer has not got, and where the trainer has died: a dead one is
+    noticed when it is used (a broken pipe, or end of file at the reply)
+    and retired, and the next enrollment forks a new one. A BaseException
+    between the request and the reply (an interrupt, where this runs on
+    the calling thread) may leave half a request or an unread reply in the
+    pipes, so it retires the trainer too."""
+    trainer, err, cfg = _trainer, np.geterr(), stream.config.train
+    err_calls = "call" in err.values() or "log" in err.values()
+    result = None
+    if stream.name == "spectral" and trainer is not None and not err_calls:
         try:
-            sent = trainer.submit(stacked[0], cfg, err)
-            residual = _outcome(train, stacked[1])
-            spectral = trainer.result() if sent else None
+            result = trainer.train(features, cfg, err)
         finally:
-            if spectral is None:  # dead, retired, or interrupted: the pipes are not to be trusted
+            if result is None:  # dead, retired, or interrupted: the pipes are not to be trusted
                 _retire(trainer)
-    if spectral is None:
-        spectral = _outcome(train, stacked[0])
-    return _both_done([spectral, residual])
+    if result is None:
+        return gmm.train_gmm(features, cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerDatabase:
@@ -632,13 +609,14 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
     and then its two streams extract at the same time (see
     ``_map_streams``), on the calling thread and the stream worker. After a
     speaker's last utterance, each stream's features are stacked on the
-    calling thread and both streams train at the same time: the spectral
-    stream's in the trainer process, forked by the first call before its
-    first extraction, and the residual stream's on the calling thread (see
-    ``_train_streams``). Each step's first error is raised at once, the
-    spectral stream's before the residual stream's, so it is the error that
-    one step after another would meet first; and one utterance's frames
-    are held at a time.
+    calling thread and both streams train at the same time, through
+    ``_map_streams`` as they extract: the stream worker hands the spectral
+    stream's features to the trainer process, forked by the first call
+    before its first extraction, and waits for its model, while the
+    residual stream's trains on the calling thread (see ``_train_stream``).
+    Each step's first error is raised at once, the spectral stream's before
+    the residual stream's, so it is the error that one step after another
+    would meet first; and one utterance's frames are held at a time.
     """
     if not manifest.speakers:
         raise InsufficientData("manifest lists no speakers")
@@ -658,8 +636,8 @@ def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerD
                 features = _map_streams(lambda stream: stream.features(frames), streams)
                 for parts, part in zip(stream_parts, features):
                     parts.append(_value(part))
-        stacked = tuple(concatenate_features(parts) for parts in stream_parts)
-        fitted = _train_streams(stacked, config.train)
+        stacked = tuple(zip(streams, map(concatenate_features, stream_parts)))
+        fitted = _map_streams(lambda pair: _train_stream(*pair), stacked)
         for stream, models, model in zip(streams, stream_models, fitted):
             prefix = f"speaker {sid}, {stream.name} stream"
             with named(prefix, (InsufficientData, NumericalFailure)):

@@ -1052,6 +1052,25 @@ def a_fresh_trainer():
                 sid_pipeline._retire(sid_pipeline._trainer)
 
 
+def record_trainings(monkeypatch, log: Path) -> None:
+    """gmm.train_gmm appends each training's feature kind and process id
+    to log, in whichever process trains: a trainer forked after this
+    records its trainings too."""
+    train_gmm = gmm.train_gmm
+
+    def train(features, cfg):
+        with open(log, "a") as f:
+            f.write(json.dumps([features.kind.value, os.getpid()]) + "\n")
+        return train_gmm(features, cfg)
+
+    monkeypatch.setattr(gmm, "train_gmm", train)
+
+
+def trainings(log: Path) -> list:
+    """The [kind, pid] of each training record_trainings logged, sorted."""
+    return sorted(json.loads(line) for line in log.read_text().splitlines())
+
+
 def overflow_outside(pid: int):
     """gmm.train_gmm, but an overflow first in any process other than pid."""
     train_gmm = gmm.train_gmm
@@ -1163,17 +1182,17 @@ class TestSpectralTrainer:
         other = CorpusManifest((tiny_corpus[0].speakers[2],))
         expected = database_to_bytes(train_database(other, TINY_TRAIN))
         trainer = sid_pipeline._trainer
-        replies, result = [], sid_pipeline._Trainer.result
+        replies, train = [], sid_pipeline._Trainer.train
 
-        def recorded(self):
-            replies.append(result(self))
+        def recorded(self, *request):
+            replies.append(train(self, *request))
             return replies[-1]
 
         def interrupt(features, cfg):
             raise KeyboardInterrupt
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sid_pipeline._Trainer, "result", recorded)
+            patch.setattr(sid_pipeline._Trainer, "train", recorded)
             patch.setattr(gmm, "train_gmm", interrupt)
             with pytest.raises(KeyboardInterrupt):
                 train_database(interrupted, TINY_TRAIN)
@@ -1195,27 +1214,7 @@ class TestSpectralTrainer:
             raise KeyboardInterrupt
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sid_pipeline._Trainer, "submit", half_sent)
-            with pytest.raises(KeyboardInterrupt):
-                train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
-        assert sid_pipeline._trainer is None and reaped(trainer.pid)
-        assert database_to_bytes(train_database(other, TINY_TRAIN)) == expected
-        assert sid_pipeline._trainer is not trainer and running(sid_pipeline._trainer.pid)
-
-    def test_an_interrupt_before_the_callers_training_retires_the_trainer(self, tiny_corpus):
-        # The request went out whole, and the reply is never read: the next
-        # call, for another speaker, would read it as its own.
-        other = CorpusManifest((tiny_corpus[0].speakers[2],))
-        expected = database_to_bytes(train_database(other, TINY_TRAIN))
-        trainer, outcome = sid_pipeline._trainer, sid_pipeline._outcome
-
-        def interrupted_before_training(task, stream):
-            if isinstance(stream, FeatureMatrix):
-                raise KeyboardInterrupt
-            return outcome(task, stream)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sid_pipeline, "_outcome", interrupted_before_training)
+            patch.setattr(sid_pipeline._Trainer, "train", half_sent)
             with pytest.raises(KeyboardInterrupt):
                 train_database(one_speaker(tiny_corpus[0], 2), TINY_TRAIN)
         assert sid_pipeline._trainer is None and reaped(trainer.pid)
@@ -1248,34 +1247,128 @@ class TestSpectralTrainer:
             ]
             assert running(sid_pipeline._trainer.pid)
 
-    @pytest.mark.parametrize("why", ["no process starts", "no Linux fork", "errstate calls"])
+    @pytest.mark.parametrize(
+        "why", ["with a trainer", "no process starts", "no Linux fork", "errstate calls"]
+    )
     def test_without_a_trainer_both_streams_train_through_map_streams(
-        self, tiny_corpus, monkeypatch, why
+        self, tiny_corpus, monkeypatch, tmp_path, why
     ):
+        # Each _map_streams call is named by the step it comes in: the
+        # stacking of a speaker's features ends extraction.
         manifest = one_speaker(tiny_corpus[0], 2)
         expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
-        calls, map_streams = [], sid_pipeline._map_streams
+        step, calls = ["extract"], []
+        map_streams, stack = sid_pipeline._map_streams, sid_pipeline.concatenate_features
 
         def counted(task, streams):
-            calls.append("train" if isinstance(streams[0], FeatureMatrix) else "extract")
+            calls.append(step[0])
             return map_streams(task, streams)
+
+        def stacked(parts):
+            step[0] = "train"
+            return stack(parts)
 
         def refuse():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        errstate = np.errstate()
+        errstate, log = np.errstate(), tmp_path / "trainings.jsonl"
         with a_fresh_trainer():
+            record_trainings(monkeypatch, log)
             monkeypatch.setattr(sid_pipeline, "_map_streams", counted)
+            monkeypatch.setattr(sid_pipeline, "concatenate_features", stacked)
             if why == "no process starts":
                 monkeypatch.setattr(os, "fork", refuse)
             elif why == "no Linux fork":
                 monkeypatch.setattr(sys, "platform", "darwin")
-            else:  # a function the trainer does not have
+            elif why == "errstate calls":  # a function the trainer does not have
                 errstate = np.errstate(over="call", call=lambda kind, flag: None)
             with errstate:
                 assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
-            assert (sid_pipeline._trainer is None) == (why != "errstate calls")
+            trainer = sid_pipeline._trainer
+            assert (trainer is None) == (why in ("no process starts", "no Linux fork"))
+            spectral_pid = trainer.pid if why == "with a trainer" else os.getpid()
         assert calls == ["extract", "extract", "train"]
+        assert trainings(log) == [["ACRLAG", os.getpid()], ["MFCC", spectral_pid]]
+
+    def test_a_retirement_does_not_wait_for_a_pending_reply(self, tiny_corpus, monkeypatch):
+        # The trainer sleeps 5 s on a request while the stream worker waits
+        # for its reply. Closing the reply pipe would wait for that read, so
+        # a retirement on another thread kills the trainer first; the read
+        # then meets end of file, and the speaker trains in place.
+        manifest = one_speaker(tiny_corpus[0], 1)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        train_gmm, parent = gmm.train_gmm, os.getpid()
+        read_end, write_end = os.pipe()
+
+        def slow_outside(features, cfg):
+            if os.getpid() != parent:
+                os.write(write_end, b"z")
+                time.sleep(5.0)
+            return train_gmm(features, cfg)
+
+        got = []
+        enrolling = threading.Thread(
+            target=lambda: got.append(database_to_bytes(train_database(manifest, TINY_TRAIN)))
+        )
+        try:
+            with a_fresh_trainer():
+                monkeypatch.setattr(gmm, "train_gmm", slow_outside)
+                trainer = sid_pipeline._spectral_trainer()  # the one the enrollment takes
+                enrolling.start()
+                assert os.read(read_end, 1) == b"z"  # the trainer has the request
+                time.sleep(0.2)  # the worker is reading the reply by now
+                began = time.monotonic()
+                sid_pipeline._retire(trainer)
+                took = time.monotonic() - began
+                enrolling.join(timeout=60.0)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert took < 2.0
+        assert got == [expected]
+        assert sid_pipeline._trainer is not trainer and reaped(trainer.pid)
+
+    def test_two_threads_enroll_through_the_one_trainer(self, tiny_corpus, monkeypatch, tmp_path):
+        # The stream worker runs one spectral task at a time, so the two
+        # threads' requests and replies take turns on the trainer's pipes.
+        speakers = tiny_corpus[0].speakers
+        manifests = [CorpusManifest(speakers[:2]), CorpusManifest(speakers[1:])]
+        expected = [
+            {entry.speaker_id: serial_enrollment(entry, TINY_TRAIN) for entry in m.speakers}
+            for m in manifests
+        ]
+        rounds, log = 3, tmp_path / "trainings.jsonl"
+        start, ready = threading.Thread.start, threading.Barrier(len(manifests))
+        got: list = [[] for _ in manifests]
+
+        def caller(i):
+            ready.wait()
+            for _ in range(rounds):
+                db = train_database(manifests[i], TINY_TRAIN)
+                got[i].append(
+                    {
+                        sid: tuple(gmm.model_to_bytes(models[sid]) for models in db.stream_models)
+                        for sid in db.speaker_ids
+                    }
+                )
+
+        with a_fresh_trainer():
+            record_trainings(monkeypatch, log)
+            with on_the_one_worker():
+                trainer = sid_pipeline._trainer
+                callers = [
+                    threading.Thread(target=caller, args=(i,)) for i in range(len(manifests))
+                ]
+                for thread in callers:
+                    start(thread)  # the test's own threads, not the calls'
+                for thread in callers:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in callers)
+        assert got == [[models] * rounds for models in expected]
+        n = rounds * sum(len(m.speakers) for m in manifests)
+        assert Counter(map(tuple, trainings(log))) == {
+            ("MFCC", trainer.pid): n, ("ACRLAG", os.getpid()): n
+        }
 
     def test_a_forked_child_enrolls_through_a_trainer_of_its_own(self, tiny_corpus):
         paths = tiny_corpus[0].speakers[1].train_utterances[:2]
