@@ -167,7 +167,11 @@ def assign_pitch_periods(n_speakers: int, rng: np.random.Generator) -> list[int]
         if pool.size >= needed:
             break
     if pool.size < needed:
-        raise ValueError(f"cannot assign {n_speakers} distinct pitch periods")
+        raise ValueError(
+            f"cannot assign {n_speakers} distinct pitch periods: at most "
+            f"{pool.size + len(TWIN_PERIODS)} speakers, from {pool.size} periods of "
+            f"{low}-{OTHERS_PERIOD_MAX} samples plus the two twins"
+        )
     others = rng.choice(pool, size=needed, replace=False)
     return list(TWIN_PERIODS)[:n_speakers] + [int(p) for p in others]
 

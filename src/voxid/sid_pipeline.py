@@ -404,36 +404,23 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 def _serve_training(requests, replies) -> None:
     """The trainer process's loop: it reads (features, TrainConfig, the
-    caller's np.geterr()) and writes back (model or the Exception raised,
-    the warnings met as (message, category, filename, lineno)), one pickle
-    each, until a closed pipe ends it. It ignores SIGINT, which a terminal
-    sends the parent's whole process group."""
+    caller's np.geterr()) and writes back the model, or None where the
+    training raised or warned, one pickle each, until a closed pipe ends
+    it. Every errstate mode but "ignore" raises here and every warning is
+    an error, so only an uneventful training's model comes back. It ignores
+    SIGINT, which a terminal sends the parent's whole process group."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         features, cfg, err = pickle.load(requests)
-        with warnings.catch_warnings(record=True) as met, np.errstate(**err):
-            warnings.simplefilter("always")
+        raising = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in err.items()}
+        with warnings.catch_warnings(), np.errstate(**raising):
+            warnings.simplefilter("error")
             try:
-                result = gmm.train_gmm(features, cfg)
-            except Exception as exc:
-                result = exc
-        met = [(w.message, w.category, w.filename, w.lineno) for w in met]
-        pickle.dump((result, met), replies, pickle.HIGHEST_PROTOCOL)
+                model = gmm.train_gmm(features, cfg)
+            except Exception:
+                model = None
+        pickle.dump(model, replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
-
-
-def _warn_again(message: Warning, category: type, filename: str, lineno: int) -> None:
-    """Issue a warning the trainer met as if raised at its place in this
-    process: the module at filename, if loaded, gives the filters their
-    module name and its once-registry, as warnings.warn would."""
-    module = next(
-        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
-    )
-    if module is None:
-        warnings.warn_explicit(message, category, filename, lineno)
-    else:
-        registry = vars(module).setdefault("__warningregistry__", {})
-        warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
 
 
 class _Trainer:
@@ -464,25 +451,13 @@ class _Trainer:
         os.close(child_replies)
         self.requests, self.replies = open(requests, "wb"), open(replies, "rb")
 
-    def train(
-        self, features: FeatureMatrix, cfg: TrainConfig, err: dict
-    ) -> GmmModel | Exception | None:
-        """The features' model or the Exception their training raised, with
-        the warnings it met issued here first (one that a filter turns into
-        an error takes the result's place); None when the trainer is dead or
-        retired, or died before its reply was whole."""
-        try:
-            pickle.dump((features, cfg, err), self.requests, pickle.HIGHEST_PROTOCOL)
-            self.requests.flush()
-            result, met = pickle.load(self.replies)
-        except (OSError, ValueError, EOFError, pickle.UnpicklingError):
-            return None
-        try:
-            for warning in met:
-                _warn_again(*warning)
-        except Exception as exc:
-            return exc
-        return result
+    def train(self, features: FeatureMatrix, cfg: TrainConfig) -> GmmModel | None:
+        """The features' model, trained under the caller's ``np.geterr()``,
+        or None where that training raised or warned. A dead or retired
+        trainer raises: a broken pipe, a closed file or end of file."""
+        pickle.dump((features, cfg, np.geterr()), self.requests, pickle.HIGHEST_PROTOCOL)
+        self.requests.flush()
+        return pickle.load(self.replies)
 
 
 _trainer: _Trainer | None = None
@@ -541,8 +516,11 @@ def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | 
     requests to the trainer (``_train_stream``). Where no thread can
     start, both tasks run on the calling thread. A call returns only after
     both tasks have finished, and a BaseException that is no Exception,
-    from either task, is then raised, the spectral stream's first."""
+    from either task, is then raised, the spectral stream's first; one that
+    a signal handler raised while the calling thread waited for the worker
+    comes after them."""
     results: list = [None, None]
+    interrupt: BaseException | None = None
 
     def run(index: int) -> None:
         try:
@@ -559,10 +537,17 @@ def _map_streams(task: Callable[[_T], _R], streams: tuple[_T, _T]) -> list[_R | 
         try:
             run(1)
         finally:
-            done.acquire()
+            while True:  # a signal handler that raises ends the wait, not the task
+                try:
+                    done.acquire()
+                    break
+                except BaseException as exc:
+                    interrupt = interrupt or exc
     for result in results:
         if isinstance(result, BaseException) and not isinstance(result, Exception):
             raise result
+    if interrupt is not None:
+        raise interrupt
     return results
 
 
@@ -575,31 +560,26 @@ def _value(result: _R | Exception) -> _R:
 
 def _train_stream(stream: _Stream, features: FeatureMatrix) -> GmmModel:
     """The stream's mixture of a speaker's stacked features, ``gmm.train_gmm``
-    with the config's ``TrainConfig``. The residual stream's trains in
-    place. The spectral stream's is trained by the process's trainer
-    (``_spectral_trainer``) with the caller's ``np.geterr()``, the warnings
-    it met issued here under the caller's filters; it too trains in place
-    where there is no trainer, where the errstate calls a function, which
-    the trainer has not got, and where the trainer has died: a dead one is
-    noticed when it is used (a broken pipe, or end of file at the reply)
-    and retired, and the next enrollment forks a new one. A BaseException
-    between the request and the reply (an interrupt, where this runs on
-    the calling thread) may leave half a request or an unread reply in the
-    pipes, so it retires the trainer too."""
-    trainer, err, cfg = _trainer, np.geterr(), stream.config.train
-    err_calls = "call" in err.values() or "log" in err.values()
-    result = None
-    if stream.name == "spectral" and trainer is not None and not err_calls:
+    with the config's ``TrainConfig``. The spectral stream's is trained by
+    the process's trainer (``_spectral_trainer``); it trains in place, as
+    the residual stream's does, where there is no trainer, where the
+    trainer's training raised or warned (training is deterministic, so the
+    same exception or warnings then come here, under the caller's errstate
+    and filters), and where the trainer has died: a dead one is noticed
+    when it is used and retired, and the next enrollment forks a new one.
+    A BaseException between the request and the reply (an interrupt, where
+    this runs on the calling thread) may leave half a request or an unread
+    reply in the pipes, so it retires the trainer too."""
+    trainer, cfg, model = _trainer, stream.config.train, None
+    if stream.name == "spectral" and trainer is not None:
         try:
-            result = trainer.train(features, cfg, err)
-        finally:
-            if result is None:  # dead, retired, or interrupted: the pipes are not to be trusted
-                _retire(trainer)
-    if result is None:
-        return gmm.train_gmm(features, cfg)
-    if isinstance(result, Exception):
-        raise result
-    return result
+            model = trainer.train(features, cfg)
+        except (OSError, ValueError, EOFError, pickle.UnpicklingError):
+            _retire(trainer)  # dead, or retired by another thread
+        except BaseException:
+            _retire(trainer)  # the pipes are not to be trusted
+            raise
+    return gmm.train_gmm(features, cfg) if model is None else model
 
 
 def train_database(manifest: CorpusManifest, config: PipelineConfig) -> SpeakerDatabase:

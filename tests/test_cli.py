@@ -201,6 +201,12 @@ class TestSynthCorpus:
             ("--train-seconds", "inf", "train_seconds must be finite and at most 60 s, got inf"),
             ("--test-seconds", "1e12", "test_seconds must be finite and at most 60 s"),
             ("--test-seconds", "0.5", "test_seconds: 0.5 s leaves no room for speech"),
+            (
+                "--speakers",
+                "26",
+                "cannot assign 26 distinct pitch periods: at most 25 speakers, "
+                "from 23 periods of 40-62 samples plus the two twins",
+            ),
         ],
     )
     def test_bad_arguments_refused_before_writing(self, tmp_path, capsys, flag, value, reason):

@@ -996,6 +996,27 @@ class TestStreamWorker:
         scores = json.loads(run_script(AT_EXIT, tiny_db_path, path, when))
         assert tuple(SpeakerScores(*s) for s in scores) == expected
 
+    def test_an_interrupt_while_waiting_for_the_worker_comes_after_its_task(self):
+        # SIGINT at 0.5 s, while the calling thread waits for a 2 s spectral
+        # task: the call raises it once the task has finished, and the same
+        # worker serves the next call. Python's own handler is set, since a
+        # shell starts a background command with SIGINT ignored.
+        worker = sid_pipeline._stream_worker()
+        timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        began = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                sid_pipeline._map_streams(time.sleep, (2.0, 0.0))
+            took = time.monotonic() - began
+        finally:
+            timer.join()
+            signal.signal(signal.SIGINT, handler)
+        assert took >= 2.0
+        assert sid_pipeline._map_streams(abs, (-1, -2)) == [1, 2]
+        assert sid_pipeline._stream_worker() is worker
+
     def test_without_a_thread_both_streams_run_on_the_calling_thread(
         self, tiny_corpus, tiny_db, monkeypatch
     ):
@@ -1071,16 +1092,26 @@ def trainings(log: Path) -> list:
     return sorted(json.loads(line) for line in log.read_text().splitlines())
 
 
-def overflow_outside(pid: int):
-    """gmm.train_gmm, but an overflow first in any process other than pid."""
+def spectral_fault(fault: str):
+    """gmm.train_gmm, but one that meets the fault first wherever it trains
+    the spectral stream's features, in every process: "raises" raises a
+    ValueError, and any other fault multiplies into an overflow."""
     train_gmm = gmm.train_gmm
 
     def train(features, cfg):
-        if os.getpid() != pid:
+        if features.kind is FeatureKind.MFCC:
+            if fault == "raises":
+                raise ValueError("the spectral training gave out")
             np.array([1e308]) * 10.0
         return train_gmm(features, cfg)
 
     return train
+
+
+def spectral_trainings(log: Path) -> list:
+    """The pid of each MFCC training record_trainings logged, in order."""
+    lines = map(json.loads, log.read_text().splitlines())
+    return [pid for kind, pid in lines if kind == FeatureKind.MFCC.value]
 
 
 # Enrolls in a fresh interpreter, forks, and enrolls again in the child,
@@ -1207,8 +1238,8 @@ class TestSpectralTrainer:
         expected = database_to_bytes(train_database(other, TINY_TRAIN))
         trainer = sid_pipeline._trainer
 
-        def half_sent(self, features, cfg, err):
-            payload = pickle.dumps((features, cfg, err), pickle.HIGHEST_PROTOCOL)
+        def half_sent(self, features, cfg):
+            payload = pickle.dumps((features, cfg, np.geterr()), pickle.HIGHEST_PROTOCOL)
             self.requests.write(payload[: len(payload) // 2])
             self.requests.flush()
             raise KeyboardInterrupt
@@ -1222,8 +1253,9 @@ class TestSpectralTrainer:
         assert sid_pipeline._trainer is not trainer and running(sid_pipeline._trainer.pid)
 
     def test_callers_errstate_holds_in_the_trainer(self, tiny_corpus, monkeypatch):
+        # The trainer's training raises, and so does the one in place.
         with a_fresh_trainer():
-            monkeypatch.setattr(gmm, "train_gmm", overflow_outside(os.getpid()))
+            monkeypatch.setattr(gmm, "train_gmm", spectral_fault("overflows"))
             with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
                 train_database(one_speaker(tiny_corpus[0], 1), TINY_TRAIN)
             assert running(sid_pipeline._trainer.pid)
@@ -1234,7 +1266,7 @@ class TestSpectralTrainer:
         manifest = one_speaker(tiny_corpus[0], 1)
         expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
         with a_fresh_trainer():
-            monkeypatch.setattr(gmm, "train_gmm", overflow_outside(os.getpid()))
+            monkeypatch.setattr(gmm, "train_gmm", spectral_fault("overflows"))
             with warnings.catch_warnings(), np.errstate(over="warn"):
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(RuntimeWarning, match="^overflow encountered in multiply$"):
@@ -1246,6 +1278,35 @@ class TestSpectralTrainer:
                 (RuntimeWarning, "overflow encountered in multiply", __file__)
             ]
             assert running(sid_pipeline._trainer.pid)
+
+    @pytest.mark.parametrize("fault", ["raises", "warns", "calls"])
+    def test_a_training_that_raises_or_warns_in_the_trainer_trains_again_in_place(
+        self, tiny_corpus, monkeypatch, tmp_path, fault
+    ):
+        # The trainer replies None, and the training in place meets the same
+        # fault here: the exception, the warning under the caller's filters,
+        # or the overflow through the caller's errstate callback.
+        manifest = one_speaker(tiny_corpus[0], 1)
+        expected = database_to_bytes(train_database(manifest, TINY_TRAIN))
+        log, called = tmp_path / "trainings.jsonl", []
+        with a_fresh_trainer():
+            monkeypatch.setattr(gmm, "train_gmm", spectral_fault(fault))
+            record_trainings(monkeypatch, log)
+            trainer = sid_pipeline._spectral_trainer()  # the one the enrollment takes
+            if fault == "raises":
+                with pytest.raises(ValueError, match="^the spectral training gave out$"):
+                    train_database(manifest, TINY_TRAIN)
+            elif fault == "warns":
+                with warnings.catch_warnings(record=True) as met, np.errstate(over="warn"):
+                    warnings.simplefilter("always")
+                    assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+                assert [str(w.message) for w in met] == ["overflow encountered in multiply"]
+            else:
+                with np.errstate(over="call", call=lambda kind, flag: called.append(kind)):
+                    assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
+                assert called == ["overflow"]
+            assert sid_pipeline._trainer is trainer and running(trainer.pid)
+        assert spectral_trainings(log) == [trainer.pid, os.getpid()]
 
     @pytest.mark.parametrize(
         "why", ["with a trainer", "no process starts", "no Linux fork", "errstate calls"]
@@ -1280,13 +1341,13 @@ class TestSpectralTrainer:
                 monkeypatch.setattr(os, "fork", refuse)
             elif why == "no Linux fork":
                 monkeypatch.setattr(sys, "platform", "darwin")
-            elif why == "errstate calls":  # a function the trainer does not have
+            elif why == "errstate calls":  # "raise" in the trainer, where nothing overflows
                 errstate = np.errstate(over="call", call=lambda kind, flag: None)
             with errstate:
                 assert database_to_bytes(train_database(manifest, TINY_TRAIN)) == expected
             trainer = sid_pipeline._trainer
             assert (trainer is None) == (why in ("no process starts", "no Linux fork"))
-            spectral_pid = trainer.pid if why == "with a trainer" else os.getpid()
+            spectral_pid = os.getpid() if trainer is None else trainer.pid
         assert calls == ["extract", "extract", "train"]
         assert trainings(log) == [["ACRLAG", os.getpid()], ["MFCC", spectral_pid]]
 
@@ -1328,13 +1389,19 @@ class TestSpectralTrainer:
         assert got == [expected]
         assert sid_pipeline._trainer is not trainer and reaped(trainer.pid)
 
-    def test_two_threads_enroll_through_the_one_trainer(self, tiny_corpus, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("n_components", [2, 8, 32])
+    def test_two_threads_enroll_through_the_one_trainer(
+        self, tiny_corpus, monkeypatch, tmp_path, n_components
+    ):
         # The stream worker runs one spectral task at a time, so the two
         # threads' requests and replies take turns on the trainer's pipes.
+        # Each mixture trains once: a training that warned in the trainer
+        # would train again in place.
+        config = PipelineConfig(train=TrainConfig(n_components=n_components))
         speakers = tiny_corpus[0].speakers
         manifests = [CorpusManifest(speakers[:2]), CorpusManifest(speakers[1:])]
         expected = [
-            {entry.speaker_id: serial_enrollment(entry, TINY_TRAIN) for entry in m.speakers}
+            {entry.speaker_id: serial_enrollment(entry, config) for entry in m.speakers}
             for m in manifests
         ]
         rounds, log = 3, tmp_path / "trainings.jsonl"
@@ -1344,7 +1411,7 @@ class TestSpectralTrainer:
         def caller(i):
             ready.wait()
             for _ in range(rounds):
-                db = train_database(manifests[i], TINY_TRAIN)
+                db = train_database(manifests[i], config)
                 got[i].append(
                     {
                         sid: tuple(gmm.model_to_bytes(models[sid]) for models in db.stream_models)
